@@ -15,8 +15,9 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# End-to-end timing of the optimized vs legacy core; writes
-# BENCH_perf.json at the repository root.
+# Timing of the points-to core with the tracing-off and provenance-off
+# overhead guards; merges its sections into BENCH_perf.json at the
+# repository root.
 bench-perf:
 	PYTHONPATH=src python benchmarks/bench_perf.py
 
@@ -57,7 +58,7 @@ bench-diffcheck:
 	PYTHONPATH=src python benchmarks/bench_diffcheck.py
 
 # Tier-1 gate: the full test suite plus a quick performance smoke
-# (one small and one large program through both cores).
+# (one small and one large program).
 check:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python benchmarks/bench_perf.py --smoke --out /tmp/bench_perf_smoke.json

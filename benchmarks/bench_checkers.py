@@ -15,7 +15,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -28,6 +27,7 @@ from repro.benchsuite import BENCHMARKS  # noqa: E402
 from repro.checkers import CHECKERS, run_checkers  # noqa: E402
 from repro.core import perf  # noqa: E402
 from repro.core.analysis import analyze_source  # noqa: E402
+from report import merge_section  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -88,14 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  all checkers: {all_wall:.3f}s "
           f"({ratio:.2f}x the analysis itself)  ->  {args.out}")
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["checkers"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "checkers", section)
     return 0
 
 

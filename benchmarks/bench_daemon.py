@@ -40,6 +40,7 @@ sys.path.insert(
 from repro.daemon import DaemonClient, DaemonConfig, DaemonHandle  # noqa: E402
 from repro.service.batch import serve  # noqa: E402
 from repro.service.store import ResultStore  # noqa: E402
+from report import merge_section  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -240,14 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         "warm_speedup_vs_serve": round(speedup, 2),
     }
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["daemon"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "daemon", section)
     print(f"  -> {args.out}")
 
     if not args.smoke and speedup < 5.0:

@@ -30,7 +30,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import statistics
 import sys
@@ -49,6 +48,7 @@ from repro.checkers import (  # noqa: E402
 )
 from repro.core import perf  # noqa: E402
 from repro.core.analysis import analyze_source  # noqa: E402
+from report import merge_section  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -165,14 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "programs": programs,
     }
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["diffcheck"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "diffcheck", section)
     print(f"  -> {args.out}")
 
     if not args.smoke and not floor_ok:

@@ -23,7 +23,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import statistics
 import sys
@@ -37,6 +36,7 @@ from repro.benchsuite.perfsuite import PERF_BENCHMARKS  # noqa: E402
 from repro.core.analysis import analyze_source  # noqa: E402
 from repro.core.incremental import update_analysis  # noqa: E402
 from repro.service.serialize import semantic_payload_bytes  # noqa: E402
+from report import merge_section  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -135,14 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         "programs": programs,
     }
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["incremental"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "incremental", section)
     print(f"  -> {args.out}")
 
     if not args.smoke and not floor_ok:

@@ -1,48 +1,42 @@
-"""End-to-end performance benchmark: optimized core vs legacy core.
+"""End-to-end performance benchmark of the points-to core.
 
-Times the full analysis (parse + simplify + points-to) of every
-benchsuite program plus a family of generated programs, first with the
-performance architecture enabled (interned locations, copy-on-write
-sets, fingerprint-keyed call memoization) and then with
-:func:`repro.core.perf.legacy_overrides` emulating the pre-PR core in
-the same process — same machine, same run.  Writes ``BENCH_perf.json``
-at the repository root.
+Times the full analysis (points-to over pre-simplified programs) of
+every benchsuite program plus a family of generated programs and
+merges the results into ``BENCH_perf.json`` at the repository root
+(``optimized_s`` and the per-program ``optimized`` rows).
 
-A third section measures the observability layer (``repro.obs``):
+A second section measures the observability layer (``repro.obs``):
 the suite is re-timed with tracing *off* (the instrumentation hooks
 reduced to no-ops — this is the tier-1 guard: < 5% overhead versus
-the optimized baseline timed moments earlier through the identical
-code path) and once with a live tracer, whose metrics snapshot is
-embedded in the report.
+the baseline timed moments earlier through the identical code path)
+and once with a live tracer, whose metrics snapshot is embedded in
+the report.
 
-A fourth section measures the provenance layer the same way: with
+A third section measures the provenance layer the same way: with
 ``perf.CONFIG.track_provenance`` off (hard guard: < 5%, the
 acceptance criterion — disabled recording must be free) and on (the
 honest cost of one Derivation record per created triple, guarded by
 a generous regression backstop; see docs/PROVENANCE.md).
 
-A fifth section measures the dense bitset core (bitset points-to
-sets + change-driven worklist + slice-keyed call memoization, the
-default configuration) against the dict core
-(:func:`repro.core.perf.dict_core_overrides`) over the classic
-workload plus the two worklist-stressing programs from
-``repro.benchsuite.perfsuite``, and checks that the semantic payload
-is byte-identical across the bitset, dict, and legacy cores.
+A fourth section reports the call memo's effectiveness (hit rate,
+slice-keyed hits) over the classic workload plus the two
+worklist-stressing programs from ``repro.benchsuite.perfsuite``, with
+a hit-rate floor in full mode.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_perf.py [--smoke] [--out PATH]
 
-``--smoke`` times just one small and one large program (used by
-``make check``); the default times the whole suite.  The overhead
-guard is asserted only in full mode (smoke timings are too small to
-be stable).
+``--smoke`` times just one small and one large program; the default
+times the whole suite.  The guards are asserted only in full mode
+(smoke timings are too small to be stable).  Output identity of the
+core is not checked here: ``tests/interp/test_golden_digests.py`` pins
+it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -57,20 +51,15 @@ from repro.benchsuite.perfsuite import PERF_BENCHMARKS  # noqa: E402
 from repro.core import perf  # noqa: E402
 from repro.core.analysis import analyze  # noqa: E402
 from repro.core.statistics import collect_perf, collect_table3  # noqa: E402
-from repro.service.serialize import semantic_payload_bytes  # noqa: E402
 from repro.simple.simplify import simplify_source  # noqa: E402
+from report import merge_section  # noqa: E402
 
 #: The tier-1 ceiling on tracing-off instrumentation overhead.
 MAX_TRACING_OFF_OVERHEAD = 0.05
 
-#: Acceptance floors for the bitset+worklist+slice core against the
-#: dict core (the previous optimized baseline), enforced in full mode.
-MIN_BITSET_SPEEDUP = 3.0
-MIN_BODY_PASS_RATIO = 5.0
-MIN_SLICE_HIT_RATE = 0.60
-#: The CI smoke floor (smoke timings are noisier; the semantic
-#: byte-identity check is enforced in both modes).
-MIN_BITSET_SPEEDUP_SMOKE = 2.5
+#: Floor on the call-memo hit rate over the classic plus stress
+#: workload, enforced in full mode.
+MIN_MEMO_HIT_RATE = 0.60
 
 #: The tier-1 ceiling on provenance-off hook overhead (the acceptance
 #: criterion: disabled recording must be free).
@@ -111,14 +100,12 @@ def workload(smoke: bool) -> list[tuple[str, str]]:
 
 def time_one(name: str, program) -> dict:
     """Analyze ``program`` REPEATS times; report best wall time plus
-    the per-run counters of the last run.  Parsing and simplification
-    run outside the timed region (once, in :func:`main`) — they are
-    frontend work the performance architecture does not touch."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        with obs.timed("bench.analyze", program=name) as timer:
-            analysis = analyze(program)
-        best = min(best, timer.elapsed)
+    the counters of one more (untimed, deterministic) run.  Parsing and
+    simplification run outside the timed region (once, in
+    :func:`main`) — they are frontend work the performance
+    architecture does not touch."""
+    best = best_wall(name, program)
+    analysis = analyze(program)
     # Table 3's headline precision fractions ride along per program
     # (collected outside the timed region; they scan the result, not
     # the analysis).
@@ -130,29 +117,32 @@ def time_one(name: str, program) -> dict:
     return result
 
 
+def best_wall(name: str, program) -> float:
+    """Best-of-REPEATS wall time of one analysis of ``program``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        with obs.timed("bench.analyze", program=name) as timer:
+            analyze(program)
+        best = min(best, timer.elapsed)
+    return best
+
+
 def time_suite(programs) -> float:
     """Best-of-REPEATS total wall time over all programs."""
-    total = 0.0
-    for name, program in programs:
-        best = float("inf")
-        for _ in range(REPEATS):
-            with obs.timed("bench.analyze", program=name) as timer:
-                analyze(program)
-            best = min(best, timer.elapsed)
-        total += best
-    return total
+    return sum(best_wall(name, program) for name, program in programs)
 
 
-def tracing_section(programs, optimized_s: float, smoke: bool) -> dict:
-    """Time the suite with tracing off and on; guard the off overhead.
+def tracing_section(
+    programs, optimized_s: float, off_s: float, smoke: bool
+) -> dict:
+    """Time the suite with tracing on; guard the off overhead.
 
-    ``optimized_s`` is the baseline just measured by the main loop —
-    the same programs through the same code path, also with tracing
-    off — so ``off_overhead`` isolates measurement noise plus the cost
-    of the disabled hooks, which together must stay under
-    :data:`MAX_TRACING_OFF_OVERHEAD`.
+    ``optimized_s`` is the baseline and ``off_s`` the tracing-off
+    re-measurement, both taken by the main loop — the same programs
+    through the same code path, with tracing off — so ``off_overhead``
+    isolates measurement noise plus the cost of the disabled hooks,
+    which together must stay under :data:`MAX_TRACING_OFF_OVERHEAD`.
     """
-    off_s = time_suite(programs)
     tracer = obs.Tracer()
     with obs.tracing(tracer):
         on_s = time_suite(programs)
@@ -177,17 +167,19 @@ def tracing_section(programs, optimized_s: float, smoke: bool) -> dict:
     }
 
 
-def provenance_section(programs, optimized_s: float, smoke: bool) -> dict:
-    """Time the suite with provenance recording off and on.
+def provenance_section(
+    programs, optimized_s: float, off_s: float, smoke: bool
+) -> dict:
+    """Time the suite with provenance recording on.
 
-    Like :func:`tracing_section`, ``off_s`` re-measures the identical
-    code path with the hooks disabled, so ``off_overhead`` isolates
+    Like :func:`tracing_section`, ``off_s`` is the main loop's
+    re-measurement of the identical code path with the hooks disabled,
+    so ``off_overhead`` isolates
     noise plus the cost of the ``CURRENT.enabled`` guards — the hard
     acceptance criterion (< 5%).  ``on_overhead`` is the real price of
     recording a derivation per created triple; it is reported honestly
     and guarded only by a generous regression backstop.
     """
-    off_s = time_suite(programs)
     records = 0
     depth_max = 0
     with perf.configured(track_provenance=True):
@@ -246,98 +238,29 @@ def stress_workload() -> list[tuple[str, str]]:
     ]
 
 
-def bitset_section(classic_programs, smoke: bool) -> dict:
-    """Dense bitset core vs dict core, classic suite plus stress programs.
-
-    Times the full analysis under the default configuration (dense-id
-    bitset sets + change-driven worklist + slice-keyed call memo) and
-    under :func:`repro.core.perf.dict_core_overrides` (the previous
-    optimized baseline), interleaved per program.  A separate untimed,
-    traced pass counts ``analysis.body_passes`` per core, and the same
-    pass collects each core's semantic payload (the artifact minus
-    ``stats`` and ``summaries.perf``), which must be byte-identical
-    across the bitset, dict, and legacy cores for every program — the
-    representation change must be invisible in the answers.
-    """
-    programs = list(classic_programs) + stress_workload()
-    bitset_rows, dict_rows = [], []
-    for name, program in programs:
-        bitset_rows.append(time_one(name, program))
-        with perf.configured(**perf.dict_core_overrides()):
-            dict_rows.append(time_one(name, program))
-    bitset_s = sum(row["wall_s"] for row in bitset_rows)
-    dict_s = sum(row["wall_s"] for row in dict_rows)
-    speedup = dict_s / bitset_s if bitset_s else 0.0
-
-    passes: dict[str, int] = {}
-    payloads: dict[str, dict[str, bytes]] = {}
-    for label, overrides in (
-        ("bitset", {}),
-        ("dict", perf.dict_core_overrides()),
-        ("legacy", perf.legacy_overrides()),
-    ):
-        tracer = obs.Tracer()
-        with perf.configured(**overrides), obs.tracing(tracer):
-            for name, program in programs:
-                payloads.setdefault(name, {})[label] = (
-                    semantic_payload_bytes(analyze(program), name)
-                )
-        passes[label] = int(tracer.counters.get("analysis.body_passes", 0))
-    divergent = sorted(
-        name
-        for name, by_core in payloads.items()
-        if not (by_core["bitset"] == by_core["dict"] == by_core["legacy"])
-    )
-
-    memo_hits = sum(row["memo_hits"] for row in bitset_rows)
-    memo_lookups = memo_hits + sum(r["memo_misses"] for r in bitset_rows)
-    hit_rate = memo_hits / memo_lookups if memo_lookups else 0.0
-    slice_hits = sum(row["slice"]["hits"] for row in bitset_rows)
-    slice_lookups = sum(row["slice"]["lookups"] for row in bitset_rows)
-    body_ratio = passes["dict"] / passes["bitset"] if passes["bitset"] else 0.0
-    print(
-        f"  bitset: {bitset_s:.3f}s vs dict {dict_s:.3f}s "
-        f"({speedup:.2f}x), body passes {passes['bitset']} vs "
-        f"{passes['dict']} ({body_ratio:.2f}x), memo hit rate "
-        f"{hit_rate:.1%} ({memo_hits}/{memo_lookups})"
-    )
-    assert not divergent, (
-        "semantic payloads diverge across cores for: " + ", ".join(divergent)
-    )
-    floor = MIN_BITSET_SPEEDUP_SMOKE if smoke else MIN_BITSET_SPEEDUP
-    assert speedup >= floor, (
-        f"bitset-core speedup {speedup:.2f}x is below the {floor:.1f}x floor"
-    )
+def memo_section(classic_rows, smoke: bool) -> dict:
+    """Call-memo effectiveness over the classic workload (its rows were
+    timed by the main loop) plus the perfsuite stress programs."""
+    rows = list(classic_rows) + [
+        time_one(name, program) for name, program in stress_workload()
+    ]
+    hits = sum(row["memo_hits"] for row in rows)
+    lookups = hits + sum(row["memo_misses"] for row in rows)
+    hit_rate = hits / lookups if lookups else 0.0
+    print(f"  memo: hit rate {hit_rate:.1%} ({hits}/{lookups})")
     if not smoke:
-        assert body_ratio >= MIN_BODY_PASS_RATIO, (
-            f"body-pass reduction {body_ratio:.2f}x is below the "
-            f"{MIN_BODY_PASS_RATIO:.0f}x floor"
-        )
-        assert hit_rate >= MIN_SLICE_HIT_RATE, (
+        assert hit_rate >= MIN_MEMO_HIT_RATE, (
             f"memo hit rate {hit_rate:.1%} is below the "
-            f"{MIN_SLICE_HIT_RATE:.0%} floor"
+            f"{MIN_MEMO_HIT_RATE:.0%} floor"
         )
     return {
-        "bitset_s": round(bitset_s, 6),
-        "dict_s": round(dict_s, 6),
-        "speedup": round(speedup, 3),
-        "min_speedup": floor,
-        "body_passes": {
-            "bitset": passes["bitset"],
-            "dict": passes["dict"],
-            "legacy": passes["legacy"],
-            "ratio": round(body_ratio, 3),
-        },
-        "memo": {
-            "hits": memo_hits,
-            "lookups": memo_lookups,
-            "hit_rate": round(hit_rate, 4),
-            "slice_hits": slice_hits,
-            "slice_lookups": slice_lookups,
-        },
-        "artifacts_identical": not divergent,
-        "bitset": bitset_rows,
-        "dict": dict_rows,
+        "hits": hits,
+        "lookups": lookups,
+        "hit_rate": round(hit_rate, 4),
+        "min_hit_rate": MIN_MEMO_HIT_RATE,
+        "slice_hits": sum(row["slice"]["hits"] for row in rows),
+        "slice_lookups": sum(row["slice"]["lookups"] for row in rows),
+        "stress": rows[len(classic_rows):],
     }
 
 
@@ -365,44 +288,38 @@ def main(argv: list[str] | None = None) -> int:
     ]
     print(f"bench_perf: {len(programs)} programs, best of {REPEATS} runs")
     perf.reset()
-    analyze(programs[0][1])  # warm caches/JIT-ish state before timing
-    # Interleave the two modes per program so slow machine-wide drift
-    # (thermal throttling, background load) hits both cores equally.
-    optimized_rows, legacy_rows = [], []
+    analyze(programs[0][1])  # warm caches before timing
+    # The tracing-off and provenance-off re-measurements run the code
+    # path of the baseline; interleaving the three per program makes
+    # machine-wide drift (background load) hit them equally.
+    rows, tracing_off_s, provenance_off_s = [], 0.0, 0.0
     for name, program in programs:
-        optimized_rows.append(time_one(name, program))
-        with perf.configured(**perf.legacy_overrides()):
-            legacy_rows.append(time_one(name, program))
-    optimized = summarize(optimized_rows, "optimized")
-    legacy = summarize(legacy_rows, "legacy (pre-optimization emulation)")
-    perf.reset()
+        rows.append(time_one(name, program))
+        tracing_off_s += best_wall(name, program)
+        provenance_off_s += best_wall(name, program)
+    optimized = summarize(rows, "core")
 
-    tracing = tracing_section(programs, optimized["total_s"], args.smoke)
+    tracing = tracing_section(
+        programs, optimized["total_s"], tracing_off_s, args.smoke
+    )
     provenance = provenance_section(
-        programs, optimized["total_s"], args.smoke
+        programs, optimized["total_s"], provenance_off_s, args.smoke
     )
     perf.reset()
-    bitset = bitset_section(programs, args.smoke)
-    perf.reset()
+    memo = memo_section(rows, args.smoke)
 
-    speedup = (
-        legacy["total_s"] / optimized["total_s"]
-        if optimized["total_s"] else 0.0
-    )
     report = {
         "mode": "smoke" if args.smoke else "full",
         "repeats": REPEATS,
         "optimized_s": optimized["total_s"],
-        "legacy_s": legacy["total_s"],
-        "speedup": round(speedup, 3),
         "tracing": tracing,
         "provenance": provenance,
-        "bitset": bitset,
+        "memo": memo,
         "optimized": optimized["programs"],
-        "legacy": legacy["programs"],
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"  speedup: {speedup:.2f}x  ->  {args.out}")
+    for name, section in report.items():
+        merge_section(args.out, name, section)
+    print(f"  -> {args.out}")
     return 0
 
 

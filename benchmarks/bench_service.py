@@ -14,7 +14,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import tempfile
@@ -25,6 +24,7 @@ sys.path.insert(
 
 from repro.service.batch import collect_items, run_batch  # noqa: E402
 from repro.service.store import ResultStore  # noqa: E402
+from report import merge_section  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -69,14 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     print(f"  warm speedup: {speedup:.2f}x  ->  {args.out}")
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["service"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "service", section)
     return 0
 
 

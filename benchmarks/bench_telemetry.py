@@ -31,7 +31,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import tempfile
@@ -42,6 +41,7 @@ sys.path.insert(
 )
 
 from repro.daemon import DaemonClient, DaemonConfig, DaemonHandle  # noqa: E402
+from report import merge_section  # noqa: E402
 
 from bench_daemon import (  # noqa: E402
     percentile,
@@ -190,14 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "floor": "rps_off >= 0.95 * rps_on (full mode)",
     }
 
-    merged: dict = {}
-    if args.out.exists():
-        try:
-            merged = json.loads(args.out.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged["telemetry"] = section
-    args.out.write_text(json.dumps(merged, indent=2) + "\n")
+    merge_section(args.out, "telemetry", section)
     print(f"  -> {args.out}")
 
     if not args.smoke and rps_off < 0.95 * rps_on:

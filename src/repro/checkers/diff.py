@@ -230,7 +230,7 @@ def _stmt_spans(
 
 def _pts_digest(pts, strs: dict | None = None) -> bytes:
     """Canonical digest of one points-to set: sorted, stringly rows,
-    so live bitset and decoded relational representations agree.
+    so live and decoded analyses (whose location ids differ) agree.
     ``strs`` interns the rendered form of locations and definiteness
     marks (both repeat across nearly every row of one analysis)."""
     digest = hashlib.sha256()
@@ -278,12 +278,12 @@ def _rows_fingerprint(analysis, pairs: list, cache: dict | None = None) -> str:
 
     Per-statement digests are folded into the function hash, which
     lets consecutive statements sharing a points-to set reuse one
-    digest: ``cache`` memoizes by the bitset core's row dict — first
-    by object identity (propagation aliases unchanged frames), then by
-    its ``(src, defs, poss)`` integer content (ids are stable within
-    one analysis, whose sets all share the active location table).
-    Decoded analyses lack the bitset internals and hash every set, but
-    produce identical digests for identical rows.
+    digest: ``cache`` memoizes by the set's row dict — first by object
+    identity (propagation aliases unchanged frames), then by its
+    location table plus ``(src, defs, poss)`` integer content.  The
+    table is part of the key because row ids mean nothing without it:
+    an incrementally updated analysis holds spliced rows from a fresh
+    table beside rows from the original run's.
     """
     digest = hashlib.sha256()
     if cache is None:
@@ -294,20 +294,16 @@ def _rows_fingerprint(analysis, pairs: list, cache: dict | None = None) -> str:
         if pts is None:
             digest.update(b"\x00-")
             continue
-        part = key = None
-        src_map = getattr(pts, "_src", None)
-        if src_map is not None:
-            entry = cache.get(id(src_map))
-            if entry is not None and entry[0] is src_map:
-                part = entry[1]
-            else:
-                key = frozenset(src_map.items())
-                part = cache.get(key)
-        if part is None:
-            part = _pts_digest(pts, cache.setdefault("__strs__", {}))
-            if key is not None:
+        src_map = pts._src
+        entry = cache.get(id(src_map))
+        if entry is not None and entry[0] is src_map:
+            part = entry[1]
+        else:
+            key = (pts._table, frozenset(src_map.items()))
+            part = cache.get(key)
+            if part is None:
+                part = _pts_digest(pts, cache.setdefault("__strs__", {}))
                 cache[key] = part
-        if src_map is not None:
             cache[id(src_map)] = (src_map, part)
         digest.update(part)
     return digest.hexdigest()

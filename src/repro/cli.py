@@ -141,16 +141,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         if explain is not None
         else contextlib.nullcontext()
     )
-    perf_flags = getattr(args, "perf", None)
-    if perf_flags:
-        try:
-            tuning = perf.configured(**perf.parse_overrides(perf_flags))
-        except ValueError as exc:
-            print(f"--perf: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        tuning = contextlib.nullcontext()
-    with recording, tuning:
+    with recording:
         result = analyze_source(source, options, filename=args.file)
     status = 0
     with obs.span("report"):
@@ -910,16 +901,6 @@ def main(argv: list[str] | None = None) -> int:
             "expression's points-to facts arose (repeatable, e.g. "
             "--explain '**p@L'); a bare --explain prints just the "
             "precision dashboard"
-        ),
-    )
-    p_analyze.add_argument(
-        "--perf",
-        metavar="FLAGS",
-        default=None,
-        help=(
-            "comma-separated perf-core overrides, e.g. "
-            "--perf bitset_sets=off,worklist=off (same syntax as the "
-            "REPRO_PTA_PERF environment variable)"
         ),
     )
     p_analyze.add_argument(

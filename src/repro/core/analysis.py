@@ -365,32 +365,19 @@ class Analyzer:
         existing = self.point_info.get(stmt_id)
         if existing is None:
             self.point_info[stmt_id] = input_set.copy()
-        elif CONFIG.set_fast_paths and existing == input_set:
+        elif existing == input_set:
             pass  # merging an equal set is the identity; skip the copy
         else:
             self.point_info[stmt_id] = existing.merge(input_set)
 
     # -- sub-tree sharing (the optimization planned in Section 6) ---------
 
-    @staticmethod
-    def _canonical_input(input_set: PointsToSet):
-        if CONFIG.fingerprint_memo:
-            # The cached fingerprint is exact (a frozenset of the
-            # relationship items), so it is a canonical key directly —
-            # no string rendering, no sorting.
-            return input_set.fingerprint()
-        return ";".join(
-            sorted(
-                f"{src!r}>{tgt!r}:{d}" for src, tgt, d in input_set.triples()
-            )
-        )
-
     def subtree_cache_lookup(
         self, func: str, input_set: PointsToSet
     ) -> tuple[bool, PointsToSet | None]:
         if not self.options.share_subtrees:
             return False, None
-        key = (func, self._canonical_input(input_set))
+        key = (func, input_set.fingerprint())
         if key in self._subtree_cache:
             self.subtree_cache_hits += 1
             return True, self._subtree_cache[key]
@@ -402,7 +389,7 @@ class Analyzer:
     ) -> None:
         if not self.options.share_subtrees:
             return
-        key = (func, self._canonical_input(input_set))
+        key = (func, input_set.fingerprint())
         self._subtree_cache[key] = output
         self.bump_call_state()
 
@@ -417,7 +404,7 @@ class Analyzer:
         locals_null = null_initialized(env, fn.local_types.items())
         for src, tgt, definiteness in locals_null.triples():
             entry.add(src, tgt, definiteness)
-        use_worklist = CONFIG.worklist and not provenance.CURRENT.enabled
+        use_worklist = not provenance.CURRENT.enabled
         intra = IntraAnalyzer(
             env,
             call_handler=lambda stmt, inp: self.handle_call_stmt(
@@ -541,10 +528,9 @@ class Analyzer:
             else None
         )
         previous = provenance.install(log) if log is not None else None
-        # One dense-id table per run: every bitset set this analysis
-        # creates binds to it, keeping ids small and reproducible.
-        fresh_table = CONFIG.bitset_sets
-        previous_table = install_table(LocTable()) if fresh_table else None
+        # One dense-id table per run: every set this analysis creates
+        # binds to it, keeping ids small and reproducible.
+        previous_table = install_table(LocTable())
         try:
             # timed, not span: feeds the "core.analysis" phase
             # histogram the daemon's merged metrics aggregate.
@@ -558,8 +544,7 @@ class Analyzer:
             self._record_frames.clear()
             self._warn_frames.clear()
             self._slice_memo.clear()
-            if fresh_table:
-                install_table(previous_table)
+            install_table(previous_table)
             if log is not None:
                 provenance.install(previous)  # type: ignore[arg-type]
         result.provenance = log

@@ -899,8 +899,6 @@ def splice_update(
 
 
 def _splice_update(old_analysis, parsed, options, ig_nodes=None):
-    if not (CONFIG.slice_memo and CONFIG.fingerprint_memo):
-        raise _Fallback("slice memo disabled")
     if CONFIG.track_provenance:
         raise _Fallback("provenance recording requested")
     if not options.context_sensitive or options.share_subtrees:
@@ -993,7 +991,7 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
     # Mini fixpoint over just the changed functions' captured inputs,
     # under a fresh location table, with unchanged-closure summaries
     # pre-seeded so untouched subtrees replay instead of re-flowing.
-    previous_table = install_table(LocTable()) if CONFIG.bitset_sets else None
+    previous_table = install_table(LocTable())
     new_rows: dict[int, PointsToSet] = {}
     new_capture: dict[str, dict] = {}
     mini = None
@@ -1097,8 +1095,7 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
             new_capture[func] = func_entries
         reanalyzed = _reanalyzed_functions(mini.memo_stats)
     finally:
-        if previous_table is not None:
-            install_table(previous_table)
+        install_table(previous_table)
 
     # All conditions verified — commit: renumbered invocation graph,
     # spliced rows, grafted environments.

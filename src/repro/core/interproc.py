@@ -33,7 +33,6 @@ from repro.core.intra import apply_assignment
 from repro.core.invocation_graph import IGNode, IGNodeKind
 from repro.core.lvalues import LocSet, l_locations
 from repro.core.mapping import map_call, unmap_call
-from repro.core.perf import CONFIG
 from repro.core.pointsto import PointsToSet, merge_all
 from repro.core.slices import split_input
 from repro.simple.ir import BasicStmt
@@ -42,6 +41,11 @@ from repro.simple.ir import BasicStmt
 #: the fixed point (with a warning and a statistics record) instead of
 #: aborting the whole analysis; the truncated result may be unsound.
 MAX_RECURSION_ITERATIONS = 100
+
+#: Bound on entries per memo table (an ordinary invocation-graph
+#: node's, and each function's slice-keyed table); least-recently-used
+#: entries are evicted.
+MEMO_CAPACITY = 8
 
 #: Sentinel distinguishing "call never recorded" from a remembered
 #: Bottom (None) output in the provenance seen-calls table.
@@ -116,28 +120,14 @@ class MemoStats:
 def _memo_lookup(analyzer, child: IGNode, func_input: PointsToSet):
     """Consult the node's memo; returns (key, hit, output).
 
-    ``key`` is the fingerprint to store a later result under (None in
-    the legacy single-pair protocol, which memoizes via
-    ``stored_input``/``stored_output`` directly).  *Bottom* outputs
-    (None — the call never returns) are never memoized, matching the
-    single-pair protocol.  A hit on an entry other than the most
-    recent one still performs a sub-tree cache lookup, purely so the
-    sharing statistics stay identical to the single-pair protocol's
-    (which would have served exactly those calls from that cache).
+    ``key`` is the input's fingerprint, to store a later result under.
+    *Bottom* outputs (None — the call never returns) are never
+    memoized.  A hit on an entry other than the most recent one still
+    performs a sub-tree cache lookup, purely so the sharing statistics
+    match Figure 4's single-pair protocol (which would have served
+    exactly those calls from that cache).
     """
     stats = analyzer.memo_stats
-    if not CONFIG.fingerprint_memo:
-        if (
-            child.stored_input is not None
-            and child.stored_output is not None
-            and child.stored_input == func_input
-        ):
-            stats.hits += 1
-            stats.note(child.func, True)
-            return None, True, child.stored_output
-        stats.misses += 1
-        stats.note(child.func, False)
-        return None, False, None
     key = func_input.fingerprint()
     memo = child.memo
     output = memo.get(key)
@@ -158,13 +148,12 @@ def _memo_lookup(analyzer, child: IGNode, func_input: PointsToSet):
 def _memo_store(
     analyzer, child: IGNode, key, output: PointsToSet | None
 ) -> None:
-    if key is None or output is None:
-        return  # legacy protocol / Bottom output: nothing to table
+    if output is None:
+        return  # Bottom output: nothing to table
     memo = child.memo
     memo.pop(key, None)
     memo[key] = output
-    capacity = max(1, CONFIG.memo_capacity)
-    while len(memo) > capacity:
+    while len(memo) > MEMO_CAPACITY:
         memo.pop(next(iter(memo)))  # least recently used
         analyzer.memo_stats.evictions += 1
     analyzer.bump_call_state()
@@ -345,10 +334,8 @@ class _SliceEntry:
 
 def _slice_context(analyzer, child: IGNode, func_input: PointsToSet):
     """The (key, passthrough) split for this call, or None when slice
-    keying does not apply (config off, provenance recording, opaque
-    callee, or an invocation-graph mode whose nodes re-enter)."""
-    if not (CONFIG.slice_memo and CONFIG.fingerprint_memo):
-        return None
+    keying does not apply (provenance recording, opaque callee, or an
+    invocation-graph mode whose nodes re-enter)."""
     if provenance.CURRENT.enabled:
         return None
     options = analyzer.options
@@ -431,8 +418,7 @@ def _process_ordinary_sliced(
                 # replays exactly what a cold miss would record.
                 analyzer.seed_hits += 1
                 table[key] = entry
-                capacity = max(1, CONFIG.memo_capacity)
-                while len(table) > capacity:
+                while len(table) > MEMO_CAPACITY:
                     table.pop(next(iter(table)))
                     stats.evictions += 1
                 obs.count("incremental.seed_hits")
@@ -500,15 +486,14 @@ def _process_ordinary_sliced(
         table = analyzer._slice_memo.setdefault(child.func, {})
         table.pop(key, None)
         table[key] = entry
-        capacity = max(1, CONFIG.memo_capacity)
-        while len(table) > capacity:
+        while len(table) > MEMO_CAPACITY:
             table.pop(next(iter(table)))  # least recently used
             stats.evictions += 1
         # Mirror into the node's own table (introspection parity with
         # the whole-input protocol; same bound, evictions counted once).
         child.memo.pop(key, None)
         child.memo[key] = entry
-        while len(child.memo) > capacity:
+        while len(child.memo) > MEMO_CAPACITY:
             child.memo.pop(next(iter(child.memo)))
     analyzer.bump_call_state()
     return func_output

@@ -20,7 +20,6 @@ from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.locations import AbsLoc, HEAD, TAIL, NULL
 from repro.core.lvalues import LocSet, l_locations, r_locations, r_locations_ref
-from repro.core.perf import CONFIG
 from repro.core.pointsto import D, P, PointsToSet, merge_all
 from repro.simple.ir import (
     AddrOf,
@@ -44,7 +43,7 @@ from repro.simple.ir import (
 MAX_LOOP_ITERATIONS = 200
 
 #: Compound statements whose transfer (input -> FlowOut) is cached by
-#: the change-driven worklist (``perf.CONFIG.worklist``).  Basic
+#: the change-driven worklist (``analysis._TransferCache``).  Basic
 #: statements are cheap enough that caching them costs more than it
 #: saves; loops and blocks are where fixed points burn their time.
 CACHED_STMTS = (SBlock, SIf, SWhile, SDoWhile, SFor, SSwitch)
@@ -477,7 +476,7 @@ class IntraAnalyzer:
 
 
 def _sets_equal(a: PointsToSet | None, b: PointsToSet | None) -> bool:
-    if CONFIG.set_fast_paths and a is b:
+    if a is b:
         return True
     if a is None or b is None:
         return a is None and b is None

@@ -22,8 +22,6 @@ from __future__ import annotations
 import enum
 import zlib
 
-from repro.core.perf import CONFIG
-
 #: Path element marking the first element of an array.
 HEAD = "[head]"
 #: Path element marking elements 1..n of an array.
@@ -66,13 +64,11 @@ class AbsLoc:
     ``func`` scopes locals, parameters, symbolic names, and retval to
     their function (None for globals and the special locations).
 
-    Instances are immutable and (by default) *interned*: constructing
-    the same (base, kind, func, path) twice yields the same object, so
-    the dict-heavy :class:`~repro.core.pointsto.PointsToSet` operations
-    hash a precomputed integer and compare by identity instead of
-    re-hashing tuples of fields on every lookup.  Equality still falls
-    back to a field comparison, so non-interned instances (legacy perf
-    mode, unpickling) remain fully interoperable.
+    Instances are immutable and *interned*: constructing the same
+    (base, kind, func, path) twice yields the same object, so the
+    dict-heavy location lookups (``LocTable.id_of``) hash a
+    precomputed integer and compare by identity instead of re-hashing
+    tuples of fields.  Equality still falls back to a field comparison.
     """
 
     __slots__ = ("base", "kind", "func", "path", "_hash", "_root")
@@ -90,11 +86,9 @@ class AbsLoc:
         path: tuple[str, ...] = (),
     ) -> "AbsLoc":
         key = (base, kind, func, path)
-        interning = CONFIG.intern_locations
-        if interning:
-            cached = _INTERN.get(key)
-            if cached is not None:
-                return cached
+        cached = _INTERN.get(key)
+        if cached is not None:
+            return cached
         self = object.__new__(cls)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "kind", kind)
@@ -110,8 +104,7 @@ class AbsLoc:
         object.__setattr__(
             self, "_hash", hash((base, kind, func or "", path))
         )
-        if interning:
-            _INTERN[key] = self
+        _INTERN[key] = self
         return self
 
     def __setattr__(self, name, value):
@@ -225,9 +218,8 @@ class AbsLoc:
 class LocTable:
     """Dense integer ids for the :class:`AbsLoc`\\ s of one analysis.
 
-    The bitset representation of :class:`repro.core.pointsto.
-    PointsToSet` stores target sets as Python-int bitsets indexed by
-    these ids.  Ids are assigned on first use, so they are dense and —
+    :class:`repro.core.pointsto.PointsToSet` stores target sets as
+    Python-int bitsets indexed by these ids.  Ids are assigned on first use, so they are dense and —
     because the analysis itself is deterministic — reproducible for a
     given (program, options) pair.  One table is installed per
     analysis run (:func:`install_table`); sets constructed outside a
@@ -274,7 +266,7 @@ _ACTIVE_TABLE: LocTable | None = None
 
 
 def active_table() -> LocTable:
-    """The table new bitset sets bind to (analysis-local or fallback)."""
+    """The table new sets bind to (analysis-local or fallback)."""
     table = _ACTIVE_TABLE
     return table if table is not None else _FALLBACK_TABLE
 

@@ -36,7 +36,6 @@ from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.lvalues import r_locations
 from repro.core.locations import NULL, AbsLoc, LocKind, retval_loc, symbolic_name
-from repro.core.perf import CONFIG
 from repro.core.pointsto import D, P, Definiteness, PointsToSet
 from repro.simple.ir import Const, Operand, Ref, SimpleFunction
 
@@ -378,11 +377,9 @@ def unmap_call(
     # loop below only ever kills/weakens sources the caller already
     # had (its own additions are grouped under the root being updated),
     # so one pass replaces a per-root scan over all sources.
-    sources_by_root: dict[AbsLoc, list[AbsLoc]] | None = None
-    if CONFIG.set_fast_paths:
-        sources_by_root = {}
-        for src in result.sources():
-            sources_by_root.setdefault(src.root(), []).append(src)
+    sources_by_root: dict[AbsLoc, list[AbsLoc]] = {}
+    for src in result.sources():
+        sources_by_root.setdefault(src.root(), []).append(src)
     updates: dict[AbsLoc, bool] = {}  # caller root -> strong?
     for sym_root, caller_roots in map_info.to_caller.items():
         strong = len(caller_roots) == 1
@@ -412,10 +409,7 @@ def unmap_call(
     for root, strong in updates.items():
         if root.represents_multiple():
             strong = False
-        if sources_by_root is not None:
-            root_sources = sources_by_root.get(root, ())
-        else:
-            root_sources = [s for s in result.sources() if s.root() == root]
+        root_sources = sources_by_root.get(root, ())
         if strong:
             for src in root_sources:
                 result.kill_source(src)

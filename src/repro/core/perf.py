@@ -1,107 +1,40 @@
-"""Runtime performance configuration for the analysis core.
+"""Runtime configuration for the analysis core.
 
-The core's representation-level optimizations (location interning,
-copy-on-write points-to sets, merge/equality fast paths, and the
-fingerprint-keyed call memo tables) are all *behavior-preserving*:
-they change how much work the analysis does, never what it computes.
-This module gathers them behind one switchboard so that
+The core has one representation — interned locations, copy-on-write
+bitset points-to sets, a change-driven worklist and slice-keyed call
+memoization — and no switches to emulate others.  What remains
+configurable is *additive*: it never changes what the analysis
+computes, only what extra metadata a run captures.
 
-* ``benchmarks/bench_perf.py`` can time the optimized core against a
-  faithful emulation of the pre-optimization core in the same process
-  ("legacy mode": eager copies, no fast paths, a single-entry
-  equality-keyed memo, no interning), and
-* the property tests can pin both modes to identical results.
-
-The flags are read on the hot paths, so they are plain attribute
-lookups on a module-level singleton — do not replace :data:`CONFIG`;
-mutate it through :func:`configure` or the :func:`configured` context
-manager.
+The flag is read on the hot paths, so it is a plain attribute lookup
+on a module-level singleton — do not replace :data:`CONFIG`; mutate it
+through :func:`configure` or the :func:`configured` context manager.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
 class PerfConfig:
-    """Switchboard for the core's representation optimizations.
+    """Run-time options of the analysis core.
 
-    * ``intern_locations``: reuse one canonical ``AbsLoc`` instance per
-      (base, kind, func, path) with a precomputed hash.
-    * ``cow_sets``: ``PointsToSet.copy()`` shares the underlying maps
-      and detaches lazily on first mutation.
-    * ``set_fast_paths``: identity/equality short-circuits in
-      ``merge`` and ``is_subset_of``.
-    * ``fingerprint_memo``: key call memoization on the cached input
-      fingerprint (multi-entry table); when off, fall back to the
-      original single (input, output) pair compared by set equality.
-    * ``memo_capacity``: bound on entries per ordinary invocation-graph
-      node's memo table (least-recently-used entries are evicted).
     * ``track_provenance``: record a :class:`repro.core.provenance.
       Derivation` for every points-to triple as it is created (the
       "explain" layer).  Off by default; the hooks reduce to one
       attribute check, mirroring the NullTracer pattern of
-      ``repro.obs``.  Unlike the flags above this one is *additive* —
-      it never changes what the analysis computes, only what extra
-      metadata is captured — so it is not part of
-      :func:`legacy_overrides`.
-    * ``bitset_sets``: store points-to relations as per-source-id
-      integer bitsets over a dense per-analysis location table
-      (``repro.core.locations.LocTable``) instead of the
-      ``{(src, tgt): bool}`` dict; union/subset/copy become single
-      int operations.
-    * ``worklist``: change-driven re-evaluation — compound statements
-      cache their transfer (input fingerprint -> flow result) per
-      invocation-graph node and are skipped when re-flowed with an
-      unchanged input and unchanged interprocedural state, so loop and
-      recursion fixed points only re-run the statements a change can
-      reach.
-    * ``slice_memo``: key the invocation-graph memo tables on the
-      fingerprint of the *callee-reachable slice* of the input instead
-      of the whole input set; pairs outside the slice are passed
-      through around a hit.
+      ``repro.obs``.
     """
 
-    intern_locations: bool = True
-    cow_sets: bool = True
-    set_fast_paths: bool = True
-    fingerprint_memo: bool = True
-    memo_capacity: int = 8
     track_provenance: bool = False
-    bitset_sets: bool = True
-    worklist: bool = True
-    slice_memo: bool = True
 
 
 #: The process-wide configuration consulted by the hot paths.
 CONFIG = PerfConfig()
 
 _DEFAULTS = PerfConfig()
-
-
-def legacy_overrides() -> dict:
-    """Overrides emulating the pre-optimization core (for benching)."""
-    return {
-        "intern_locations": False,
-        "cow_sets": False,
-        "set_fast_paths": False,
-        "fingerprint_memo": False,
-        "memo_capacity": 1,
-        "bitset_sets": False,
-        "worklist": False,
-        "slice_memo": False,
-    }
-
-
-def dict_core_overrides() -> dict:
-    """Overrides selecting the previous *optimized* dict-based core
-    (the PR-1 representation: interning, CoW, fingerprint memo — but
-    no bitsets, no worklist, whole-input memo keys).  This is the
-    baseline the bitset core is benchmarked against."""
-    return {"bitset_sets": False, "worklist": False, "slice_memo": False}
 
 
 def configure(**overrides) -> PerfConfig:
@@ -114,7 +47,7 @@ def configure(**overrides) -> PerfConfig:
 
 
 def reset() -> PerfConfig:
-    """Restore the optimized defaults."""
+    """Restore the defaults."""
     return configure(**vars(_DEFAULTS))
 
 
@@ -127,63 +60,3 @@ def configured(**overrides):
         yield CONFIG
     finally:
         configure(**saved)
-
-
-#: Environment variable consulted at import (and by the CLI's
-#: ``--perf``): a comma-separated list of ``flag=on/off`` (or
-#: ``memo_capacity=<int>``) entries, e.g.
-#: ``REPRO_PTA_PERF="bitset_sets=off,worklist=off"``.
-ENV_VAR = "REPRO_PTA_PERF"
-
-_TRUE_WORDS = frozenset({"on", "true", "yes", "1"})
-_FALSE_WORDS = frozenset({"off", "false", "no", "0"})
-
-
-def parse_overrides(text: str) -> dict:
-    """Parse a ``flag=on/off`` list into a :func:`configure` dict.
-
-    Raises ``ValueError`` on unknown flags or unparseable values, so a
-    typo in CI or on the command line fails loudly instead of silently
-    benchmarking the wrong core.
-    """
-    overrides: dict = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, sep, raw = entry.partition("=")
-        name = name.strip()
-        raw = raw.strip().lower()
-        if not sep or not raw:
-            raise ValueError(
-                f"malformed perf override {entry!r} (expected flag=on/off)"
-            )
-        field_types = {f.name: f.type for f in fields(PerfConfig)}
-        if name not in field_types:
-            raise ValueError(f"unknown perf option {name!r}")
-        if raw in _TRUE_WORDS:
-            value: bool | int = True
-        elif raw in _FALSE_WORDS:
-            value = False
-        elif raw.isdigit():
-            value = int(raw)
-        else:
-            raise ValueError(
-                f"unparseable perf override value {entry!r} "
-                f"(expected on/off or an integer)"
-            )
-        overrides[name] = value
-    return overrides
-
-
-def apply_env_overrides(environ=None) -> dict:
-    """Apply :data:`ENV_VAR` overrides to :data:`CONFIG`; returns them."""
-    text = (environ if environ is not None else os.environ).get(ENV_VAR)
-    if not text:
-        return {}
-    overrides = parse_overrides(text)
-    configure(**overrides)
-    return overrides
-
-
-apply_env_overrides()

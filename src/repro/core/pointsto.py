@@ -8,12 +8,10 @@ testing, and queries for L-/R-location computation.
 
 Representation notes (see DESIGN.md, "Performance architecture"):
 
+* relations are per-source integer bitsets over the dense ids of a
+  :class:`~repro.core.locations.LocTable`;
 * sets are *copy-on-write*: ``copy()`` is O(1) and shares the
-  underlying maps; the first mutation of either sharer detaches;
-* the ``src -> targets`` and ``tgt -> sources`` indexes are built
-  lazily from the relationship map and then maintained incrementally
-  under every mutation, so ``targets_of``/``sources_of`` are dict
-  lookups, not scans;
+  underlying rows; the first mutation of either sharer detaches;
 * ``fingerprint()`` returns a cached canonical, hashable key of the
   whole set (used by the interprocedural memo tables); it is
   invalidated only by mutations that actually change the set.
@@ -27,7 +25,6 @@ from typing import Iterable, Iterator
 
 from repro.core import provenance
 from repro.core.locations import AbsLoc, LocTable, active_table
-from repro.core.perf import CONFIG
 
 
 class Definiteness(enum.Enum):
@@ -57,38 +54,48 @@ D = Definiteness.D
 P = Definiteness.P
 
 
+def _iter_bits(mask: int):
+    """Yield the set bit indexes of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class PointsToSet:
     """A mutable set of points-to triples.
 
-    Stored as ``{(src, tgt): bool}`` with True meaning definite.  The
-    class maintains the invariant that a definite relationship is its
-    source's only relationship (a location that definitely points to
-    ``y`` on all paths cannot point to anything else), which
+    Locations are mapped to dense integer ids by a
+    :class:`repro.core.locations.LocTable` (the analysis run's, see
+    :func:`~repro.core.locations.install_table`); the relation is
+    stored as ``{source id: (definite mask, possible mask)}`` with one
+    bit per target id.  The two masks are disjoint and no row is
+    empty.  Union is ``|``, subset is a masked-complement test, and
+    ``copy()`` shares the row dict copy-on-write — the rows themselves
+    are immutable int pairs, so a detach copies only the dict, never
+    the masks.
+
+    Row order is source *insertion* order (first pair naming the
+    source); within a row, targets iterate in ascending id order.
+
+    The class maintains the invariant that a definite relationship is
+    its source's only relationship (a location that definitely points
+    to ``y`` on all paths cannot point to anything else), which
     :meth:`check_invariants` verifies for the test suite.
     """
 
-    __slots__ = ("_rel", "_by_src", "_by_tgt", "_shared", "_fingerprint")
+    __slots__ = ("_table", "_src", "_shared", "_fingerprint")
 
-    def __new__(cls, *args, **kwargs) -> "PointsToSet":
-        # Representation dispatch: a plain ``PointsToSet()`` call
-        # yields the bitset-backed subclass when the perf switchboard
-        # selects it, so the ~20 construction sites in the core (and
-        # ``from_triples``) need no knowledge of the representation.
-        if cls is PointsToSet and CONFIG.bitset_sets:
-            return object.__new__(BitsetPointsToSet)
-        return object.__new__(cls)
-
-    def __init__(self) -> None:
-        self._rel: dict[tuple[AbsLoc, AbsLoc], bool] = {}
-        #: Lazy indexes: None until first queried, then kept in sync.
-        self._by_src: dict[AbsLoc, set[AbsLoc]] | None = None
-        self._by_tgt: dict[AbsLoc, set[AbsLoc]] | None = None
-        #: True while the maps may be shared with another instance.
+    def __init__(self, table: LocTable | None = None) -> None:
+        self._table = table if table is not None else active_table()
+        #: source id -> (definite mask, possible mask); no empty rows.
+        self._src: dict[int, tuple[int, int]] = {}
+        #: True while ``_src`` may be shared with another instance.
         self._shared = False
-        #: Cached canonical key (a frozenset of ``_rel`` items).
-        self._fingerprint: frozenset | None = None
+        #: Cached canonical key (sorted rows).
+        self._fingerprint: tuple | None = None
 
-    # -- construction ---------------------------------------------------
+    # -- construction / copy-on-write ----------------------------------
 
     @classmethod
     def from_triples(
@@ -100,448 +107,51 @@ class PointsToSet:
         return result
 
     def copy(self) -> "PointsToSet":
-        if not CONFIG.cow_sets:
-            # Legacy mode (benching): eager copy of the relationship
-            # map and an always-materialized index, exactly like the
-            # pre-optimization implementation.
-            self._indexes()
-        # object.__new__: the copy keeps *this* set's representation
-        # even if the switchboard has since selected another one.
         result = object.__new__(PointsToSet)
-        result._rel = self._rel
-        result._by_src = self._by_src
-        result._by_tgt = self._by_tgt
-        result._fingerprint = self._fingerprint
-        result._shared = True
-        if CONFIG.cow_sets:
-            self._shared = True
-        else:
-            result._detach()
-        return result
-
-    # -- copy-on-write plumbing -------------------------------------------
-
-    def _detach(self) -> None:
-        """Take sole ownership of the underlying maps."""
-        self._rel = dict(self._rel)
-        if self._by_src is not None:
-            self._by_src = {s: set(ts) for s, ts in self._by_src.items()}
-            self._by_tgt = {t: set(ss) for t, ss in self._by_tgt.items()}
-        self._shared = False
-
-    def _own(self) -> None:
-        """Prepare for a mutation that will change the set."""
-        if self._shared:
-            self._detach()
-        self._fingerprint = None
-
-    def _indexes(
-        self,
-    ) -> tuple[dict[AbsLoc, set[AbsLoc]], dict[AbsLoc, set[AbsLoc]]]:
-        """The (by-source, by-target) indexes, built on first use."""
-        by_src = self._by_src
-        if by_src is None:
-            by_src = {}
-            by_tgt: dict[AbsLoc, set[AbsLoc]] = {}
-            for src, tgt in self._rel:
-                targets = by_src.get(src)
-                if targets is None:
-                    by_src[src] = {tgt}
-                else:
-                    targets.add(tgt)
-                sources = by_tgt.get(tgt)
-                if sources is None:
-                    by_tgt[tgt] = {src}
-                else:
-                    sources.add(src)
-            self._by_src = by_src
-            self._by_tgt = by_tgt
-        return by_src, self._by_tgt  # type: ignore[return-value]
-
-    def fingerprint(self) -> frozenset:
-        """A canonical, hashable key of the full set (cached).
-
-        Two sets have equal fingerprints iff they are equal (same
-        pairs, same definiteness) — the key is exact, not a hash, so
-        memo tables keyed on it can never collide unsoundly.
-        """
-        fingerprint = self._fingerprint
-        if fingerprint is None:
-            fingerprint = frozenset(self._rel.items())
-            self._fingerprint = fingerprint
-        return fingerprint
-
-    # -- basic mutation ---------------------------------------------------
-
-    def add(self, src: AbsLoc, tgt: AbsLoc, definiteness: Definiteness) -> None:
-        """Insert a triple; an existing P never upgrades silently to D
-        unless added as D explicitly."""
-        key = (src, tgt)
-        prev = self._rel.get(key)
-        if prev is not None and (prev or definiteness is not D):
-            return  # already present, at least as strong: no change
-        self._own()
-        self._rel[key] = definiteness is D
-        if prev is None and self._by_src is not None:
-            self._by_src.setdefault(src, set()).add(tgt)
-            self._by_tgt.setdefault(tgt, set()).add(src)  # type: ignore[union-attr]
-
-    def discard(self, src: AbsLoc, tgt: AbsLoc) -> None:
-        key = (src, tgt)
-        if key not in self._rel:
-            return
-        self._own()
-        del self._rel[key]
-        if self._by_src is not None:
-            self._unindex(src, tgt)
-
-    def _unindex(self, src: AbsLoc, tgt: AbsLoc) -> None:
-        targets = self._by_src.get(src)  # type: ignore[union-attr]
-        if targets is not None:
-            targets.discard(tgt)
-            if not targets:
-                del self._by_src[src]  # type: ignore[index]
-        sources = self._by_tgt.get(tgt)  # type: ignore[union-attr]
-        if sources is not None:
-            sources.discard(src)
-            if not sources:
-                del self._by_tgt[tgt]  # type: ignore[index]
-
-    def kill_source(self, src: AbsLoc) -> None:
-        """Remove every relationship whose source is ``src``."""
-        by_src, _ = self._indexes()
-        if src not in by_src:
-            return
-        self._own()
-        targets = self._by_src.pop(src)  # type: ignore[union-attr]
-        rel = self._rel
-        by_tgt = self._by_tgt
-        for tgt in targets:
-            del rel[(src, tgt)]
-            sources = by_tgt.get(tgt)  # type: ignore[union-attr]
-            if sources is not None:
-                sources.discard(src)
-                if not sources:
-                    del by_tgt[tgt]  # type: ignore[index]
-        prov = provenance.CURRENT
-        if prov.enabled:
-            prov.kill_count += len(targets)
-
-    def weaken_source(self, src: AbsLoc) -> None:
-        """Turn every definite relationship from ``src`` into possible."""
-        by_src, _ = self._indexes()
-        rel = self._rel
-        flips = [tgt for tgt in by_src.get(src, ()) if rel[(src, tgt)]]
-        if not flips:
-            return
-        self._own()
-        rel = self._rel
-        for tgt in flips:
-            rel[(src, tgt)] = False
-        if provenance.CURRENT.enabled:
-            for tgt in flips:
-                provenance.CURRENT.record_weaken(src, tgt)
-
-    # -- queries ------------------------------------------------------------
-
-    def targets_of(self, src: AbsLoc) -> list[tuple[AbsLoc, Definiteness]]:
-        by_src, _ = self._indexes()
-        rel = self._rel
-        return [
-            (tgt, D if rel[(src, tgt)] else P)
-            for tgt in by_src.get(src, ())
-        ]
-
-    def sources_of(self, tgt: AbsLoc) -> list[tuple[AbsLoc, Definiteness]]:
-        if not CONFIG.set_fast_paths:
-            # Legacy mode (benching): the pre-optimization linear scan.
-            return [
-                (src, D if definite else P)
-                for (src, other), definite in self._rel.items()
-                if other == tgt
-            ]
-        _, by_tgt = self._indexes()
-        rel = self._rel
-        return [
-            (src, D if rel[(src, tgt)] else P)
-            for src in by_tgt.get(tgt, ())
-        ]
-
-    def has(self, src: AbsLoc, tgt: AbsLoc) -> bool:
-        return (src, tgt) in self._rel
-
-    def definiteness(self, src: AbsLoc, tgt: AbsLoc) -> Definiteness | None:
-        flag = self._rel.get((src, tgt))
-        if flag is None:
-            return None
-        return D if flag else P
-
-    def sources(self) -> Iterator[AbsLoc]:
-        return iter(self._indexes()[0])
-
-    def triples(self) -> Iterator[tuple[AbsLoc, AbsLoc, Definiteness]]:
-        for (src, tgt), definite in self._rel.items():
-            yield src, tgt, D if definite else P
-
-    def locations(self) -> set[AbsLoc]:
-        by_src, by_tgt = self._indexes()
-        return set(by_src) | set(by_tgt)
-
-    def __len__(self) -> int:
-        return len(self._rel)
-
-    def __bool__(self) -> bool:
-        return bool(self._rel)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointsToSet):
-            return NotImplemented
-        return self._rel is other._rel or self._rel == other._rel
-
-    def __hash__(self):  # mutable; identity hashing would mislead
-        raise TypeError("PointsToSet is unhashable")
-
-    def __str__(self) -> str:
-        items = sorted(
-            f"({src},{tgt},{d})" for src, tgt, d in self.triples()
-        )
-        return "{" + " ".join(items) + "}"
-
-    __repr__ = __str__
-
-    def is_subset_of(self, other: "PointsToSet") -> bool:
-        """Containment in the precision order (D below P): every triple
-        of ``self`` must be covered by a triple of ``other`` that is at
-        most as precise.  ``(x,y,P)`` is *not* covered by ``(x,y,D)`` —
-        an analysis result computed under a definite assumption may not
-        be reused for a merely-possible input."""
-        if CONFIG.set_fast_paths:
-            if self._rel is other._rel:
-                return True
-            if len(self._rel) > len(other._rel):
-                return False  # some key of self cannot be in other
-        other_rel = other._rel
-        for key, definite in self._rel.items():
-            other_def = other_rel.get(key)
-            if other_def is None:
-                return False
-            if not definite and other_def:
-                return False
-        return True
-
-    # -- the Merge operation ------------------------------------------------
-
-    def merge(self, other: "PointsToSet") -> "PointsToSet":
-        """The paper's ``Merge``: union of relationships; a pair is
-        definite only when definite in *both* inputs (a relationship
-        present in only one branch holds on some paths only)."""
-        self_rel = self._rel
-        other_rel = other._rel
-        if CONFIG.set_fast_paths and (
-            self_rel is other_rel or self_rel == other_rel
-        ):
-            # Merge of equal sets is the set itself (d ∧ d = d).
-            return self.copy()
-        result = object.__new__(PointsToSet)
-        result.__init__()
-        # Start from everything-possible in self's order (one C-speed
-        # pass), then upgrade the pairs definite in both inputs and
-        # append other-only pairs (possible) in other's order.
-        rel = result._rel = dict.fromkeys(self_rel, False)
-        other_get = other_rel.get
-        if not provenance.CURRENT.enabled:
-            for key, definite in self_rel.items():
-                if definite and other_get(key):
-                    rel[key] = True
-            for key in other_rel:
-                if key not in self_rel:
-                    rel[key] = False
-        else:
-            # Same two passes, recording every pair the Merge demoted
-            # from definite to possible — the d1 ∧ d2 weakening of
-            # Table 1 (the two arms are mutually exclusive per pair).
-            weaken = provenance.CURRENT.record_weaken
-            for key, definite in self_rel.items():
-                if definite:
-                    if other_get(key):
-                        rel[key] = True
-                    else:
-                        weaken(
-                            key[0], key[1],
-                            rule=provenance.RULE_MERGE_WEAKEN,
-                        )
-            for key, definite in other_rel.items():
-                if key not in self_rel:
-                    rel[key] = False
-                    if definite:
-                        weaken(
-                            key[0], key[1],
-                            rule=provenance.RULE_MERGE_WEAKEN,
-                        )
-                elif definite and not rel[key]:
-                    weaken(
-                        key[0], key[1], rule=provenance.RULE_MERGE_WEAKEN
-                    )
-        if not CONFIG.cow_sets:
-            result._indexes()  # legacy mode built the index eagerly
-        return result
-
-    # -- invariants (used by property tests) ---------------------------------
-
-    def check_invariants(self) -> list[str]:
-        """Return a list of violated-invariant descriptions (empty = ok).
-
-        Besides the paper-level invariants, this verifies that the
-        incremental by-source/by-target indexes (when materialized)
-        agree with the relationship map.
-        """
-        problems = []
-        definite_sources: dict[AbsLoc, AbsLoc] = {}
-        for (src, tgt), definite in self._rel.items():
-            if definite:
-                if src in definite_sources:
-                    problems.append(
-                        f"{src} definitely points to both "
-                        f"{definite_sources[src]} and {tgt}"
-                    )
-                definite_sources[src] = tgt
-        for src, tgt in definite_sources.items():
-            for other in self._indexes()[0].get(src, ()):
-                if other != tgt:
-                    problems.append(
-                        f"{src} definitely points to {tgt} but also "
-                        f"possibly to {other}"
-                    )
-        for (src, tgt), definite in self._rel.items():
-            if definite and (src.represents_multiple() or tgt.represents_multiple()):
-                problems.append(
-                    f"definite relationship on multi-location "
-                    f"abstract location: ({src},{tgt},D)"
-                )
-            if src.is_null:
-                problems.append(f"NULL used as a points-to source: {src}->{tgt}")
-        problems.extend(self._check_index_consistency())
-        return problems
-
-    def _check_index_consistency(self) -> list[str]:
-        """Verify the maintained indexes against the relationship map."""
-        if self._by_src is None:
-            return []
-        problems = []
-        expected_src: dict[AbsLoc, set[AbsLoc]] = {}
-        expected_tgt: dict[AbsLoc, set[AbsLoc]] = {}
-        for src, tgt in self._rel:
-            expected_src.setdefault(src, set()).add(tgt)
-            expected_tgt.setdefault(tgt, set()).add(src)
-        if self._by_src != expected_src:
-            problems.append("by-source index disagrees with relationships")
-        if self._by_tgt != expected_tgt:
-            problems.append("by-target index disagrees with relationships")
-        return problems
-
-
-def _iter_bits(mask: int):
-    """Yield the set bit indexes of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class BitsetPointsToSet(PointsToSet):
-    """Bitset-backed representation (``perf.CONFIG.bitset_sets``).
-
-    Locations are mapped to dense integer ids by the analysis's
-    :class:`repro.core.locations.LocTable`; the relation is stored as
-    ``{source id: (definite mask, possible mask)}`` with one bit per
-    target id.  The two masks are disjoint.  Union is ``|``, subset is
-    a masked-complement test, and ``copy()`` shares the row dict
-    copy-on-write — the rows themselves are immutable int pairs, so a
-    detach copies only the dict, never the masks.
-
-    Row order is source *insertion* order (first pair naming the
-    source), matching the dict representation's source-level ordering;
-    within a row, targets iterate in ascending id order.  The mapping
-    layer's symbolic-name assignment only depends on source-root
-    first-occurrence order and on explicitly sorted pair lists, so the
-    two representations produce identical analysis results (the
-    three-way equivalence suite pins this).
-    """
-
-    __slots__ = ("_table", "_src")
-
-    def __init__(self, table: LocTable | None = None) -> None:
-        self._table = table if table is not None else active_table()
-        #: source id -> (definite mask, possible mask); no empty rows.
-        self._src: dict[int, tuple[int, int]] = {}
-        self._shared = False
-        self._fingerprint = None
-        # Base-class index slots stay None; ``_indexes`` (used only by
-        # ``check_invariants``) rebuilds them from the materialized
-        # relation on demand.
-        self._by_src = None
-        self._by_tgt = None
-
-    # -- base-representation interop ----------------------------------
-
-    @property  # type: ignore[override]
-    def _rel(self) -> dict:
-        """The relation as the base class's dict (materialized fresh).
-
-        This makes every non-overridden :class:`PointsToSet` method —
-        and cross-representation ``==`` / ``merge`` / ``is_subset_of``
-        from a dict-backed operand — work unchanged, at dict-build
-        cost.  The hot paths below never touch it.
-        """
-        loc_of = self._table.loc_of
-        rel: dict[tuple[AbsLoc, AbsLoc], bool] = {}
-        for sid, (defs, poss) in self._src.items():
-            src = loc_of(sid)
-            for tid in _iter_bits(defs):
-                rel[(src, loc_of(tid))] = True
-            for tid in _iter_bits(poss):
-                rel[(src, loc_of(tid))] = False
-        return rel
-
-    def _indexes(self):
-        by_src: dict[AbsLoc, set[AbsLoc]] = {}
-        by_tgt: dict[AbsLoc, set[AbsLoc]] = {}
-        for src, tgt in self._rel:
-            by_src.setdefault(src, set()).add(tgt)
-            by_tgt.setdefault(tgt, set()).add(src)
-        self._by_src = by_src
-        self._by_tgt = by_tgt
-        return by_src, by_tgt
-
-    def _check_index_consistency(self) -> list[str]:
-        return []  # no incremental indexes to drift
-
-    # -- construction / copy-on-write ----------------------------------
-
-    def copy(self) -> "BitsetPointsToSet":
-        result = object.__new__(BitsetPointsToSet)
         result._table = self._table
         result._src = self._src
         result._shared = True
         result._fingerprint = self._fingerprint
-        result._by_src = None
-        result._by_tgt = None
         self._shared = True
         return result
 
     def _own(self) -> None:
+        """Prepare for a mutation that will change the set."""
         if self._shared:
             self._src = dict(self._src)
             self._shared = False
         self._fingerprint = None
 
-    def fingerprint(self) -> tuple:
-        """Canonical exact key: sorted ``(source id, masks)`` rows.
+    def _rows_of(self, other: "PointsToSet") -> dict[int, tuple[int, int]]:
+        """``other``'s rows with ids of *this* set's table.
 
-        A tuple (not a frozenset) so it is type-distinct from the dict
-        representation's fingerprints; the two are never mixed in one
-        memo table, but the distinction makes an accidental mix fail
-        closed (no false hits)."""
+        Sets built under different tables (an incremental update splices
+        fresh rows beside old ones) hold incomparable ids; rebinding the
+        other operand's triples into this table makes ``==``,
+        :meth:`is_subset_of` and :meth:`merge` exact across tables.
+        Callers take ``other._src`` directly when the tables agree."""
+        id_of = self._table.id_of
+        loc_of = other._table.loc_of
+        rows: dict[int, tuple[int, int]] = {}
+        for sid, (defs, poss) in other._src.items():
+            new_defs = new_poss = 0
+            for tid in _iter_bits(defs):
+                new_defs |= 1 << id_of(loc_of(tid))
+            for tid in _iter_bits(poss):
+                new_poss |= 1 << id_of(loc_of(tid))
+            rows[id_of(loc_of(sid))] = (new_defs, new_poss)
+        return rows
+
+    def fingerprint(self) -> tuple:
+        """A canonical, hashable key of the full set (cached): sorted
+        ``(source id, masks)`` rows.
+
+        Two sets bound to the same table have equal fingerprints iff
+        they are equal (same pairs, same definiteness) — the key is
+        exact, not a hash, so memo tables keyed on it can never collide
+        unsoundly.  Ids are per table, so fingerprints are only
+        comparable between sets of one table.
+        """
         fingerprint = self._fingerprint
         if fingerprint is None:
             fingerprint = tuple(sorted(self._src.items()))
@@ -551,6 +161,8 @@ class BitsetPointsToSet(PointsToSet):
     # -- mutation -------------------------------------------------------
 
     def add(self, src: AbsLoc, tgt: AbsLoc, definiteness: Definiteness) -> None:
+        """Insert a triple; an existing P never upgrades silently to D
+        unless added as D explicitly."""
         table = self._table
         sid = table.id_of(src)
         bit = 1 << table.id_of(tgt)
@@ -586,6 +198,7 @@ class BitsetPointsToSet(PointsToSet):
             del self._src[sid]
 
     def kill_source(self, src: AbsLoc) -> None:
+        """Remove every relationship whose source is ``src``."""
         sid = self._table.id_of(src)
         row = self._src.get(sid)
         if row is None:
@@ -597,6 +210,7 @@ class BitsetPointsToSet(PointsToSet):
             prov.kill_count += (row[0] | row[1]).bit_count()
 
     def weaken_source(self, src: AbsLoc) -> None:
+        """Turn every definite relationship from ``src`` into possible."""
         sid = self._table.id_of(src)
         row = self._src.get(sid)
         if row is None or not row[0]:
@@ -683,53 +297,67 @@ class BitsetPointsToSet(PointsToSet):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointsToSet):
             return NotImplemented
-        if (
-            not isinstance(other, BitsetPointsToSet)
-            or other._table is not self._table
-        ):
-            return self._rel == other._rel
-        return self._src is other._src or self._src == other._src
+        self_src = self._src
+        other_src = other._src
+        if self_src is other_src:
+            return True
+        if other._table is not self._table:
+            other_src = self._rows_of(other)
+        return self_src == other_src
 
-    __hash__ = PointsToSet.__hash__  # defining __eq__ would reset it
+    def __hash__(self):  # mutable; identity hashing would mislead
+        raise TypeError("PointsToSet is unhashable")
+
+    def __str__(self) -> str:
+        items = sorted(
+            f"({src},{tgt},{d})" for src, tgt, d in self.triples()
+        )
+        return "{" + " ".join(items) + "}"
+
+    __repr__ = __str__
 
     def is_subset_of(self, other: "PointsToSet") -> bool:
-        if (
-            not isinstance(other, BitsetPointsToSet)
-            or other._table is not self._table
-        ):
-            return PointsToSet.is_subset_of(self, other)
+        """Containment in the precision order (D below P): every triple
+        of ``self`` must be covered by a triple of ``other`` that is at
+        most as precise.  ``(x,y,P)`` is *not* covered by ``(x,y,D)`` —
+        an analysis result computed under a definite assumption may not
+        be reused for a merely-possible input."""
         other_src = other._src
         if self._src is other_src:
             return True
+        if other._table is not self._table:
+            other_src = self._rows_of(other)
         if len(self._src) > len(other_src):
             return False
         for sid, (defs, poss) in self._src.items():
             row = other_src.get(sid)
             if row is None:
                 return False
-            # Precision order: a D pair is covered by D or P; a P pair
-            # only by P (see PointsToSet.is_subset_of).
+            # A D pair is covered by D or P; a P pair only by P.
             if defs & ~(row[0] | row[1]) or poss & ~row[1]:
                 return False
         return True
 
+    # -- the Merge operation ------------------------------------------------
+
     def merge(self, other: "PointsToSet") -> "PointsToSet":
-        if (
-            not isinstance(other, BitsetPointsToSet)
-            or other._table is not self._table
-        ):
-            return PointsToSet.merge(self, other)
+        """The paper's ``Merge``: union of relationships; a pair is
+        definite only when definite in *both* inputs (a relationship
+        present in only one branch holds on some paths only)."""
         self_src = self._src
         other_src = other._src
+        if other._table is not self._table:
+            other_src = self._rows_of(other)
         if self_src is other_src or self_src == other_src:
+            # Merge of equal sets is the set itself (d ∧ d = d).
             return self.copy()
-        result = object.__new__(BitsetPointsToSet)
+        result = object.__new__(PointsToSet)
         result._table = self._table
         result._shared = False
         result._fingerprint = None
-        result._by_src = None
-        result._by_tgt = None
         rows = result._src = {}
+        # Pairs demoted from definite to possible are the d1 ∧ d2
+        # weakening of Table 1; provenance records each one.
         recording = provenance.CURRENT.enabled
         other_get = other_src.get
         for sid, (defs, poss) in self_src.items():
@@ -759,25 +387,39 @@ class BitsetPointsToSet(PointsToSet):
         for tid in _iter_bits(mask):
             weaken(src, loc_of(tid), rule=provenance.RULE_MERGE_WEAKEN)
 
-    # -- bitset-only helpers (slice memoization) ------------------------
+    # -- invariants (used by property tests) ---------------------------------
 
-    def restrict_rows(self, keep_sids) -> "BitsetPointsToSet":
-        """A new set holding only the rows whose source id is in
-        ``keep_sids`` (shares the row tuples)."""
-        result = object.__new__(BitsetPointsToSet)
-        result._table = self._table
-        result._shared = False
-        result._fingerprint = None
-        result._by_src = None
-        result._by_tgt = None
-        result._src = {
-            sid: row for sid, row in self._src.items() if sid in keep_sids
-        }
-        return result
-
-    def rows(self) -> dict:
-        """Read-only view of the raw ``{sid: (defs, poss)}`` rows."""
-        return self._src
+    def check_invariants(self) -> list[str]:
+        """Return a list of violated-invariant descriptions (empty = ok)."""
+        problems = []
+        loc_of = self._table.loc_of
+        for sid, (defs, poss) in self._src.items():
+            src = loc_of(sid)
+            definite = [loc_of(tid) for tid in _iter_bits(defs)]
+            if len(definite) > 1:
+                problems.append(
+                    f"{src} definitely points to both "
+                    f"{definite[0]} and {definite[1]}"
+                )
+            if definite:
+                for tid in _iter_bits(poss):
+                    problems.append(
+                        f"{src} definitely points to {definite[0]} but "
+                        f"also possibly to {loc_of(tid)}"
+                    )
+            for tgt in definite:
+                if src.represents_multiple() or tgt.represents_multiple():
+                    problems.append(
+                        f"definite relationship on multi-location "
+                        f"abstract location: ({src},{tgt},D)"
+                    )
+            if src.is_null:
+                for tid in _iter_bits(defs | poss):
+                    problems.append(
+                        f"NULL used as a points-to source: "
+                        f"{src}->{loc_of(tid)}"
+                    )
+        return problems
 
 
 def merge_all(sets: Iterable[PointsToSet | None]) -> PointsToSet | None:

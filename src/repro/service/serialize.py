@@ -349,10 +349,10 @@ def semantic_payload_bytes(
 ) -> bytes:
     """Canonical bytes of the *semantic* payload: the encoded analysis
     minus the run-shape counters (top-level ``stats`` and the perf
-    summary), which legitimately differ between set representations
-    and memoization protocols.  This is the byte-identity contract the
-    bitset/worklist/slice core is held to against the dict and legacy
-    cores — everything an analysis *means* (per-point triples,
+    summary), which legitimately differ between memoization protocols
+    and update tiers.  This is the byte-identity contract the core is
+    held to by the golden digests, incremental updates and provenance
+    runs — everything an analysis *means* (per-point triples,
     invocation graph, warnings, check facts, read/write summaries)
     with nothing about how fast it was computed."""
     payload = encode_analysis(analysis, name, source)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.benchsuite import BENCHMARKS
+from repro.benchsuite.edits import propose_edits
 from repro.checkers import (
     build_baseline,
     check_diff,
@@ -20,9 +22,11 @@ from repro.checkers import (
     run_checkers,
 )
 from repro.checkers.base import Finding
+from repro.checkers.diff import _func_pairs, _rows_fingerprint
 from repro.cli import main
 from repro.core import perf
 from repro.core.analysis import AnalysisOptions, analyze_source
+from repro.core.incremental import update_analysis
 from repro.service.store import ResultStore
 
 SOURCE = """
@@ -188,6 +192,28 @@ class TestReplay:
                 baseline=first.baseline,
             )
         assert_identical(second, step2)
+
+
+class TestRowsFingerprint:
+    def test_shared_cache_agrees_with_fresh_cache_across_tables(self):
+        # A chain of splice-tier updates leaves lws holding rows from
+        # several location tables; equal row ids under different
+        # tables must not share a cached digest.
+        source = BENCHMARKS["lws"].source
+        with perf.configured(track_provenance=False):
+            analysis = analyze_source(source)
+            for step in range(6):
+                edited = propose_edits(source, step)[0].source
+                analysis, _ = update_analysis(analysis, source, edited)
+                source = edited
+        program = analysis.program
+        assert len({id(pts._table) for pts in analysis.point_info.values()}) > 1
+        shared: dict = {}
+        for func in sorted(program.functions):
+            pairs = _func_pairs(program, func)
+            assert _rows_fingerprint(analysis, pairs, shared) == (
+                _rows_fingerprint(analysis, pairs, {})
+            ), func
 
 
 class TestSuppressionDrift:

@@ -1,18 +1,17 @@
-"""Copy-on-write and index-maintenance properties of PointsToSet.
+"""Copy-on-write and cross-table properties of PointsToSet.
 
 These tests pin the performance architecture (DESIGN.md, "Performance
-architecture") to the observable semantics of the original eager
-implementation: a ``copy()`` must never alias its source through any
-later mutation, the incrementally-maintained indexes must always agree
-with the relationship map, and every query must match a brute-force
-reference model.
+architecture") to the observable semantics of a brute-force reference
+model: a ``copy()`` must never alias its source through any later
+mutation, every query must match the model, and ``==``,
+``is_subset_of`` and ``merge`` must stay exact between sets bound to
+different location tables.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import perf
-from repro.core.locations import AbsLoc, LocKind
+from repro.core.locations import AbsLoc, LocKind, LocTable
 from repro.core.pointsto import D, P, PointsToSet
 
 
@@ -133,8 +132,6 @@ def test_mutating_the_copy_never_changes_the_original(ts, steps):
     clone = original.copy()
     apply_ops(clone, steps)
     assert set(original.triples()) == before
-    assert not original._check_index_consistency()
-    assert not clone._check_index_consistency()
 
 
 @given(triples, ops)
@@ -145,8 +142,6 @@ def test_mutating_the_original_never_changes_the_copy(ts, steps):
     snapshot = set(clone.triples())
     apply_ops(original, steps)
     assert set(clone.triples()) == snapshot
-    assert not original._check_index_consistency()
-    assert not clone._check_index_consistency()
 
 
 @given(triples, ops, ops)
@@ -165,19 +160,12 @@ def test_chained_copies_stay_independent(ts, steps1, steps2):
     assert_matches(third, model_third)
 
 
-def _backing(pts):
-    """The representation's shared structure (dict rows or relation map)."""
-    from repro.core.pointsto import BitsetPointsToSet
-
-    return pts._src if isinstance(pts, BitsetPointsToSet) else pts._rel
-
-
 def test_copy_is_shared_until_first_mutation():
     pts = PointsToSet.from_triples([(A, B, D), (X, Y, P)])
     clone = pts.copy()
-    assert _backing(clone) is _backing(pts)  # O(1) structural sharing
+    assert clone._src is pts._src  # O(1) structural sharing
     clone.add(C, Y, P)
-    assert _backing(clone) is not _backing(pts)
+    assert clone._src is not pts._src
 
 
 # -- semantics vs the reference model ---------------------------------------
@@ -190,7 +178,6 @@ def test_mutation_sequences_match_reference_model(ts, steps):
     apply_ops(pts, steps)
     apply_ops(model, steps)
     assert_matches(pts, model)
-    assert not pts._check_index_consistency()
 
 
 @given(triples, triples)
@@ -210,18 +197,34 @@ def test_subset_matches_reference_model(t1, t2):
     assert pts2.is_subset_of(pts1) == model2.is_subset_of(model1)
 
 
-@given(triples, ops)
-@settings(max_examples=200, deadline=None)
-def test_legacy_mode_matches_optimized_mode(ts, steps):
-    optimized, _ = both(ts)
-    apply_ops(optimized, steps)
-    with perf.configured(**perf.legacy_overrides()):
-        legacy = PointsToSet.from_triples(ts)
-        apply_ops(legacy, steps)
-        clone = legacy.copy()
-        assert clone is not legacy and clone == legacy
-    assert optimized == legacy
-    assert not legacy._check_index_consistency()
+# -- sets bound to different location tables ---------------------------------
+
+
+def in_fresh_table(ts):
+    """A set over its own :class:`LocTable`, whose ids (assigned in
+    reverse) disagree with the process-wide fallback table's."""
+    table = LocTable()
+    for location in reversed(LOCS):
+        table.id_of(location)
+    pts = PointsToSet(table)
+    for src, tgt, d in ts:
+        pts.add(src, tgt, d)
+    return pts
+
+
+@given(triples, triples)
+@settings(max_examples=300, deadline=None)
+def test_cross_table_operations_match_reference_model(t1, t2):
+    pts1, model1 = both(t1)
+    pts2, model2 = in_fresh_table(t2), Model.from_triples(t2)
+    assert pts1._table is not pts2._table
+    assert_matches(pts1.merge(pts2), model1.merge(model2))
+    assert_matches(pts2.merge(pts1), model2.merge(model1))
+    assert pts1.is_subset_of(pts2) == model1.is_subset_of(model2)
+    assert pts2.is_subset_of(pts1) == model2.is_subset_of(model1)
+    assert (pts1 == pts2) == (model1.rel == model2.rel)
+    assert (pts2 == pts1) == (model1.rel == model2.rel)
+    assert pts1 == in_fresh_table(t1)
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -261,16 +264,6 @@ def test_locations_are_interned():
     second = AbsLoc("v", LocKind.LOCAL, "g", ("f1",))
     assert first is second
     assert first.root() is AbsLoc("v", LocKind.LOCAL, "g")
-
-
-def test_uninterned_locations_interoperate():
-    interned = AbsLoc("v", LocKind.LOCAL, "g")
-    with perf.configured(intern_locations=False):
-        fresh = AbsLoc("v", LocKind.LOCAL, "g")
-    assert fresh is not interned
-    assert fresh == interned and hash(fresh) == hash(interned)
-    pts = PointsToSet.from_triples([(interned, A, D)])
-    assert pts.has(fresh, A)
 
 
 def test_abslocs_are_immutable():

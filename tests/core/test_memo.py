@@ -3,15 +3,11 @@
 Covers the multi-entry generalization of Figure 4's single stored
 (input, output) pair: one invocation-graph node re-entered with
 alternating inputs retains an entry per distinct input, the table is
-bounded (LRU eviction), hit/miss/eviction counters surface through the
-analysis statistics, and the legacy single-pair protocol produces
-identical analysis results.
+bounded (LRU eviction), and hit/miss/eviction counters surface
+through the analysis statistics.
 """
 
-import pytest
-
-from repro.benchsuite import BENCHMARKS
-from repro.core import interproc, perf
+from repro.core import interproc
 from repro.core.analysis import analyze_source
 from repro.core.statistics import collect_perf
 
@@ -68,28 +64,14 @@ class TestMemoTable:
         assert result.stats.hits >= 1
         assert result.stats.lookups == result.stats.hits + result.stats.misses
 
-    def test_capacity_bounds_the_table_with_eviction(self):
-        with perf.configured(memo_capacity=1):
-            result = analyze_source(LOOP_SOURCE)
+    def test_capacity_bounds_the_table_with_eviction(self, monkeypatch):
+        monkeypatch.setattr(interproc, "MEMO_CAPACITY", 1)
+        result = analyze_source(LOOP_SOURCE)
+        monkeypatch.undo()
         (node,) = [n for n in result.ig.nodes() if n.func == "touch"]
         assert len(node.memo) == 1
         assert result.stats.evictions >= 1
         assert result.triples_at("OUT") == analyze_source(LOOP_SOURCE).triples_at("OUT")
-
-    @pytest.mark.parametrize("name", ["dry", "config", "travel"])
-    def test_legacy_protocol_produces_identical_results(self, name):
-        source = BENCHMARKS[name].source
-        optimized = analyze_source(source)
-        with perf.configured(**perf.legacy_overrides()):
-            legacy = analyze_source(source)
-        for label in optimized.program.labels:
-            assert optimized.triples_at(label) == legacy.triples_at(label)
-        assert optimized.warnings == legacy.warnings
-
-    def test_legacy_protocol_still_counts_lookups(self):
-        with perf.configured(fingerprint_memo=False):
-            result = analyze_source(RECURSIVE_SOURCE)
-        assert result.stats.lookups > 0
 
 
 class TestRecursionTruncation:

@@ -38,28 +38,6 @@ class TestAnalyzeCommand:
         assert main(["analyze", demo_file, "--show-null"]) == 0
         assert "NULL" in capsys.readouterr().out
 
-    def test_perf_flag_overrides_core(self, demo_file, capsys):
-        # The dict/legacy cores must print the same answers as the
-        # default bitset core.
-        assert main(["analyze", demo_file]) == 0
-        default_out = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "analyze",
-                    demo_file,
-                    "--perf",
-                    "bitset_sets=off,worklist=off,slice_memo=off",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == default_out
-
-    def test_perf_flag_rejects_unknown(self, demo_file, capsys):
-        assert main(["analyze", demo_file, "--perf", "warp_drive=on"]) == 2
-        assert "--perf: error:" in capsys.readouterr().err
-
 
 class TestSimpleCommand:
     def test_prints_lowering(self, demo_file, capsys):

@@ -1,14 +1,12 @@
 """The worklist-stressing perfsuite programs are analyzed correctly.
 
 The two programs in :mod:`repro.benchsuite.perfsuite` exist to stress
-the dense bitset core: deep call trees re-dispatched under global
+the points-to core: deep call trees re-dispatched under global
 churn ("relay") and a wide fan-out of loop workers interleaved with
 stable-slice probe calls ("fanout").  Tier-1 checks that they are
-analyzed soundly, that the slice-keyed call memo actually fires on
-them (they are the programs the memo is designed for), and that the
-semantic payload is byte-identical across the bitset, dict, and
-legacy cores — the performance architecture must be invisible in the
-answers.
+analyzed soundly and that the slice-keyed call memo actually fires on
+them (they are the programs the memo is designed for); their semantic
+payloads are pinned by ``tests/interp/test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.core import perf
 from repro.core.analysis import analyze_source
 from repro.core.statistics import collect_perf
 from repro.interp.soundness import check_soundness
-from repro.service.serialize import semantic_payload_bytes
 
 NAMES = sorted(PERF_BENCHMARKS)
 
@@ -50,12 +47,3 @@ class TestPerfSuite:
         # must hit even while unrelated globals churn.
         assert row.slice_hits > 0
         assert row.slice_hit_rate > 0.5
-
-    def test_cores_agree(self, name):
-        source = PERF_BENCHMARKS[name].source
-        default = semantic_payload_bytes(analyze_source(source), name)
-        with perf.configured(**perf.dict_core_overrides()):
-            dict_core = semantic_payload_bytes(analyze_source(source), name)
-        with perf.configured(**perf.legacy_overrides()):
-            legacy = semantic_payload_bytes(analyze_source(source), name)
-        assert default == dict_core == legacy

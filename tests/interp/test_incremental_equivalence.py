@@ -10,64 +10,110 @@ over each giving the same answers.  This is the correctness proof for
 the whole update ladder — whichever tier the update takes (splice,
 seeded, or cold fallback), the result may not differ.
 
-Mirrors ``test_core_equivalence.py``: the first seed of every
-generator configuration stays in tier-1; the full sweep is marked
-``slow`` (nightly CI).
+Like the soundness-fuzz campaign, the first seed of every generator
+configuration stays in tier-1 and the full sweep is marked ``slow``
+(nightly CI).  Tier-1 also carries edit *chains* — updates applied to
+an already-updated analysis — that pin known defects of the ladder.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+
 import pytest
 
+from repro.benchsuite import BENCHMARKS
 from repro.benchsuite.edits import propose_edits
 from repro.benchsuite.generator import generate_program
 from repro.core.analysis import analyze_source
 from repro.core.incremental import update_analysis
 from repro.service.queries import QuerySession
-from repro.service.serialize import semantic_payload_bytes
+from repro.service.serialize import _canonical_stmt_ids, semantic_payload_bytes
 
 from .test_soundness_fuzz import CONFIGS, CORPUS, TIER1
 
 
 def _answers(analysis):
     session = QuerySession(analysis)
-    return (
-        session.list_labels(),
-        session.call_sites(),
-        session.summary(),
-    )
+    # Statement ids differ between parses; renumber label targets the
+    # way the artifact does.
+    stmt_ids = _canonical_stmt_ids(analysis.program)
+    labels = {
+        label: [func, stmt_ids[stmt_id]]
+        for label, (func, stmt_id) in session.list_labels().items()
+    }
+    return (labels, session.call_sites(), session.summary())
 
 
-def _check(config_name: str, seed: int) -> None:
+def _fuzz_chains(config_name: str, seed: int) -> list:
+    """(name, [old text, edited text]) for every edit of one program."""
     old_source = generate_program(seed, CONFIGS[config_name])
     edits = propose_edits(old_source, seed=seed)
     assert edits, f"no valid edits for {config_name}-s{seed}"
-    for edit in edits:
-        name = f"{config_name}-s{seed}-{edit.kind}"
-        old = analyze_source(old_source)
-        updated, report = update_analysis(
-            old, old_source, edit.source
-        )
-        cold = analyze_source(edit.source)
-        assert semantic_payload_bytes(updated, name) == (
-            semantic_payload_bytes(cold, name)
-        ), (
-            f"update (mode={report.mode}, fallback={report.fallback}) "
-            f"diverges from cold for {name}: {edit.description}"
-        )
-        assert _answers(updated) == _answers(cold), (
-            f"query answers diverge for {name}: {edit.description}"
-        )
+    return [
+        (f"{config_name}-s{seed}-{edit.kind}", [old_source, edit.source])
+        for edit in edits
+    ]
+
+
+def _stanford_chain() -> list:
+    """Drop ``j = hi;`` (seeded tier), then rename ``swap_ints``' local
+    ``t`` (splice tier): the second update loses ``sortlist[head]`` and
+    ``sortlist[tail]`` from ``permute``'s may-write sets."""
+    original = BENCHMARKS["stanford"].source
+    without_j = original.replace("    j = hi;\n", "", 1)
+    start = without_j.index("void swap_ints(")
+    end = without_j.index("\n}\n", start)
+    renamed = (
+        without_j[:start]
+        + re.sub(r"\bt\b", "t_renamed", without_j[start:end])
+        + without_j[end:]
+    )
+    return [("stanford-chain", [original, without_j, renamed])]
+
+
+def _check(chains: list) -> None:
+    """Every update along every chain must equal a cold analysis."""
+    for name, texts in chains:
+        analysis = analyze_source(texts[0])
+        for old_source, new_source in zip(texts, texts[1:]):
+            analysis, report = update_analysis(
+                analysis, old_source, new_source
+            )
+            cold = analyze_source(new_source)
+            assert semantic_payload_bytes(analysis, name) == (
+                semantic_payload_bytes(cold, name)
+            ), (
+                f"update (mode={report.mode}, fallback={report.fallback}) "
+                f"diverges from cold for {name}"
+            )
+            assert _answers(analysis) == _answers(cold), (
+                f"query answers diverge for {name}"
+            )
 
 
 @pytest.mark.parametrize(
-    "config_name,seed",
-    [(config, seed) for _, config, seed in TIER1],
-    ids=[test_id for test_id, _, _ in TIER1],
+    "chains",
+    [
+        pytest.param(functools.partial(_fuzz_chains, config, seed), id=test_id)
+        for test_id, config, seed in TIER1
+    ]
+    + [
+        pytest.param(
+            _stanford_chain,
+            id="stanford-chain",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="known defect: a splice update on top of a "
+                "seeded one drops may-write locations",
+            ),
+        )
+    ],
 )
-def test_update_equals_cold(config_name, seed):
+def test_update_equals_cold(chains):
     """Tier-1: every edit kind on one seed per idiom family."""
-    _check(config_name, seed)
+    _check(chains())
 
 
 @pytest.mark.slow
@@ -78,4 +124,4 @@ def test_update_equals_cold(config_name, seed):
 )
 def test_update_equals_cold_full(config_name, seed):
     """Nightly: the remaining seeds of the full 56-program corpus."""
-    _check(config_name, seed)
+    _check(_fuzz_chains(config_name, seed))

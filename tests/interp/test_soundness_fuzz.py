@@ -81,8 +81,19 @@ def test_corpus_is_a_real_campaign():
 
 @pytest.mark.parametrize(
     "config_name,seed",
-    [(name, seed) for _, name, seed in TIER1],
-    ids=[test_id for test_id, _, _ in TIER1],
+    [pytest.param(name, seed, id=test_id) for test_id, name, seed in TIER1]
+    + [
+        pytest.param(
+            "scalars_only",
+            1031037,
+            id="scalars_only-s1031037",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="known defect: missing 'g2 -> NULL' in f2 at "
+                "'g0 = &l3'",
+            ),
+        )
+    ],
 )
 def test_soundness_subset(config_name: str, seed: int):
     """Tier-1: one seed per idiom family on every run."""
