@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core import provenance
 from repro.core.locations import AbsLoc, LocTable, active_table
@@ -275,6 +275,34 @@ class PointsToSet:
             for tid in _iter_bits(poss):
                 yield src, loc_of(tid), P
 
+    def indexed_triples(
+        self, remap: Callable[[LocTable], tuple[Sequence[int], dict]]
+    ) -> list[list]:
+        """The triples as sorted ``[src, tgt, "D"|"P"]`` rows of
+        external indexes, read straight from the bitsets.
+
+        ``remap(table)`` returns, for this set's table, a sequence
+        mapping every location id to its external index (a serialized
+        location table's) and a dict in which encoded rows are memoized
+        across the sets of that table — copy-on-write sets share most
+        of their rows, so each distinct row is encoded once."""
+        index, memo = remap(self._table)
+        encoded = []
+        for row in self._src.items():
+            triples = memo.get(row)
+            if triples is None:
+                sid, (defs, poss) = row
+                src = index[sid]
+                triples = [[src, index[tid], "D"] for tid in _iter_bits(defs)]
+                triples.extend(
+                    [src, index[tid], "P"] for tid in _iter_bits(poss)
+                )
+                triples.sort()
+                memo[row] = triples
+            encoded.append(triples)
+        encoded.sort(key=lambda triples: triples[0][0])
+        return [triple for triples in encoded for triple in triples]
+
     def locations(self) -> set[AbsLoc]:
         loc_of = self._table.loc_of
         result = set()
@@ -420,6 +448,20 @@ class PointsToSet:
                         f"{src}->{loc_of(tid)}"
                     )
         return problems
+
+
+def locations_of(sets: Iterable[PointsToSet]) -> set[AbsLoc]:
+    """Every location any of ``sets`` names, as source or target: the
+    union of their bitsets, materialized once per table."""
+    masks: dict[LocTable, int] = {}
+    for pts in sets:
+        mask = masks.get(pts._table, 0)
+        for sid, (defs, poss) in pts._src.items():
+            mask |= defs | poss | 1 << sid
+        masks[pts._table] = mask
+    return {
+        table.loc_of(i) for table, mask in masks.items() for i in _iter_bits(mask)
+    }
 
 
 def merge_all(sets: Iterable[PointsToSet | None]) -> PointsToSet | None:

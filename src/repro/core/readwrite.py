@@ -106,15 +106,21 @@ def statement_read_write(
             # Dispatching through a function pointer reads the pointer.
             sets.reads.add(env.var_loc(stmt.callee_ptr))
         if callee_effects:
-            for callee in resolved_callees(analysis, stmt):
-                callee_reads, callee_writes = _visible_effects(
-                    analysis, callee
-                )
-                # Callee effects are may-effects from the caller's view
-                # (the call may take any path through the callee).
-                sets.reads |= callee_reads
-                sets.may_write |= callee_writes
+            _add_callee_effects(analysis, stmt, sets)
     return sets
+
+
+def _add_callee_effects(analysis, stmt, sets: ReadWriteSets) -> None:
+    for callee in resolved_callees(analysis, stmt):
+        callee_reads, callee_writes = _visible_effects(analysis, callee)
+        # Callee effects are may-effects from the caller's view (the
+        # call may take any path through the callee).
+        sets.reads |= callee_reads
+        sets.may_write |= callee_writes
+
+
+def _is_call(stmt) -> bool:
+    return isinstance(stmt, BasicStmt) and stmt.kind is BasicKind.CALL
 
 
 def resolved_callees(analysis: PointsToAnalysis, stmt) -> list[str]:
@@ -123,88 +129,156 @@ def resolved_callees(analysis: PointsToAnalysis, stmt) -> list[str]:
     indirect call it is exactly the set the points-to analysis resolved
     the function pointer to (every IG node for the caller contributes
     its bindings, covering all calling contexts)."""
-    if not isinstance(stmt, BasicStmt) or stmt.kind is not BasicKind.CALL:
+    if not _is_call(stmt):
         return []
     functions = analysis.program.functions
     if stmt.callee is not None:
         return [stmt.callee] if stmt.callee in functions else []
     if stmt.call_site is None:
         return []
-    callees: set[str] = set()
-    for node in analysis.ig.root.walk():
-        bindings = node.children.get(stmt.call_site)
-        if bindings:
-            callees.update(bindings)
-    return sorted(callee for callee in callees if callee in functions)
+    return list(_effects(analysis).site_callees.get(stmt.call_site, ()))
+
+
+class _Effects:
+    """Per-analysis read/write state, each piece built once:
+    ``site_callees`` (every call site's bound, defined callees, from one
+    walk of the invocation graph), ``own`` (each function's basic
+    statements with their callee-free sets, None when unreachable) and
+    ``visible`` (each function's visible effects)."""
+
+    def __init__(self, analysis: PointsToAnalysis):
+        bound: dict = {}
+        for node in analysis.ig.root.walk():
+            for site, by_callee in node.children.items():
+                bound.setdefault(site, set()).update(by_callee)
+        functions = analysis.program.functions.keys()
+        self.site_callees = {
+            site: sorted(callees & functions) for site, callees in bound.items()
+        }
+        self.own: dict[str, list] = {}
+        self.visible: dict[str, tuple] | None = None
+
+
+def _effects(analysis: PointsToAnalysis) -> _Effects:
+    if not hasattr(analysis, "_readwrite_effects"):
+        analysis._readwrite_effects = _Effects(analysis)
+    return analysis._readwrite_effects
+
+
+def _own_sets(analysis: PointsToAnalysis, fn_name: str) -> list:
+    """``[(stmt, callee-free sets or None)]`` for the basic statements
+    of ``fn_name``; each statement is evaluated once per analysis."""
+    own = _effects(analysis).own
+    entries = own.get(fn_name)
+    if entries is None:
+        entries = [
+            (stmt, statement_read_write(
+                analysis, fn_name, stmt, callee_effects=False
+            ))
+            for stmt in analysis.program.functions[fn_name].iter_stmts()
+            if isinstance(stmt, (BasicStmt, SReturn))
+        ]
+        own[fn_name] = entries
+    return entries
 
 
 def _is_visible_effect(loc: AbsLoc) -> bool:
-    return (
-        loc.is_visible_everywhere
-        and not loc.is_null
-        and not loc.is_function
-    )
+    return loc.is_visible_everywhere and not (loc.is_null or loc.is_function)
 
 
 def _visible_effects(
     analysis: PointsToAnalysis, fn_name: str
 ) -> tuple[frozenset[AbsLoc], frozenset[AbsLoc]]:
-    """(reads, may-writes) of ``fn_name`` restricted to locations the
-    caller can see — globals and the heap.  Memoized on the analysis;
-    recursion is truncated (the enclosing walk unions the rest)."""
-    cache = getattr(analysis, "_visible_effects_cache", None)
-    if cache is None:
-        cache = {}
-        analysis._visible_effects_cache = cache
-    cached = cache.get(fn_name)
-    if cached is not None:
-        return cached
-    result = _compute_visible_effects(analysis, fn_name, set())
-    cache[fn_name] = result
-    return result
+    """(reads, may-writes) of ``fn_name`` and everything it can call,
+    restricted to locations the caller can see — globals and the heap.
+
+    A function's visible effects are the union of the *own* effects of
+    every function reachable from it, so one pass over the call
+    graph's strongly connected components computes them all."""
+    effects = _effects(analysis)
+    if effects.visible is None:
+        own: dict[str, tuple[set, set]] = {}
+        calls: dict[str, list[str]] = {}
+        for name in sorted(analysis.program.functions):
+            reads: set[AbsLoc] = set()
+            writes: set[AbsLoc] = set()
+            callees: set[str] = set()
+            for stmt, sets in _own_sets(analysis, name):
+                if sets is not None:
+                    reads.update(filter(_is_visible_effect, sets.reads))
+                    writes.update(filter(_is_visible_effect, sets.may_write))
+                callees.update(resolved_callees(analysis, stmt))
+            own[name] = (reads, writes)
+            calls[name] = sorted(callees)
+        effects.visible = _reachable_unions(own, calls)
+    return effects.visible[fn_name]
 
 
-def _compute_visible_effects(
-    analysis: PointsToAnalysis, fn_name: str, visiting: set[str]
-) -> tuple[frozenset[AbsLoc], frozenset[AbsLoc]]:
-    if fn_name in visiting:
-        return frozenset(), frozenset()
-    visiting.add(fn_name)
-    reads: set[AbsLoc] = set()
-    writes: set[AbsLoc] = set()
-    fn = analysis.program.functions.get(fn_name)
-    if fn is not None:
-        for stmt in fn.iter_stmts():
-            if not isinstance(stmt, (BasicStmt, SReturn)):
-                continue
-            own = statement_read_write(
-                analysis, fn_name, stmt, callee_effects=False
-            )
-            if own is not None:
-                reads |= {loc for loc in own.reads if _is_visible_effect(loc)}
-                writes |= {
-                    loc for loc in own.may_write if _is_visible_effect(loc)
-                }
-            if isinstance(stmt, BasicStmt) and stmt.kind is BasicKind.CALL:
-                for callee in resolved_callees(analysis, stmt):
-                    sub_reads, sub_writes = _compute_visible_effects(
-                        analysis, callee, visiting
-                    )
-                    reads |= sub_reads
-                    writes |= sub_writes
-    visiting.discard(fn_name)
-    return frozenset(reads), frozenset(writes)
+def _reachable_unions(
+    own: dict[str, tuple[set, set]], calls: dict[str, list[str]]
+) -> dict[str, tuple[frozenset, frozenset]]:
+    """For every function, the union of ``own`` over the functions
+    reachable from it (itself included).
+
+    Tarjan's algorithm, iterative so call chains of any depth are
+    safe: components complete callees-first, so a component's union is
+    its members' own effects plus its callees' finished unions."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    done: dict[str, tuple[frozenset, frozenset]] = {}
+    for root in own:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(calls[root]))]
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    work.append((callee, iter(calls[callee])))
+                    break
+                if callee not in done:  # on the stack
+                    low[node] = min(low[node], index[callee])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != index[node]:
+                    continue
+                members = []
+                while not members or members[-1] != node:
+                    members.append(stack.pop())
+                reads: set[AbsLoc] = set()
+                writes: set[AbsLoc] = set()
+                for member in members:
+                    finished = [done[c] for c in calls[member] if c in done]
+                    for member_reads, member_writes in [own[member], *finished]:
+                        reads |= member_reads
+                        writes |= member_writes
+                result = (frozenset(reads), frozenset(writes))
+                for member in members:
+                    done[member] = result
+    return done
 
 
 def function_read_write(
     analysis: PointsToAnalysis, fn_name: str
 ) -> list[ReadWriteSets]:
     """Read/write sets for every reachable basic statement of ``fn``."""
-    fn = analysis.program.functions[fn_name]
     result = []
-    for stmt in fn.iter_stmts():
-        if isinstance(stmt, (BasicStmt, SReturn)):
-            sets = statement_read_write(analysis, fn_name, stmt)
-            if sets is not None:
-                result.append(sets)
+    for stmt, own in _own_sets(analysis, fn_name):
+        if own is None:
+            continue
+        sets = ReadWriteSets(
+            own.stmt_id, own.func,
+            set(own.must_write), set(own.may_write), set(own.reads),
+        )
+        if _is_call(stmt):
+            _add_callee_effects(analysis, stmt, sets)
+        result.append(sets)
     return result

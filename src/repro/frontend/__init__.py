@@ -14,7 +14,7 @@ goto-elimination phase before analysis; see DESIGN.md).
 """
 
 from repro.frontend.errors import CFrontendError, LexError, ParseError, SemanticError
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse
 from repro.frontend import cast
 from repro.frontend import ctypes
@@ -24,7 +24,6 @@ __all__ = [
     "LexError",
     "ParseError",
     "SemanticError",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse",

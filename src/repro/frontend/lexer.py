@@ -1,236 +1,150 @@
-"""A hand-written lexer for the supported C subset.
+"""The lexer for the supported C subset.
 
 The lexer handles C89 tokens, ``//`` and ``/* */`` comments, character
 escapes, and simple preprocessor-line skipping (``#...`` lines are
 ignored — benchmark sources in this repository are self-contained and
 pre-expanded).
+
+One compiled master pattern scans the whole input: each alternative is
+a token class (trivia, identifier, number, punctuator, string,
+character constant), tried in an order that makes the first match the
+longest valid token.  Lines and columns come from the newline
+positions of the trivia the scan skips.  Only malformed input leaves
+the fast path, to :func:`_quoted_error` for a precise diagnostic.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.frontend.errors import LexError, SourceLoc
 from repro.frontend.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
-_SIMPLE_ESCAPES = {
-    "n": "\n",
-    "t": "\t",
-    "r": "\r",
-    "0": "\0",
-    "a": "\a",
-    "b": "\b",
-    "f": "\f",
-    "v": "\v",
-    "\\": "\\",
-    "'": "'",
-    '"': '"',
-    "?": "?",
-}
+_SIMPLE_ESCAPES = dict(zip("ntr0abfv\\'\"?", "\n\t\r\0\a\b\f\v\\'\"?"))
+
+#: One escape sequence: hex (any number of digits), octal (up to
+#: three digits) or a simple escape.
+_ESCAPE = r"""\\(?:x[0-9a-fA-F]+|[0-7]{1,3}|[ntrabfv\\'"?])"""
+
+_MASTER = re.compile(
+    "|".join(
+        [
+            # Whitespace, comments and column-1 preprocessor lines
+            # (with backslash-newline continuations).
+            r"(?P<trivia>(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[\s\S]*?\*/"
+            r"|^\#(?:\\\n|[^\n])*)+)",
+            r"(?P<ident>[^\W\d]\w*)",
+            r"(?P<hex>0[xX][0-9a-fA-F]*)[uUlLfF]*",
+            r"(?P<float>(?:[0-9]+\.[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+            r"|[0-9]+[eE][+-]?[0-9]+)[uUlLfF]*",
+            r"(?P<int>[0-9]+)[uUlLfF]*",
+            # A comment opener the trivia alternative could not close.
+            r"(?P<open_comment>/\*)",
+            "(?P<punct>"
+            + "|".join(re.escape(spelling) for spelling, _ in PUNCTUATORS)
+            + ")",
+            rf'(?P<string>"(?:[^"\\\n]|{_ESCAPE})*")',
+            rf"(?P<char>'(?:[^\\\n]|{_ESCAPE})')",
+            r"(?P<error>[\s\S])",
+        ]
+    ),
+    re.MULTILINE,
+)
+
+_ESCAPE_RE = re.compile(_ESCAPE)
+
+#: The longest well-formed prefix of a string or character constant.
+_QUOTED_PREFIX = re.compile(
+    rf"""\"(?:[^"\\\n]|{_ESCAPE})*|'(?:[^\\\n]|{_ESCAPE})?"""
+)
+
+_PUNCT_KIND = dict(PUNCTUATORS)
 
 
-class Lexer:
-    """Converts C source text into a list of :class:`Token`."""
+def _unescape_one(match: re.Match) -> str:
+    body = match.group()[1:]
+    if body[0] == "x":
+        return chr(int(body[1:], 16) & 0xFF)
+    if body[0] in "01234567":
+        return chr(int(body, 8) & 0xFF)
+    return _SIMPLE_ESCAPES[body]
 
-    def __init__(self, source: str, filename: str = "<source>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- low-level cursor helpers -------------------------------------
+def _unescape(text: str) -> str:
+    return _ESCAPE_RE.sub(_unescape_one, text) if "\\" in text else text
 
-    def _loc(self) -> SourceLoc:
-        return SourceLoc(self.line, self.col, self.filename)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
+def _quoted_error(source: str, pos: int) -> str:
+    """The diagnostic for the malformed string or character constant
+    opening at ``pos`` (one the master pattern did not match)."""
+    end = _QUOTED_PREFIX.match(source, pos).end()
+    ch = source[end : end + 1]
+    is_string = source[pos] == '"'
+    if ch == "\\" and (is_string or end == pos + 1):
+        # Every octal and simple escape is well-formed, so the escape
+        # ends the input, lacks hex digits, or is unknown.
+        escape = source[end + 1 : end + 2]
+        if not escape:
+            return "unterminated escape sequence"
+        if escape == "x":
+            return "invalid hex escape"
+        return f"unknown escape sequence '\\{escape}'"
+    if is_string:
+        return "unterminated string literal"
+    if end == pos + 1 and ch in ("", "\n"):
+        return "unterminated character constant"
+    return "multi-character constant not supported"
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
 
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # -- whitespace, comments, preprocessor lines ----------------------
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._at_end():
-                        raise LexError("unterminated comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#" and self.col == 1:
-                # Preprocessor line: skip to end of (possibly continued) line.
-                while not self._at_end():
-                    if self._peek() == "\\" and self._peek(1) == "\n":
-                        self._advance(2)
-                        continue
-                    if self._peek() == "\n":
-                        break
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners -------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit():
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        text = self.source[start : self.pos]
-        # Swallow integer/float suffixes.
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        if is_float:
-            return Token(TokenKind.FLOAT_CONST, float(text), loc)
-        return Token(TokenKind.INT_CONST, int(text, 0), loc)
-
-    def _scan_escape(self, loc: SourceLoc) -> str:
-        self._advance()  # the backslash
-        ch = self._peek()
-        if ch == "":
-            raise LexError("unterminated escape sequence", loc)
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise LexError("invalid hex escape", loc)
-            return chr(int(digits, 16) & 0xFF)
-        if ch.isdigit():
-            digits = ""
-            while self._peek().isdigit() and len(digits) < 3:
-                digits += self._peek()
-                self._advance()
-            return chr(int(digits, 8) & 0xFF)
-        if ch in _SIMPLE_ESCAPES:
-            self._advance()
-            return _SIMPLE_ESCAPES[ch]
-        raise LexError(f"unknown escape sequence '\\{ch}'", loc)
-
-    def _scan_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            value = self._scan_escape(loc)
-        elif self._peek() in ("", "\n"):
-            raise LexError("unterminated character constant", loc)
-        else:
-            value = self._peek()
-            self._advance()
-        if self._peek() != "'":
-            raise LexError("multi-character constant not supported", loc)
-        self._advance()
-        return Token(TokenKind.CHAR_CONST, ord(value), loc)
-
-    def _scan_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                chars.append(self._scan_escape(loc))
-            else:
-                chars.append(ch)
-                self._advance()
-        return Token(TokenKind.STRING, "".join(chars), loc)
-
-    def _scan_ident(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, loc)
-
-    def _scan_punct(self) -> Token:
-        loc = self._loc()
-        for spelling, kind in PUNCTUATORS:
-            if self.source.startswith(spelling, self.pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, loc)
-        raise LexError(f"unexpected character {self._peek()!r}", loc)
-
-    # -- public API ------------------------------------------------------
-
-    def next_token(self) -> Token:
-        """Scan and return the next token (EOF token at end of input)."""
-        self._skip_trivia()
-        if self._at_end():
-            return Token(TokenKind.EOF, "", self._loc())
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_char()
-        if ch == '"':
-            return self._scan_string()
-        if ch.isalpha() or ch == "_":
-            return self._scan_ident()
-        return self._scan_punct()
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input, including the trailing EOF token."""
-        result: list[Token] = []
-        while True:
-            tok = self.next_token()
-            result.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return result
+def _int_value(text: str, loc: SourceLoc) -> int:
+    if text[0] != "0" or len(text) == 1:
+        return int(text)
+    if text.strip("01234567"):
+        raise LexError(f"invalid octal constant '{text}'", loc)
+    return int(text, 8)
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
     """Tokenize ``source`` and return all tokens including EOF."""
-    return Lexer(source, filename).tokens()
+    tokens: list[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    punct_kind = _PUNCT_KIND
+    line = 1
+    line_start = 0
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        start = match.start()
+        if group == "trivia":
+            newlines = source.count("\n", start, match.end())
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, match.end()) + 1
+            continue
+        loc = SourceLoc(line, start - line_start + 1, filename)
+        text = match.group(group)
+        if group == "ident":
+            append(Token(keywords.get(text, TokenKind.IDENT), text, loc))
+        elif group == "punct":
+            append(Token(punct_kind[text], text, loc))
+        elif group == "int":
+            append(Token(TokenKind.INT_CONST, _int_value(text, loc), loc))
+        elif group == "float":
+            append(Token(TokenKind.FLOAT_CONST, float(text), loc))
+        elif group == "hex":
+            if len(text) == 2:
+                raise LexError(f"hex constant '{text}' has no digits", loc)
+            append(Token(TokenKind.INT_CONST, int(text, 16), loc))
+        elif group == "string":
+            append(Token(TokenKind.STRING, _unescape(text[1:-1]), loc))
+        elif group == "char":
+            append(Token(TokenKind.CHAR_CONST, ord(_unescape(text[1:-1])), loc))
+        elif group == "open_comment":
+            raise LexError("unterminated comment", loc)
+        elif text in "'\"":
+            raise LexError(_quoted_error(source, start), loc)
+        else:
+            raise LexError(f"unexpected character {text!r}", loc)
+    loc = SourceLoc(line, len(source) - line_start + 1, filename)
+    append(Token(TokenKind.EOF, "", loc))
+    return tokens

@@ -8,9 +8,11 @@ of* and *reuse across runs*:
 * :mod:`repro.service.serialize` — a stable, versioned JSON encoding
   of a completed :class:`~repro.core.analysis.PointsToAnalysis`.  The
   payload is self-contained: labels, per-statement triples, the
-  invocation graph, name-resolution scopes, read/write sets, and the
-  Tables 2-6 summaries all travel with it, so answering a query from a
-  cached result needs *no* re-parsing of the C source.
+  invocation graph, name-resolution scopes and read/write sets all
+  travel with it, so answering a query from a cached result needs *no*
+  re-parsing of the C source.  It carries only what queries read; the
+  Tables 2-6 summaries are derived on demand
+  (:mod:`repro.core.statistics`).
 * :mod:`repro.service.store` — an on-disk, content-addressed result
   store keyed by ``sha256(source, options, format-version)``.
 * :mod:`repro.service.queries` — a :class:`QuerySession` answering

@@ -4,11 +4,13 @@
 :class:`~repro.core.analysis.PointsToAnalysis` into a JSON-safe dict;
 ``decode_analysis`` rebuilds a :class:`DecodedAnalysis` that answers
 the same questions *without the program*: labels, per-statement
-triples, the invocation graph, per-function name-resolution scopes,
-precomputed read/write sets, and the Tables 2-6 / perf summaries all
-travel inside the payload.  That self-containment is what makes the
-result store's warm path fast — a cache hit never re-parses the C
-source (parsing costs more than the analysis itself on this suite).
+triples, the invocation graph, per-function name-resolution scopes and
+precomputed read/write sets all travel inside the payload.  That
+self-containment is what makes the result store's warm path fast — a
+cache hit never re-parses the C source (parsing costs more than the
+analysis itself on this suite).  The payload carries only what a query
+reads: the Tables 2-6 and perf summaries are derived on demand from a
+live (or decoded) analysis by :mod:`repro.core.statistics`.
 
 Determinism: the encoder never iterates an unordered container without
 sorting it, and :func:`encode_analysis_bytes` serializes with
@@ -29,10 +31,11 @@ import json
 from dataclasses import asdict
 
 from repro.core.analysis import AnalysisOptions, _is_temp_name
+from repro.core.incremental import skeleton
 from repro.core.interproc import MemoStats
 from repro.core.invocation_graph import IGNode, IGNodeKind, InvocationGraph
-from repro.core.locations import AbsLoc, LocKind
-from repro.core.pointsto import D, P, PointsToSet
+from repro.core.locations import AbsLoc, LocKind, LocTable
+from repro.core.pointsto import D, P, PointsToSet, locations_of
 from repro.checkers.facts import CheckFacts, collect_facts
 from repro.core.provenance import CLASSIFICATION, Derivation
 from repro.core.readwrite import ReadWriteSets, function_read_write
@@ -46,10 +49,12 @@ from repro.simple.ir import iter_stmts
 #: static dependency graph, and the globals fingerprint) feeding the
 #: incremental update planner.  v2 payloads still decode (they simply
 #: plan cold).
-FORMAT_VERSION = 3
+#: v4: Tables 2-6/perf "summaries" section dropped; derive on demand.
+#: v2/v3 payloads still decode (their "summaries" is ignored).
+FORMAT_VERSION = 4
 
 #: Payload versions :class:`DecodedAnalysis` accepts.
-SUPPORTED_VERSIONS = frozenset({2, 3})
+SUPPORTED_VERSIONS = frozenset({2, 3, 4})
 
 #: Version of the *optional* ``"provenance"`` payload section.  The
 #: section is versioned independently: it only appears when the
@@ -78,9 +83,20 @@ class _LocTable:
     def __init__(self, locations: set[AbsLoc]):
         self.locations = sorted(locations, key=_loc_sort_key)
         self._index = {loc: i for i, loc in enumerate(self.locations)}
+        self._remaps: dict[LocTable, tuple[list, dict]] = {}
 
     def index(self, loc: AbsLoc) -> int:
         return self._index[loc]
+
+    def remap(self, table: LocTable) -> tuple[list, dict]:
+        """Analysis location id (of ``table``) -> index here, and the
+        row memo of :meth:`PointsToSet.indexed_triples`."""
+        remap = self._remaps.get(table)
+        if remap is None:
+            get = self._index.get
+            remap = ([get(table.loc_of(i)) for i in range(len(table))], {})
+            self._remaps[table] = remap
+        return remap
 
     def encode(self) -> list:
         return [
@@ -90,24 +106,11 @@ class _LocTable:
 
 
 def _collect_locations(analysis, readwrite) -> set[AbsLoc]:
-    locations: set[AbsLoc] = set()
-    for info in analysis.point_info.values():
-        for src, tgt, _ in info.triples():
-            locations.add(src)
-            locations.add(tgt)
+    locations = locations_of(analysis.point_info.values())
     for sets_list in readwrite.values():
         for sets in sets_list:
             locations |= sets.must_write | sets.may_write | sets.reads
     return locations
-
-
-def _encode_triples(info: PointsToSet, table: _LocTable) -> list:
-    triples = [
-        [table.index(src), table.index(tgt), "D" if d is D else "P"]
-        for src, tgt, d in info.triples()
-    ]
-    triples.sort()
-    return triples
 
 
 def _encode_ig(ig) -> list:
@@ -165,29 +168,6 @@ def _encode_readwrite(readwrite, table: _LocTable, stmt_ids: dict) -> dict:
             for s in sets_list
         ]
         for func, sets_list in sorted(readwrite.items())
-    }
-
-
-def _collect_summaries(analysis, name: str) -> dict:
-    # Imported here: statistics imports analysis, and keeping the
-    # dependency one-way at module load avoids an import cycle if
-    # statistics ever grows a service hook.
-    from repro.core.statistics import (
-        collect_perf,
-        collect_table2,
-        collect_table3,
-        collect_table4,
-        collect_table5,
-        collect_table6,
-    )
-
-    return {
-        "table2": asdict(collect_table2(analysis, name)),
-        "table3": asdict(collect_table3(analysis, name)),
-        "table4": asdict(collect_table4(analysis, name)),
-        "table5": asdict(collect_table5(analysis, name)),
-        "table6": asdict(collect_table6(analysis, name)),
-        "perf": collect_perf(analysis, name).as_dict(),
     }
 
 
@@ -292,7 +272,7 @@ def encode_analysis(
             for stmt in fn.iter_stmts()
         },
         "point_info": {
-            str(stmt_ids[stmt_id]): _encode_triples(info, table)
+            str(stmt_ids[stmt_id]): info.indexed_triples(table.remap)
             for stmt_id, info in sorted(analysis.point_info.items())
             if stmt_id in stmt_ids
         },
@@ -305,8 +285,7 @@ def encode_analysis(
         "checkfacts": collect_facts(analysis).encode(stmt_ids),
         "warnings": list(analysis.warnings),
         "stats": analysis.stats.as_dict(),
-        "summaries": _collect_summaries(analysis, name),
-        "incremental": _encode_skeleton(program),
+        "incremental": skeleton(program),
     }
     log = getattr(analysis, "provenance", None)
     if log is not None:
@@ -320,15 +299,6 @@ def encode_analysis(
             source.encode()
         ).hexdigest()
     return payload
-
-
-def _encode_skeleton(program) -> dict:
-    """The v3 "incremental" section: everything the update planner
-    needs to compute a dirty set against a future edit without the
-    original program object."""
-    from repro.core.incremental import skeleton
-
-    return skeleton(program)
 
 
 def encode_analysis_bytes(
@@ -348,18 +318,15 @@ def semantic_payload_bytes(
     analysis, name: str = "<source>", source: str | None = None
 ) -> bytes:
     """Canonical bytes of the *semantic* payload: the encoded analysis
-    minus the run-shape counters (top-level ``stats`` and the perf
-    summary), which legitimately differ between memoization protocols
-    and update tiers.  This is the byte-identity contract the core is
+    minus the run-shape counters (top-level ``stats``), which
+    legitimately differ between memoization protocols and update
+    tiers.  This is the byte-identity contract the core is
     held to by the golden digests, incremental updates and provenance
     runs — everything an analysis *means* (per-point triples,
     invocation graph, warnings, check facts, read/write summaries)
     with nothing about how fast it was computed."""
     payload = encode_analysis(analysis, name, source)
     payload.pop("stats", None)
-    summaries = payload.get("summaries")
-    if isinstance(summaries, dict):
-        summaries.pop("perf", None)
     return canonical_json(payload)
 
 
@@ -537,7 +504,6 @@ class DecodedAnalysis:
                 "passthrough_pairs", 0
             ),
         )
-        self.summaries: dict = payload["summaries"]
         #: Program-shape facts for the checker framework (statement ids
         #: already canonical — the same id space as ``point_info``).
         self.checkfacts = CheckFacts.decode(payload["checkfacts"])

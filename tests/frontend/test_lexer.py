@@ -1,5 +1,8 @@
 """Unit tests for the C lexer."""
 
+import io
+import json
+
 import pytest
 
 from repro.frontend.errors import LexError
@@ -76,6 +79,66 @@ class TestNumbers:
 
     def test_integer_then_member_access(self):
         assert kinds("a.b") == [T.IDENT, T.DOT, T.IDENT]
+
+    def test_octal_integer(self):
+        assert values("010 0777 00 07u") == [8, 0o777, 0, 7]
+
+    def test_leading_zero_float_is_decimal(self):
+        assert values("09.5 010e1") == [9.5, 100.0]
+
+    @pytest.mark.parametrize(
+        "source,message,column",
+        [
+            ("x = 08;", "invalid octal constant '08'", 5),
+            ("x = 09;", "invalid octal constant '09'", 5),
+            ("x = 0789;", "invalid octal constant '0789'", 5),
+            ("x = 0x;", "hex constant '0x' has no digits", 5),
+            ("x = 0XuL;", "hex constant '0X' has no digits", 5),
+        ],
+    )
+    def test_malformed_constant_names_itself(self, source, message, column):
+        with pytest.raises(LexError) as info:
+            tokenize("int x;\n" + source)
+        assert info.value.message == message
+        assert (info.value.loc.line, info.value.loc.column) == (2, column)
+
+
+class TestServedConstants:
+    """Malformed constants reach a served client as a lex diagnostic,
+    not as a Python ``ValueError``."""
+
+    def serve(self, tmp_path, source):
+        from repro.service.batch import serve
+        from repro.service.store import ResultStore
+
+        stdin = io.StringIO(
+            json.dumps({"id": 1, "source": source, "query": "points_to:p@L"})
+            + "\n"
+        )
+        stdout = io.StringIO()
+        assert serve(stdin, stdout, ResultStore(tmp_path / "store")) == 0
+        (response,) = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        return response
+
+    def test_octal_constant_served(self, tmp_path):
+        source = "int g; int main(){int x; int *p; x = 010; p = &g; L: return 0;}"
+        response = self.serve(tmp_path, source)
+        assert response["ok"] is True
+        assert response["result"] == [["g", "D"]]
+
+    @pytest.mark.parametrize(
+        "constant,message",
+        [
+            ("08", "invalid octal constant '08'"),
+            ("09", "invalid octal constant '09'"),
+            ("0x", "hex constant '0x' has no digits"),
+        ],
+    )
+    def test_malformed_constant_served(self, tmp_path, constant, message):
+        source = f"int main(){{int x; int *p; x = {constant}; L: return 0;}}"
+        response = self.serve(tmp_path, source)
+        assert response["ok"] is False
+        assert response["error"] == f"LexError: <inline>:1:31: {message}"
 
 
 class TestCharAndString:

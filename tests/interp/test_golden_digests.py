@@ -5,8 +5,13 @@ For every program in the identity corpus — the 17 suite programs,
 56-program soundness-fuzz corpus — ``golden_digests.json`` pins two
 sha256 digests:
 
-* ``payload``: :func:`repro.service.serialize.semantic_payload_bytes`,
-  the encoded artifact minus the run-shape counters;
+* ``payload``: the *v3 view* of
+  :func:`repro.service.serialize.semantic_payload_bytes` — the encoded
+  artifact minus the run-shape counters, stamped ``format_version: 3``
+  and carrying the Tables 2-6 ``summaries`` section that v3 artifacts
+  shipped, now derived from the live analysis on demand.  The digests
+  were frozen from v3 artifacts; the view pins every byte of the v4
+  artifact *and* the on-demand tables against them;
 * ``answers``: the query answers ``list_labels`` (statement ids
   renumbered canonically, as the artifact does), ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
@@ -27,6 +32,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -34,8 +40,19 @@ import pytest
 from repro.benchsuite import BENCHMARKS, PERF_BENCHMARKS, livc_source
 from repro.benchsuite.generator import generate_program
 from repro.core.analysis import analyze_source
+from repro.core.statistics import (
+    collect_table2,
+    collect_table3,
+    collect_table4,
+    collect_table5,
+    collect_table6,
+)
 from repro.service.queries import QuerySession
-from repro.service.serialize import _canonical_stmt_ids, semantic_payload_bytes
+from repro.service.serialize import (
+    _canonical_stmt_ids,
+    canonical_json,
+    semantic_payload_bytes,
+)
 
 from .test_soundness_fuzz import CONFIGS, CORPUS
 
@@ -58,6 +75,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+TABLES = {
+    "table2": collect_table2,
+    "table3": collect_table3,
+    "table4": collect_table4,
+    "table5": collect_table5,
+    "table6": collect_table6,
+}
+
+
+def v3_view(analysis, name: str) -> bytes:
+    """The semantic payload as a v3 artifact encoded it: the v4 bytes
+    plus the Tables 2-6 ``summaries`` section, under version 3."""
+    payload = json.loads(semantic_payload_bytes(analysis, name))
+    payload["format_version"] = 3
+    payload["summaries"] = {
+        key: asdict(collect(analysis, name)) for key, collect in TABLES.items()
+    }
+    return canonical_json(payload)
+
+
 def digests(name: str, source: str) -> dict[str, str]:
     """The ``payload`` and ``answers`` digests of one program."""
     analysis = analyze_source(source)
@@ -69,7 +106,7 @@ def digests(name: str, source: str) -> dict[str, str]:
     }
     answers = [labels, session.call_sites(), session.summary()]
     return {
-        "payload": _sha256(semantic_payload_bytes(analysis, name)),
+        "payload": _sha256(v3_view(analysis, name)),
         "answers": _sha256(
             json.dumps(answers, sort_keys=True, separators=(",", ":")).encode()
         ),

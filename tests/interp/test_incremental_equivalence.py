@@ -4,7 +4,8 @@ For every program in the soundness-fuzz corpus, apply a deterministic
 edit (:func:`repro.benchsuite.edits.propose_edits`), run the
 incremental update against the old result, and run a cold analysis of
 the edited text.  The two must be indistinguishable: the semantic
-payload (the encoded artifact minus ``stats`` and ``summaries.perf``)
+payload (the encoded artifact minus ``stats``) and the Tables 2-6
+derived from each — together the golden digests' v3 view —
 byte-identical, and a :class:`~repro.service.queries.QuerySession`
 over each giving the same answers.  This is the correctness proof for
 the whole update ladder — whichever tier the update takes (splice,
@@ -29,8 +30,9 @@ from repro.benchsuite.generator import generate_program
 from repro.core.analysis import analyze_source
 from repro.core.incremental import update_analysis
 from repro.service.queries import QuerySession
-from repro.service.serialize import _canonical_stmt_ids, semantic_payload_bytes
+from repro.service.serialize import _canonical_stmt_ids
 
+from .test_golden_digests import v3_view
 from .test_soundness_fuzz import CONFIGS, CORPUS, TIER1
 
 
@@ -82,9 +84,7 @@ def _check(chains: list) -> None:
                 analysis, old_source, new_source
             )
             cold = analyze_source(new_source)
-            assert semantic_payload_bytes(analysis, name) == (
-                semantic_payload_bytes(cold, name)
-            ), (
+            assert v3_view(analysis, name) == v3_view(cold, name), (
                 f"update (mode={report.mode}, fallback={report.fallback}) "
                 f"diverges from cold for {name}"
             )

@@ -7,8 +7,8 @@ Three contracts:
   to pre-provenance artifacts; an enabled-run payload reduces to the
   disabled-run payload when the optional section is stripped (the
   section is fully self-contained), modulo the perf counters in
-  ``stats`` / ``summaries.perf`` — recording forces opaque whole-input
-  memo keys, so those legitimately differ.  This is the gate CI runs
+  ``stats`` — recording forces opaque whole-input memo keys, so those
+  legitimately differ.  This is the gate CI runs
   on every push.
 * **Round-trip fidelity** — enabled payloads encode deterministically
   across separate parses, decode to a log the witness helpers accept
@@ -83,19 +83,13 @@ class TestArtifactNeutrality:
 
         # Provenance recording forces opaque whole-input memo keys
         # (the slice memo is off while recording), so the perf
-        # counters in ``stats`` and ``summaries.perf`` legitimately
-        # differ between the two runs; everything else — the semantic
-        # payload — must be byte-identical.
+        # counters in ``stats`` legitimately differ between the two
+        # runs; everything else — the semantic payload — must be
+        # byte-identical.
         def semantic(payload: dict) -> bytes:
-            trimmed = {
-                key: value
-                for key, value in payload.items()
-                if key != "stats"
-            }
-            summaries = dict(trimmed.get("summaries") or {})
-            summaries.pop("perf", None)
-            trimmed["summaries"] = summaries
-            return canonical_json(trimmed)
+            return canonical_json(
+                {key: value for key, value in payload.items() if key != "stats"}
+            )
 
         assert semantic(stripped) == semantic(off_payload)
 

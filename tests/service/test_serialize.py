@@ -5,11 +5,14 @@ import json
 import pytest
 
 from repro.benchsuite import BENCHMARKS
+from repro.core import perf
 from repro.core.analysis import AnalysisOptions, analyze_source
 from repro.core.invocation_graph import IGNodeKind
 from repro.core.statistics import collect_perf
+from repro.service.queries import QueryError, QuerySession
 from repro.service.serialize import (
     FORMAT_VERSION,
+    SUPPORTED_VERSIONS,
     decode_analysis,
     encode_analysis,
     encode_analysis_bytes,
@@ -117,14 +120,14 @@ class TestRoundTrip:
         cached = collect_perf(decoded, "t").as_dict()
         assert cached == live
 
-    def test_summaries_travel(self):
+    def test_summaries_section_absent(self):
+        # v4 dropped the Tables 2-6 / perf section: nothing read it,
+        # and the tables derive on demand from the analysis.
         analysis, decoded = roundtrip(SAMPLE)
-        assert decoded.summaries["table6"]["ig_nodes"] == (
-            analysis.ig.node_count()
-        )
-        assert decoded.summaries["perf"]["statements"] == (
-            analysis.program.count_basic_stmts()
-        )
+        payload = encode_analysis(analysis, name="t", source=SAMPLE)
+        assert payload["format_version"] == FORMAT_VERSION == 4
+        assert "summaries" not in payload
+        assert not hasattr(decoded, "summaries")
 
     def test_version_mismatch_rejected(self):
         analysis, _ = roundtrip(SAMPLE)
@@ -149,3 +152,77 @@ class TestRoundTrip:
         )
         assert first == again
         json.loads(first)  # well-formed
+
+
+DISPATCH = """
+int a; int b;
+int *pa;
+void install(int ***h) { *h = &pa; pa = &a; }
+void install_b(int ***h) { *h = &pa; pa = &b; }
+int main() {
+    int **p; void (*fp)(int ***); int sel;
+    sel = 0;
+    fp = install;
+    if (sel) { fp = install_b; }
+    fp(&p);
+    L: return 0;
+}
+"""
+
+
+def _answers(session: QuerySession, queries: list[str]) -> list:
+    answers = []
+    for query in queries:
+        try:
+            answers.append(("ok", session.evaluate(query)))
+        except QueryError as exc:
+            answers.append(("error", str(exc)))
+    return answers
+
+
+class TestOlderVersions:
+    def test_supported_versions(self):
+        assert SUPPORTED_VERSIONS == {2, 3, 4}
+
+    def test_v3_payload_with_summaries_answers_every_query_kind(self):
+        with perf.configured(track_provenance=True):
+            analysis = analyze_source(DISPATCH)
+        payload = encode_analysis(analysis, name="t", source=DISPATCH)
+        # A v3 artifact: same layout plus the summaries section the
+        # decoder now ignores.
+        v3 = dict(payload, format_version=3)
+        v3["summaries"] = {
+            "table6": {"ig_nodes": analysis.ig.node_count()},
+            "perf": {"statements": analysis.program.count_basic_stmts()},
+        }
+        current = QuerySession(decode_analysis(json.dumps(payload)))
+        old_result = decode_analysis(json.dumps(v3))
+        assert not hasattr(old_result, "summaries")
+        old = QuerySession(old_result)
+        (site,) = QuerySession(analysis).call_sites()
+        queries = [
+            "points_to:*p@L",
+            "points_to:pa@L",
+            "may_alias:*p,pa@L",
+            "explain:**p@L",
+            "why_possible:**p@L",
+            "blame_invisible:pa",
+            f"callees_at:{site}",
+            "callers_of:install",
+            "read_write:main",
+            "read_write:install_b",
+            "call_sites",
+            "labels",
+            "warnings",
+            "graph",
+            "summary",
+        ]
+        answers = _answers(old, queries)
+        assert answers == _answers(current, queries)
+        by_query = dict(zip(queries, answers))
+        assert by_query["points_to:*p@L"] == ("ok", [("a", "P"), ("b", "P")])
+        assert by_query[f"callees_at:{site}"] == ("ok", ["install", "install_b"])
+        assert by_query["explain:**p@L"][0] == "ok"
+        assert QuerySession(analysis).points_to("**p", "L") == (
+            old.points_to("**p", "L")
+        )
