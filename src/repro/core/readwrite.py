@@ -101,7 +101,7 @@ def statement_read_write(
     for operand in operands:
         sets.reads |= _read_locs(operand, info, env)
 
-    if isinstance(stmt, BasicStmt) and stmt.kind is BasicKind.CALL:
+    if _is_call(stmt):
         if stmt.callee is None and stmt.callee_ptr is not None:
             # Dispatching through a function pointer reads the pointer.
             sets.reads.add(env.var_loc(stmt.callee_ptr))
