@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core import provenance
 from repro.core.locations import AbsLoc, LocTable, active_table
@@ -94,6 +94,11 @@ class PointsToSet:
         self._shared = False
         #: Cached canonical key (sorted rows).
         self._fingerprint: tuple | None = None
+
+    @property
+    def table(self) -> LocTable:
+        """The location table whose ids this set's bitsets use."""
+        return self._table
 
     # -- construction / copy-on-write ----------------------------------
 
@@ -275,18 +280,15 @@ class PointsToSet:
             for tid in _iter_bits(poss):
                 yield src, loc_of(tid), P
 
-    def indexed_triples(
-        self, remap: Callable[[LocTable], tuple[Sequence[int], dict]]
-    ) -> list[list]:
+    def indexed_triples(self, index: Sequence[int], memo: dict) -> list[list]:
         """The triples as sorted ``[src, tgt, "D"|"P"]`` rows of
         external indexes, read straight from the bitsets.
 
-        ``remap(table)`` returns, for this set's table, a sequence
-        mapping every location id to its external index (a serialized
-        location table's) and a dict in which encoded rows are memoized
-        across the sets of that table — copy-on-write sets share most
-        of their rows, so each distinct row is encoded once."""
-        index, memo = remap(self._table)
+        ``index`` maps every location id of :attr:`table` to its
+        external index (a serialized location table's).  ``memo``
+        keeps the encoded rows across calls with the same ``index``:
+        copy-on-write sets share most of their rows, so each distinct
+        row is encoded once and its triples are shared."""
         encoded = []
         for row in self._src.items():
             triples = memo.get(row)
@@ -304,15 +306,7 @@ class PointsToSet:
         return [triple for triples in encoded for triple in triples]
 
     def locations(self) -> set[AbsLoc]:
-        loc_of = self._table.loc_of
-        result = set()
-        all_targets = 0
-        for sid, (defs, poss) in self._src.items():
-            result.add(loc_of(sid))
-            all_targets |= defs | poss
-        for tid in _iter_bits(all_targets):
-            result.add(loc_of(tid))
-        return result
+        return locations_of((self,))
 
     def __len__(self) -> int:
         return sum(

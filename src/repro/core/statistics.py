@@ -527,14 +527,12 @@ class PerfRow:
     query_stats: dict | None = None
     #: ``StoreStats.as_dict()`` of the result store, when one was used.
     store_stats: dict | None = None
-    #: ``Tracer.snapshot()`` of the run's tracer, when one was active.
-    #: Never populated implicitly: the serialized store payload embeds
-    #: a PerfRow, and artifacts must stay byte-identical with tracing
-    #: on or off — callers opt in by passing ``tracer=``.
+    #: ``Tracer.snapshot()`` of the run's tracer, when the caller
+    #: passed an active one as ``tracer=``.
     metrics: dict | None = None
-    #: Table 3 headline precision fractions, opt-in for the same
-    #: byte-identity reason (callers pass ``table3=``; the benchmark
-    #: report does, serialized store summaries do not).
+    #: Table 3 headline precision fractions, when the caller passed
+    #: the run's ``table3=`` (the benchmark report does; collecting
+    #: Table 3 scans every point, which a perf row otherwise skips).
     single_definite_fraction: float | None = None
     single_target_fraction: float | None = None
 

@@ -22,9 +22,14 @@ from repro.frontend.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
 _SIMPLE_ESCAPES = dict(zip("ntr0abfv\\'\"?", "\n\t\r\0\a\b\f\v\\'\"?"))
 
-#: One escape sequence: hex (any number of digits), octal (up to
-#: three digits) or a simple escape.
-_ESCAPE = r"""\\(?:x[0-9a-fA-F]+|[0-7]{1,3}|[ntrabfv\\'"?])"""
+#: One escape sequence: hex (every digit that follows), octal (up to
+#: three digits) or a simple escape.  The lookaheads give each escape
+#: exactly one parse, so a literal that fails to match is rejected in
+#: linear time rather than after retrying every split of its digits.
+_ESCAPE = (
+    r"\\(?:x[0-9a-fA-F]+(?![0-9a-fA-F])|[0-7]{3}|[0-7]{1,2}(?![0-7])"
+    r"""|[ntrabfv\\'"?])"""
+)
 
 _MASTER = re.compile(
     "|".join(

@@ -83,20 +83,21 @@ class _LocTable:
     def __init__(self, locations: set[AbsLoc]):
         self.locations = sorted(locations, key=_loc_sort_key)
         self._index = {loc: i for i, loc in enumerate(self.locations)}
-        self._remaps: dict[LocTable, tuple[list, dict]] = {}
+        self._encodings: dict[LocTable, tuple[list[int], dict]] = {}
 
     def index(self, loc: AbsLoc) -> int:
         return self._index[loc]
 
-    def remap(self, table: LocTable) -> tuple[list, dict]:
-        """Analysis location id (of ``table``) -> index here, and the
-        row memo of :meth:`PointsToSet.indexed_triples`."""
-        remap = self._remaps.get(table)
-        if remap is None:
+    def encoding_for(self, table: LocTable) -> tuple[list[int], dict]:
+        """Location id of ``table`` -> index here, and the row memo
+        :meth:`PointsToSet.indexed_triples` shares across the sets of
+        ``table``."""
+        encoding = self._encodings.get(table)
+        if encoding is None:
             get = self._index.get
-            remap = ([get(table.loc_of(i)) for i in range(len(table))], {})
-            self._remaps[table] = remap
-        return remap
+            encoding = ([get(table.loc_of(i)) for i in range(len(table))], {})
+            self._encodings[table] = encoding
+        return encoding
 
     def encode(self) -> list:
         return [
@@ -272,7 +273,9 @@ def encode_analysis(
             for stmt in fn.iter_stmts()
         },
         "point_info": {
-            str(stmt_ids[stmt_id]): info.indexed_triples(table.remap)
+            str(stmt_ids[stmt_id]): info.indexed_triples(
+                *table.encoding_for(info.table)
+            )
             for stmt_id, info in sorted(analysis.point_info.items())
             if stmt_id in stmt_ids
         },

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -97,12 +98,45 @@ ERRORS = [
 ]
 
 
+#: Malformed literals carrying long runs of multi-digit escapes.  A
+#: pattern that lets an escape stop early and hand its remaining
+#: digits to the plain-character alternative retries every split
+#: before rejecting these: 2**50 and 3**50 attempts.
+ERRORS += [
+    ('"' + "\\x41" * 50, "unterminated string literal", 1, 1),
+    ('"' + "\\101" * 50, "unterminated string literal", 1, 1),
+    ('"' + "\\x41" * 50 + '\\q"', "unknown escape sequence '\\q'", 1, 1),
+    ('"' + "\\101" * 50 + '\\q"', "unknown escape sequence '\\q'", 1, 1),
+]
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _raise_too_slow(signum, frame):
+    raise _TooSlow
+
+
 @pytest.mark.parametrize(
     "source,message,line,column", ERRORS, ids=[e[1] for e in ERRORS]
 )
 def test_lex_error_pinned(source, message, line, column):
-    with pytest.raises(LexError) as info:
-        tokenize(source)
+    # SIGALRM interrupts a runaway (backtracking) regex match; a linear
+    # scan of any of these sources takes well under a millisecond.
+    armed = hasattr(signal, "setitimer")
+    if armed:
+        previous = signal.signal(signal.SIGALRM, _raise_too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+    except _TooSlow:
+        pytest.fail("tokenize backtracked instead of scanning linearly")
+    finally:
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     error = info.value
     assert (error.message, error.loc.line, error.loc.column) == (
         message, line, column
