@@ -24,9 +24,11 @@ from repro.simple.ir import (
     BasicStmt,
     SimpleProgram,
     Stmt,
+    child_stmts,
     iter_stmts,
 )
-from repro.simple.simplify import simplify_source
+from repro.frontend.parser import parse
+from repro.simple.simplify import simplify_program
 from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.externals import model_external
@@ -173,12 +175,13 @@ class _TransferCache:
     the worklist.
     """
 
-    __slots__ = ("analyzer", "node_key")
+    __slots__ = ("analyzer", "node_key", "func")
 
     def __init__(self, analyzer: "Analyzer", node: IGNode):
         self.analyzer = analyzer
         # IGNode is unhashable; nodes live as long as the run does.
         self.node_key = id(node)
+        self.func = node.func
 
     def lookup(self, stmt: Stmt, input_set: PointsToSet) -> FlowOut | None:
         analyzer = self.analyzer
@@ -217,7 +220,7 @@ class _TransferCache:
             return
         version = (
             analyzer.call_state_version
-            if analyzer.stmt_has_calls(stmt)
+            if analyzer.stmt_has_calls(self.func, stmt)
             else None
         )
         analyzer._transfer_entries[(self.node_key, stmt.stmt_id)] = (
@@ -296,21 +299,26 @@ class Analyzer:
         transfer-cache entries."""
         self.call_state_version += 1
 
-    def stmt_has_calls(self, stmt: Stmt) -> bool:
+    def stmt_has_calls(self, func: str, stmt: Stmt) -> bool:
         """Whether ``stmt``'s subtree contains a call that consults
         mutable interprocedural state (any CALL to an analyzed or
         indirect target; ALLOC and direct external calls are pure
-        functions of the input set)."""
+        functions of the input set).  The first query for ``func``
+        answers for all of its statements in one bottom-up pass."""
         cached = self._has_calls.get(stmt.stmt_id)
         if cached is None:
             functions = self.program.functions
-            cached = any(
-                isinstance(s, BasicStmt)
-                and s.kind is BasicKind.CALL
-                and (s.callee_ptr is not None or s.callee in functions)
-                for s in iter_stmts(stmt)
-            )
-            self._has_calls[stmt.stmt_id] = cached
+            has_calls = self._has_calls
+            # Reversed pre-order reaches a statement after all of its
+            # descendants.
+            for s in reversed(list(iter_stmts(functions[func].body))):
+                has_calls[s.stmt_id] = (
+                    s.kind is BasicKind.CALL
+                    and (s.callee_ptr is not None or s.callee in functions)
+                    if isinstance(s, BasicStmt)
+                    else any(has_calls[c.stmt_id] for c in child_stmts(s))
+                )
+            cached = has_calls[stmt.stmt_id]
         return cached
 
     def function_summary(self, func: str):
@@ -620,10 +628,28 @@ def analyze(
     return Analyzer(program, options or AnalysisOptions()).run()
 
 
+class TooDeepError(RecursionError):
+    """The input nests deeper than one phase's recursion can follow.
+    ``phase`` is ``parse``, ``simplify`` or ``analyze``."""
+
+    def __init__(self, phase: str):
+        super().__init__(f"input nests too deeply to {phase}")
+        self.phase = phase
+
+
 def analyze_source(
     source: str,
     options: AnalysisOptions | None = None,
     filename: str = "<source>",
 ) -> PointsToAnalysis:
-    """Parse, simplify, and analyze C source text in one step."""
-    return analyze(simplify_source(source, filename), options)
+    """Parse, simplify, and analyze C source text in one step.  Running
+    out of stack raises :class:`TooDeepError` naming the phase."""
+    phase = "parse"
+    try:
+        unit = parse(source, filename)
+        phase = "simplify"
+        program = simplify_program(unit, source_lines=source.count("\n") + 1)
+        phase = "analyze"
+        return analyze(program, options)
+    except RecursionError as exc:
+        raise TooDeepError(phase) from exc

@@ -111,14 +111,22 @@ class InvocationGraph:
         if root_func not in program.functions:
             raise ValueError(f"program has no '{root_func}' function")
         self.root = IGNode(root_func)
+        self._sites_program: SimpleProgram | None = None
         if build:
             self._build(self.root)
 
     # -- construction ----------------------------------------------------
 
     def _build(self, node: IGNode) -> None:
-        fn = self.program.functions[node.func]
-        for call_site, callee in direct_call_sites(fn):
+        # Each function's body is walked once per program, however many
+        # nodes it gets (an incremental splice swaps in a new program).
+        if self._sites_program is not self.program:
+            self._sites_program, self._call_sites = self.program, {}
+        sites = self._call_sites.get(node.func)
+        if sites is None:
+            fn = self.program.functions[node.func]
+            sites = self._call_sites[node.func] = direct_call_sites(fn)
+        for call_site, callee in sites:
             if callee not in self.program.functions:
                 continue  # external functions have no invocation node
             self.attach_call(node, call_site, callee)

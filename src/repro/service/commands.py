@@ -25,7 +25,7 @@ from typing import MutableMapping
 
 from repro import obs
 from repro.core import perf
-from repro.core.analysis import AnalysisOptions
+from repro.core.analysis import AnalysisOptions, TooDeepError
 from repro.service.queries import QueryError, QuerySession
 from repro.service.store import ResultStore
 
@@ -96,6 +96,14 @@ def request_source(request: dict):
                 "error": f"cannot read {path}: {exc}",
             }
     return None, None, {"ok": False, "error": "missing 'file' or 'source'"}
+
+
+def analysis_failure(exc: Exception) -> dict:
+    """The error response for an exception raised while analyzing:
+    structured for an input too deep to process, stringified else."""
+    if isinstance(exc, TooDeepError):
+        return {"ok": False, "error": "too_deep", "phase": exc.phase}
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def request_options(request: dict):
@@ -224,7 +232,7 @@ def _cmd_check(request, store, sessions) -> dict:
         with perf.configured(track_provenance=track):
             result, hit = store.load_or_analyze(source, options, name=name)
     except Exception as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return analysis_failure(exc)
     try:
         findings = run_checkers(
             result,
@@ -327,7 +335,7 @@ def _cmd_update(request, store, sessions) -> dict:
                     "fallback": "no base session or artifact",
                 }
         except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return analysis_failure(exc)
         sessions[new_key] = session
         report["key"] = new_key[:12]
         _record_update_tier(report.get("mode"), new_key)
@@ -400,10 +408,7 @@ def _cmd_watch(request, store, sessions) -> dict:
             except CheckerError as exc:
                 return {"ok": False, "error": str(exc)}
             except Exception as exc:
-                return {
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+                return analysis_failure(exc)
             session = QuerySession(result, source)
             sessions[new_key] = session
             findings = [record for _, record in baseline["reported"]]
@@ -446,7 +451,7 @@ def _cmd_watch(request, store, sessions) -> dict:
         except CheckerError as exc:
             return {"ok": False, "error": str(exc)}
         except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return analysis_failure(exc)
         session = QuerySession(report.analysis, source)
         sessions[new_key] = session
         if base_key != new_key:
@@ -598,7 +603,7 @@ def _handle_untraced(
         try:
             result, _ = store.load_or_analyze(source, options, name=name)
         except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return analysis_failure(exc)
         session = sessions[key] = QuerySession(result, source)
     try:
         answer = session.evaluate(request["query"])

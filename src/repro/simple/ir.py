@@ -331,37 +331,41 @@ class SimpleFunction:
         return self.local_types.get(name)
 
     def iter_stmts(self):
-        """Yield every statement in the body, depth first."""
-        yield from iter_stmts(self.body)
+        """Every statement in the body, in pre-order."""
+        return iter_stmts(self.body)
 
     def count_basic_stmts(self) -> int:
         return sum(1 for s in self.iter_stmts() if isinstance(s, BasicStmt))
 
 
-def iter_stmts(stmt: Stmt):
-    """Depth-first traversal over a SIMPLE statement tree."""
-    yield stmt
+def child_stmts(stmt: Stmt) -> list[Stmt]:
+    """The direct sub-statements of ``stmt``, in traversal order."""
     if isinstance(stmt, SBlock):
-        for child in stmt.stmts:
-            yield from iter_stmts(child)
-    elif isinstance(stmt, SIf):
-        yield from iter_stmts(stmt.then_block)
-        if stmt.else_block is not None:
-            yield from iter_stmts(stmt.else_block)
-    elif isinstance(stmt, SWhile):
-        yield from iter_stmts(stmt.cond_eval)
-        yield from iter_stmts(stmt.body)
-    elif isinstance(stmt, SDoWhile):
-        yield from iter_stmts(stmt.body)
-        yield from iter_stmts(stmt.cond_eval)
-    elif isinstance(stmt, SFor):
-        yield from iter_stmts(stmt.init)
-        yield from iter_stmts(stmt.cond_eval)
-        yield from iter_stmts(stmt.step)
-        yield from iter_stmts(stmt.body)
-    elif isinstance(stmt, SSwitch):
-        for case in stmt.cases:
-            yield from iter_stmts(case.body)
+        return stmt.stmts
+    if isinstance(stmt, SIf):
+        return [b for b in (stmt.then_block, stmt.else_block) if b is not None]
+    if isinstance(stmt, SWhile):
+        return [stmt.cond_eval, stmt.body]
+    if isinstance(stmt, SDoWhile):
+        return [stmt.body, stmt.cond_eval]
+    if isinstance(stmt, SFor):
+        return [stmt.init, stmt.cond_eval, stmt.step, stmt.body]
+    if isinstance(stmt, SSwitch):
+        return [case.body for case in stmt.cases]
+    return []
+
+
+def iter_stmts(stmt: Stmt):
+    """Pre-order traversal over a SIMPLE statement tree.
+
+    An explicit stack, not recursion: each yield costs O(1) whatever
+    the nesting depth, and no depth hits the recursion limit."""
+    stack = [stmt]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        if not isinstance(stmt, BasicStmt):
+            stack.extend(reversed(child_stmts(stmt)))
 
 
 @dataclass

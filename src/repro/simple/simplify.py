@@ -100,6 +100,8 @@ class _FunctionSimplifier:
         self.used_names: set[str] = set(self.param_types)
         self.temp_counter = 0
         self.blocks: list[list[Stmt]] = []
+        #: id(node) -> (node, type); holding the node pins its id.
+        self._types: dict[int, tuple[cast.Expr, CType]] = {}
 
     # -- emission ------------------------------------------------------
 
@@ -154,7 +156,15 @@ class _FunctionSimplifier:
     # -- expression typing ------------------------------------------------
 
     def stype(self, expr: cast.Expr) -> CType:
-        """Static type of an AST expression in the current scope."""
+        """Static type of an AST expression in the current scope,
+        computed once per node: re-typing a left-nested sum's spine
+        for every operand would be quadratic in its length."""
+        entry = self._types.get(id(expr))
+        if entry is None:
+            entry = self._types[id(expr)] = (expr, self._stype(expr))
+        return entry[1]
+
+    def _stype(self, expr: cast.Expr) -> CType:
         if isinstance(expr, cast.IntLit):
             return INT
         if isinstance(expr, cast.FloatLit):
@@ -329,11 +339,6 @@ class _FunctionSimplifier:
             if expr.value > 0:
                 return IndexClass.POSITIVE
         return IndexClass.UNKNOWN
-
-    def _evaluate_for_effects(self, expr: cast.Expr) -> None:
-        """Evaluate an expression only if it has side effects."""
-        if self._has_side_effects(expr):
-            self.operand(expr)
 
     def _has_side_effects(self, expr: cast.Expr) -> bool:
         if isinstance(expr, (cast.Assign, cast.Call)):

@@ -1,0 +1,178 @@
+"""Deep and long inputs: linear work, and a structured failure past
+the recursion limits.
+
+The count tests monkeypatch-count the work of each statement or
+expression walk instead of timing it: typing a long sum, the
+has-calls pass over deeply nested ``if``s, and the invocation graph's
+call-site scans.  Each count is linear in the input, where the old
+walks were quadratic or worse.
+
+Inputs deeper than a recursive phase can follow must come back from
+``handle_request`` as ``{"error": "too_deep", "phase": ...}``, and the
+process must go on serving.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from repro.benchsuite import PERF_BENCHMARKS
+from repro.core import analysis, invocation_graph
+from repro.core.analysis import TooDeepError, analyze_source
+from repro.frontend import cast
+from repro.frontend.parser import parse
+from repro.service.commands import SessionCache, handle_request
+from repro.service.store import ResultStore
+from repro.simple import simplify
+from repro.simple.simplify import simplify_program, simplify_source
+
+
+def chain_program(depth: int) -> str:
+    """``main -> f1 -> ... -> f<depth>`` passing one pointer down."""
+    parts = ["int g; int *gp;"]
+    parts += [f"void f{i}(int *p);" for i in range(1, depth + 1)]
+    for i in range(1, depth + 1):
+        call = f"f{i + 1}(q);" if i < depth else "gp = q;"
+        parts.append(f"void f{i}(int *p) {{ int *q; q = p; {call} }}")
+    parts.append("int main() { f1(&g); END: return 0; }")
+    return "\n".join(parts) + "\n"
+
+
+def nested_program(depth: int) -> str:
+    """``depth`` nested ifs around one pointer store."""
+    body = "p = &a; INNER: q = p;"
+    for level in range(depth):
+        body = f"if (x > {level}) {{ {body} }}"
+    return (
+        "int a; int x;\n"
+        f"int main() {{ int *p; int *q; p = 0; q = 0; x = {depth + 1}; "
+        f"{body} END: return 0; }}\n"
+    )
+
+
+def sum_program(terms: int) -> str:
+    """One expression of ``terms`` additions, then a pointer store."""
+    total = " + ".join(f"v{i % 8}" for i in range(terms))
+    return (
+        "int v0, v1, v2, v3, v4, v5, v6, v7;\n"
+        f"int main() {{ int s; int *p; s = {total}; p = &s; END: return 0; }}\n"
+    )
+
+
+def count_exprs(unit: cast.TranslationUnit) -> int:
+    """Expression nodes in a translation unit (explicit stack)."""
+    count = 0
+    stack: list = [fn.body for fn in unit.functions]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, cast.Node):
+            count += isinstance(item, cast.Expr)
+            stack.extend(
+                getattr(item, f.name) for f in dataclasses.fields(item)
+            )
+    return count
+
+
+def counting(monkeypatch, owner, name: str, key=lambda *args: None):
+    """Wrap ``owner.name`` to count calls (by ``key(*args)``)."""
+    calls: Counter = Counter()
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Linear work
+# ---------------------------------------------------------------------------
+
+
+def test_stype_types_each_expression_once(monkeypatch):
+    unit = parse(sum_program(400))
+    nodes = count_exprs(unit)
+    assert nodes > 800
+    calls = counting(monkeypatch, simplify._FunctionSimplifier, "stype")
+    simplify_program(unit)
+    assert 0 < calls[None] <= 2 * nodes
+
+
+def test_has_calls_touches_each_statement_once(monkeypatch):
+    program = simplify_source(nested_program(100))
+    statements = sum(1 for _ in program.functions["main"].iter_stmts())
+    assert statements > 200
+    walked: Counter = Counter()
+    original = analysis.iter_stmts
+
+    def counting_iter(stmt):
+        walked["walks"] += 1
+        for item in original(stmt):
+            walked["stmts"] += 1
+            yield item
+
+    monkeypatch.setattr(analysis, "iter_stmts", counting_iter)
+    result = analysis.analyze(program)
+    assert ("p", "a", "D") in result.triples_at("INNER")
+    assert walked == {"walks": 1, "stmts": statements}
+
+
+def test_call_sites_listed_once_per_function(monkeypatch):
+    calls = counting(
+        monkeypatch,
+        invocation_graph,
+        "direct_call_sites",
+        key=lambda fn: fn.name,
+    )
+    result = analyze_source(PERF_BENCHMARKS["relay"].source)
+    functions = result.ig.functions_called() | {result.ig.root.func}
+    assert result.ig.node_count() > 10 * len(functions)
+    assert set(calls) == functions
+    assert set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Structured failure past the recursion limits
+# ---------------------------------------------------------------------------
+
+TOO_DEEP = [
+    ("chain75", chain_program(75), "analyze"),
+    ("nested130", nested_program(130), "analyze"),
+    ("sum500", sum_program(500), "simplify"),
+    (
+        "parens400",
+        "int main() { int x; x = " + "(" * 400 + "1" + ")" * 400 + "; return 0; }",
+        "parse",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source,phase", [case[1:] for case in TOO_DEEP], ids=[c[0] for c in TOO_DEEP]
+)
+def test_too_deep_is_a_structured_error(tmp_path, source, phase):
+    store = ResultStore(tmp_path)
+    sessions = SessionCache()
+    response = handle_request(
+        {"source": source, "query": "labels"}, store, sessions
+    )
+    assert response == {"ok": False, "error": "too_deep", "phase": phase}
+    # The process keeps serving: the next request succeeds.
+    response = handle_request(
+        {"source": nested_program(10), "query": "labels"}, store, sessions
+    )
+    assert response["ok"] and set(response["result"]) == {"END", "INNER"}
+
+
+def test_too_deep_error_names_the_phase():
+    with pytest.raises(TooDeepError) as info:
+        analyze_source(sum_program(500))
+    assert info.value.phase == "simplify"
+    assert isinstance(info.value, RecursionError)
