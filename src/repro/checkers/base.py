@@ -31,9 +31,8 @@ class Finding:
     """One checker diagnosis.
 
     ``definite`` mirrors the analysis's D/P flag for the underlying
-    fact and determines :attr:`severity`; ``stmt`` is a live statement
-    id while the finding is being built and is canonicalized by the
-    runner so fresh and decoded runs report identical ids.
+    fact and determines :attr:`severity`; ``stmt`` is the statement id,
+    the same in fresh and decoded runs.
     """
 
     checker: str

@@ -15,7 +15,7 @@ lifts that reuse one level, from points-to facts to *findings*:
 * :func:`build_baseline` — serializes a check run as a JSON record:
   per-function raw findings plus the *replay skeleton* that proves
   them still valid (chunk hash, points-to row fingerprint, resolved
-  call closure, canonical statement-id span, globals fingerprint).
+  call closure, statement-id span, globals fingerprint).
   Records are content-addressed (``base-`` keys, see
   :meth:`repro.service.store.ResultStore.baseline_key`) and live
   beside the analysis artifact on any store backend.
@@ -171,60 +171,21 @@ def _chunk_map(source: str) -> dict[str, tuple[str, int]] | None:
     return out
 
 
-def _stmt_spans(
-    analysis, need_pairs: set[str] | None = None
-) -> dict[str, tuple[int, int, list]]:
-    """function -> (canonical base id, statement count, ordered
-    (ordinal, query id) pairs) where *query id* is whatever
-    ``analysis.at_stmt`` is keyed by — live ids on a fresh analysis,
-    canonical ids on a decoded artifact.  Canonical ids are contiguous
-    per function (serialize numbers functions in sorted order,
-    statements in traversal order), which is what makes the ordinal
-    remapping below well-defined.  When ``need_pairs`` is given, the
-    pair lists are only materialized for those functions (the rest get
-    ``None``) — base and count are always computed."""
+def _stmt_spans(analysis) -> dict[str, range]:
+    """function -> the ids of its statements, one contiguous range in
+    traversal order (so a statement's ordinal is its id minus the
+    range's start) — the program's own table on a live analysis,
+    rebuilt from ``stmt_func`` on a decoded artifact."""
     program = getattr(analysis, "program", None)
-    spans: dict[str, tuple[int, int, list]] = {}
     if program is not None:
-        # One pass mirroring serialize._canonical_stmt_ids: global
-        # initializers claim ids 1..G, then functions in sorted order,
-        # statements in traversal order — so within a function the
-        # ordinal is simply the traversal index.
-        from repro.simple.ir import iter_stmts
-
-        offset = 0
-        seen: set[int] = set()
-        for stmt in iter_stmts(program.global_init):
-            if stmt.stmt_id not in seen:
-                seen.add(stmt.stmt_id)
-                offset += 1
-        for name in sorted(program.functions):
-            keep = need_pairs is None or name in need_pairs
-            pairs: list | None = [] if keep else None
-            count = 0
-            for stmt in program.functions[name].iter_stmts():
-                if stmt.stmt_id not in seen:
-                    seen.add(stmt.stmt_id)
-                    if keep:
-                        pairs.append((count, stmt.stmt_id))
-                    count += 1
-            if not count:
-                spans[name] = (0, 0, [] if keep else None)
-                continue
-            spans[name] = (offset + 1, count, pairs)
-            offset += count
-        return spans
+        return program.stmt_ids
     by_func: dict[str, list[int]] = {}
     for stmt_id, func in analysis._stmt_func.items():
         by_func.setdefault(func, []).append(stmt_id)
+    spans: dict[str, range] = {}
     for name in analysis.functions:
-        ids = sorted(by_func.get(name, ()))
-        if not ids:
-            spans[name] = (0, 0, [])
-            continue
-        spans[name] = (
-            ids[0], len(ids), [(cid - ids[0], cid) for cid in ids]
-        )
+        ids = by_func.get(name)
+        spans[name] = range(min(ids), max(ids) + 1) if ids else range(0)
     return spans
 
 
@@ -260,21 +221,12 @@ def _pts_digest(pts, strs: dict | None = None) -> bytes:
     return digest.digest()
 
 
-def _func_pairs(program, name: str) -> list:
-    """(ordinal, live stmt id) pairs for one function — the ordinal is
-    the traversal index, matching :func:`_stmt_spans`."""
-    seen: set[int] = set()
-    pairs: list = []
-    for stmt in program.functions[name].iter_stmts():
-        if stmt.stmt_id not in seen:
-            seen.add(stmt.stmt_id)
-            pairs.append((len(pairs), stmt.stmt_id))
-    return pairs
-
-
-def _rows_fingerprint(analysis, pairs: list, cache: dict | None = None) -> str:
+def _rows_fingerprint(
+    analysis, stmt_ids: range, cache: dict | None = None
+) -> str:
     """Hash of the points-to rows at each statement, keyed by ordinal
-    position so live and decoded id spaces hash identically.
+    position so a body whose ids shift under an edit elsewhere hashes
+    identically.
 
     Per-statement digests are folded into the function hash, which
     lets consecutive statements sharing a points-to set reuse one
@@ -288,9 +240,9 @@ def _rows_fingerprint(analysis, pairs: list, cache: dict | None = None) -> str:
     digest = hashlib.sha256()
     if cache is None:
         cache = {}
-    for ordinal, query_id in pairs:
+    for ordinal, stmt_id in enumerate(stmt_ids):
         digest.update(b"\x01%d" % ordinal)
-        pts = analysis.at_stmt(query_id)
+        pts = analysis.at_stmt(stmt_id)
         if pts is None:
             digest.update(b"\x00-")
             continue
@@ -444,27 +396,11 @@ def _program_state(
             ):
                 skip.add(func)
 
-    need_pairs = None
-    if program is not None:
-        # Only functions whose fingerprints will actually be re-hashed
-        # need their statement lists; the count guard below can still
-        # force a stray one through _func_pairs.
-        need_pairs = set()
-        for func in functions:
-            if func in skip:
-                continue
-            if (
-                rows_unchanged is not None
-                and func in rows_unchanged
-                and not _chunk_dirty(func)
-            ):
-                continue
-            need_pairs.add(func)
-    spans = _stmt_spans(analysis, need_pairs)
+    spans = _stmt_spans(analysis)
     pts_cache: dict = {}
     state: dict[str, dict] = {}
     for func in functions:
-        base, count, pairs = spans.get(func, (0, 0, []))
+        stmt_ids = spans.get(func, range(0))
         chunk = chunks.get(func) if chunks is not None else None
         rows = None
         if (
@@ -473,17 +409,15 @@ def _program_state(
             and not _chunk_dirty(func)
         ):
             entry = base_funcs.get(func)
-            if entry.get("count") == count:
+            if entry.get("count") == len(stmt_ids):
                 rows = entry.get("rows")
         if rows is None and func not in skip:
-            if pairs is None:
-                pairs = _func_pairs(program, func)
-            rows = _rows_fingerprint(analysis, pairs, pts_cache)
+            rows = _rows_fingerprint(analysis, stmt_ids, pts_cache)
         state[func] = {
             "chunk": chunk[0] if chunk else None,
             "chunk_line": chunk[1] if chunk else None,
-            "base": base,
-            "count": count,
+            "base": stmt_ids.start,
+            "count": len(stmt_ids),
             "rows": rows,
             "closure": closures[func],
         }
@@ -594,7 +528,7 @@ def _plan_replay(baseline: dict, state: dict) -> tuple[set[str], set[str]]:
 
 def _replay_findings(base_entry: dict, new_entry: dict) -> list[Finding]:
     """Revive one clean function's baseline findings, remapping
-    statement ids and lines into the new text's numbering (canonical
+    statement ids and lines into the new text's numbering (statement
     ids are contiguous per function, so a base-id delta moves the
     whole span; identical chunk text makes the line delta exact)."""
     stmt_delta = new_entry["base"] - base_entry["base"]

@@ -123,39 +123,34 @@ class CheckFacts:
 
     # -- payload round-trip ------------------------------------------------
 
-    def encode(self, stmt_ids: dict[int, int] | None = None) -> dict:
-        """JSON-safe section; ``stmt_ids`` maps live statement ids to
-        the payload's canonical ids (see serialize._canonical_stmt_ids).
-        ``None`` name fields become ``""`` so rows stay sortable."""
-
-        def sid(i: int) -> int:
-            return stmt_ids[i] if stmt_ids is not None else i
-
+    def encode(self) -> dict:
+        """JSON-safe section.  ``None`` name fields become ``""`` so
+        rows stay sortable."""
         return {
             "version": FACTS_VERSION,
             "derefs": sorted(
-                [sid(d.stmt), d.func, d.name, d.line, 1 if d.write else 0]
+                [d.stmt, d.func, d.name, d.line, 1 if d.write else 0]
                 for d in self.derefs
             ),
             "uses": sorted(
-                [sid(u.stmt), u.func, u.name, u.line, u.kind,
+                [u.stmt, u.func, u.name, u.line, u.kind,
                  1 if u.assigned else 0]
                 for u in self.uses
             ),
             "returns": sorted(
-                [sid(r.stmt), r.func, r.line, r.name or "", r.addr or "",
+                [r.stmt, r.func, r.line, r.name or "", r.addr or "",
                  1 if r.ptr else 0]
                 for r in self.returns
             ),
             "allocs": sorted(
-                [sid(a.stmt), a.func, a.line, a.name or ""]
+                [a.stmt, a.func, a.line, a.name or ""]
                 for a in self.allocs
             ),
             "loops": sorted(
-                [loop.func, loop.line, sorted(sid(s) for s in loop.stmts)]
+                [loop.func, loop.line, sorted(loop.stmts)]
                 for loop in self.loops
             ),
-            "lines": sorted([sid(k), v] for k, v in self.lines.items()),
+            "lines": sorted([k, v] for k, v in self.lines.items()),
             "heap_alive": {
                 func: bool(alive)
                 for func, alive in sorted(self.heap_alive.items())

@@ -57,10 +57,7 @@ class LoopInterference(Checker):
         for loop in ctx.facts.loops:
             rw_map = ctx.read_write_map(loop.func)
             sets = [rw_map[s] for s in loop.stmts if s in rw_map]
-            # Order pairs by source line so live (raw statement ids)
-            # and decoded (canonical ids) runs enumerate identically;
-            # ids only break ties within a line, where both id spaces
-            # preserve lowering order.
+            # Order pairs by source line; ids break ties within a line.
             sets.sort(key=lambda rw: (ctx.facts.lines.get(rw.stmt_id, 0),
                                       rw.stmt_id))
             for i, first in enumerate(sets):

@@ -1,4 +1,4 @@
-"""Checker orchestration: selection, suppression, canonicalization.
+"""Checker orchestration: selection, labels, suppression.
 
 ``run_checkers`` is the single entry point used by the CLI ``check``
 subcommand, the serve-loop ``{"cmd": "check"}`` verb, the benchmark,
@@ -8,11 +8,12 @@ findings so a live analysis and its decoded store artifact report the
 same thing:
 
 * statement labels are attached (from the program or the payload),
-* live statement ids are rewritten to the payload's canonical ids
-  (``canonical_ids=False`` keeps raw ids — the fuzz gate needs them to
-  match the interpreter's), and
+  and
 * ``// repro-ignore[checker-id]`` line suppressions from the source
   text are applied.
+
+Statement ids need no translation: a program and its payload number
+statements identically.
 
 Each checker runs under an ``obs`` span with its own wall-time and
 findings counter, inside one ``checkers.run`` parent span.
@@ -80,7 +81,6 @@ def run_checkers(
     analysis,
     source: str | None = None,
     checkers=None,
-    canonical_ids: bool = True,
     facts=None,
     unused_suppressions: bool = True,
 ) -> list[Finding]:
@@ -112,8 +112,6 @@ def run_checkers(
             findings.extend(found)
 
     _attach_labels(analysis, findings)
-    if canonical_ids and getattr(analysis, "program", None) is not None:
-        _canonicalize(analysis.program, findings)
     if source is not None:
         selected = (
             None if checkers is None
@@ -131,7 +129,7 @@ def run_checkers(
 
 def _attach_labels(analysis, findings: list[Finding]) -> None:
     """Source labels of each finding's statement (the paper's
-    program-point vocabulary), in whichever id space is current."""
+    program-point vocabulary)."""
     program = getattr(analysis, "program", None)
     labels = program.labels if program is not None else analysis.labels
     by_stmt: dict[int, list[str]] = {}
@@ -140,22 +138,6 @@ def _attach_labels(analysis, findings: list[Finding]) -> None:
     for finding in findings:
         if finding.stmt is not None:
             finding.labels = tuple(sorted(by_stmt.get(finding.stmt, ())))
-
-
-def _canonicalize(program, findings: list[Finding]) -> None:
-    """Rewrite live statement ids to the store payload's canonical
-    numbering so fresh and cached runs are byte-identical."""
-    # Lazy import: serialize imports this package for the checkfacts
-    # payload section, so the dependency must stay one-way at load.
-    from repro.service.serialize import _canonical_stmt_ids
-
-    mapping = _canonical_stmt_ids(program)
-    for finding in findings:
-        if finding.stmt is not None:
-            finding.stmt = mapping.get(finding.stmt)
-        for step in finding.witness:
-            if step.get("stmt") is not None:
-                step["stmt"] = mapping.get(step["stmt"])
 
 
 def finalize_findings(

@@ -106,10 +106,11 @@ class PointsToAnalysis:
         #: on decoded or hand-built results.
         self.slice_capture = None
         self._envs: dict[str | None, FuncEnv] = {}
-        self._stmt_func: dict[int, str] = {}
-        for fn in program.functions.values():
-            for stmt in fn.iter_stmts():
-                self._stmt_func[stmt.stmt_id] = fn.name
+        self._stmt_func: dict[int, str] = {
+            stmt_id: name
+            for name, stmt_ids in program.stmt_ids.items()
+            for stmt_id in stmt_ids
+        }
 
     # -- queries -----------------------------------------------------------
 

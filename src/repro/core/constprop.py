@@ -151,6 +151,9 @@ class ConstantPropagation:
         self._memo: dict = {}
         self._exposed = self._address_exposed_locations()
         self._active: set[str] = set()
+        #: Callees whose call was cut off (recursion or the depth
+        #: limit); ``run`` flows each body once from an unknown entry.
+        self._cut_off: list[str] = []
 
     # -- prep ------------------------------------------------------------
 
@@ -509,6 +512,7 @@ class ConstantPropagation:
             # recursion (or deep fn-ptr chains): be conservative
             result = (ConstEnv(), None)
             self._memo[key] = result
+            self._cut_off.append(callee)
             return result
         self._active.add(callee)
         self._memo[key] = (ConstEnv(), None)  # provisional for recursion
@@ -543,6 +547,20 @@ class ConstantPropagation:
                 if isinstance(value, (int, float)) and stmt.lhs.is_plain_var:
                     start.set(genv.var_loc(stmt.lhs.base), value)
         self._process(fn.body, start, fenv)
+        # A cut-off call's activation runs the body on entry values no
+        # flow has seen, so each such body is flowed once more from an
+        # all-unknown entry: its points then claim only what holds on
+        # every entry.
+        flowed: set[str] = set()
+        while self._cut_off:
+            callee = self._cut_off.pop(0)
+            if callee not in flowed:
+                flowed.add(callee)
+                self._process(
+                    self.program.functions[callee].body,
+                    ConstEnv(),
+                    self.analysis.env(callee),
+                )
         return self
 
     def at_label(self, label: str) -> "ConstEnv | None":

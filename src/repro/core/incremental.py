@@ -20,9 +20,9 @@ summary (same slice keys, same caller-visible outputs, same warnings,
 same sub-callee records), the old analysis is *spliced*: the changed
 function's program-point rows are recomputed by a mini fixpoint over
 just its captured slice inputs, every other row, warning, environment
-and invocation-graph node is reused, and call-site ids are renumbered
-to the cold numbering.  This never re-flows ``main`` and is the
-milliseconds path.
+and invocation-graph node is reused, and statement and call-site ids
+are renumbered to the cold numbering.  This never re-flows ``main``
+and is the milliseconds path.
 
 **Tier B — seeded re-run** (:func:`seeded_analyze`).  A full fixpoint
 over the new program whose slice-keyed memo is pre-seeded with every
@@ -566,16 +566,6 @@ class SeedBank:
         )
 
 
-def _ordinal_maps(program: SimpleProgram, funcs) -> dict[str, list[int]]:
-    """func -> statement ids in body-traversal order (the ordinal
-    space summary records use to survive re-parses)."""
-    return {
-        func: [s.stmt_id for s in program.functions[func].iter_stmts()]
-        for func in funcs
-        if func in program.functions
-    }
-
-
 def bank_from_capture(
     old_analysis,
     new_program: SimpleProgram,
@@ -605,23 +595,6 @@ def bank_from_capture(
     old_oracle = _SummaryOracle(old_program, options)
     new_oracle = _SummaryOracle(new_program, options)
     new_structs = _struct_tags(new_program)
-    resolved_ordinals: dict[str, dict[int, int]] = {}
-
-    def stmt_id_map(member: str) -> dict[int, int] | None:
-        cached = resolved_ordinals.get(member)
-        if cached is not None:
-            return cached
-        old_fn = old_program.functions.get(member)
-        new_fn = new_program.functions.get(member)
-        if old_fn is None or new_fn is None:
-            return None
-        old_ids = [s.stmt_id for s in old_fn.iter_stmts()]
-        new_ids = [s.stmt_id for s in new_fn.iter_stmts()]
-        if len(old_ids) != len(new_ids):
-            return None
-        mapping = dict(zip(old_ids, new_ids))
-        resolved_ordinals[member] = mapping
-        return mapping
 
     for func, table in capture.items():
         if only is not None and func not in only:
@@ -638,26 +611,23 @@ def bank_from_capture(
             for member in closure
         ):
             continue
-        id_map: dict[int, int] = {}
-        usable = True
-        for member in closure:
-            mapping = stmt_id_map(member)
-            if mapping is None:
-                usable = False
-                break
-            id_map.update(mapping)
-        if not usable:
+        old_ids = {member: old_program.stmt_ids[member] for member in closure}
+        new_ids = {member: new_program.stmt_ids[member] for member in closure}
+        if any(len(old_ids[m]) != len(new_ids[m]) for m in closure):
             continue
+        # Each member's body moves as a block: its statements keep
+        # their ordinals (id minus the function's first id).
+        shift = {m: new_ids[m].start - old_ids[m].start for m in closure}
         for key, entry in table.items():
             key_pairs = key[1] if isinstance(key, tuple) and key and key[0] == "slice" else key
             records = []
             ok = True
             for stmt_id, recorded in entry.records:
-                mapped = id_map.get(stmt_id)
-                if mapped is None:
+                delta = shift.get(old_analysis.function_of_stmt(stmt_id))
+                if delta is None:
                     ok = False
                     break
-                records.append((mapped, tuple(recorded.triples())))
+                records.append((stmt_id + delta, tuple(recorded.triples())))
             if not ok:
                 continue
             bank.put(
@@ -694,10 +664,6 @@ def capture_records(
     deps = static_deps(program)
     gfp = globals_fingerprint(program)
     summaries = summarize_program(program, options)
-    ordinal_of: dict[int, tuple[str, int]] = {}
-    for name, fn in program.functions.items():
-        for ordinal, stmt in enumerate(fn.iter_stmts()):
-            ordinal_of[stmt.stmt_id] = (name, ordinal)
     records: dict[str, dict] = {}
     for func, table in capture.items():
         if func not in program.functions or summaries[func].opaque:
@@ -709,12 +675,16 @@ def capture_records(
             key_pairs = key[1] if isinstance(key, tuple) and key and key[0] == "slice" else key
             entry_records = []
             for stmt_id, recorded in entry.records:
-                ref = ordinal_of.get(stmt_id)
-                if ref is None:
+                member = analysis.function_of_stmt(stmt_id)
+                if member is None:
                     usable = False
                     break
                 entry_records.append(
-                    [ref[0], ref[1], _neutral_triples(recorded.triples())]
+                    [
+                        member,
+                        stmt_id - program.stmt_ids[member].start,
+                        _neutral_triples(recorded.triples()),
+                    ]
                 )
             if not usable:
                 break
@@ -750,14 +720,11 @@ def bank_from_records(
     still fail (and skips the record)."""
     bank = SeedBank()
     structs = _struct_tags(program)
-    ordinals = _ordinal_maps(
-        program,
-        {
-            member
-            for record in records.values()
-            for member in record.get("members", {})
-        },
-    )
+    members = {
+        member
+        for record in records.values()
+        for member in record.get("members", {})
+    }
     for func, record in records.items():
         if func not in program.functions:
             continue
@@ -766,8 +733,12 @@ def bank_from_records(
             entry_records = []
             ok = True
             for member, ordinal, triples in entry["records"]:
-                ids = ordinals.get(member)
-                if ids is None or ordinal >= len(ids):
+                ids = program.stmt_ids.get(member)
+                if (
+                    member not in members
+                    or ids is None
+                    or ordinal >= len(ids)
+                ):
                     ok = False
                     break
                 entry_records.append((ids[ordinal], _revive_triples(triples)))
@@ -914,6 +885,20 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
     old_program = old_analysis.program
     new_program = parsed.program
     changed = list(parsed.changed)
+    old_func_of = old_analysis.function_of_stmt
+
+    def renumber(stmt_id: int) -> int:
+        """A statement id of the old program in the new one's numbering.
+        Global initializers keep their ids and an unchanged body moves
+        by its shift.  A re-lowered body's old statements get 0, which
+        no statement of a built program carries, so rows recorded
+        against them never pass for the new body's."""
+        func = old_func_of(stmt_id)
+        if func is None:
+            return stmt_id
+        shift = parsed.stmt_shift.get(func)
+        return 0 if shift is None else stmt_id + shift
+
     old_oracle = _SummaryOracle(old_program, options)
     new_oracle = _SummaryOracle(new_program, options)
 
@@ -942,8 +927,8 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
             (s.kind, s.callee, s.callee_ptr is not None) for s in new_calls
         ]:
             raise _Fallback(f"'{func}' call sequence changed")
-        old_ids = {s.stmt_id for s in old_fn.iter_stmts()}
-        new_ids = {s.stmt_id for s in new_fn.iter_stmts()}
+        old_ids = old_program.stmt_ids[func]
+        new_ids = new_program.stmt_ids[func]
         entries = list((capture.get(func) or {}).items())
         if not entries:
             if any(
@@ -1043,7 +1028,7 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
                 if vis_old is None or vis_new is None or vis_old != vis_new:
                     raise _Fallback(f"'{func}' visible output diverged")
                 old_foreign = {
-                    stmt_id: frozenset(recorded.triples())
+                    renumber(stmt_id): frozenset(recorded.triples())
                     for stmt_id, recorded in old_entry.records
                     if stmt_id not in old_ids
                 }
@@ -1117,12 +1102,13 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
             }
     ig.program = new_program
 
-    point_info = dict(old_analysis.point_info)
-    changed_set = set(changed)
-    for (func, old_fn, *_rest) in plans:
-        for stmt in old_fn.iter_stmts():
-            point_info.pop(stmt.stmt_id, None)
+    point_info: dict[int, PointsToSet] = {}
+    for stmt_id, row in old_analysis.point_info.items():
+        new_id = renumber(stmt_id)
+        if new_id:
+            point_info[new_id] = row
     point_info.update(new_rows)
+    changed_set = set(changed)
 
     result = PointsToAnalysis(
         new_program,
@@ -1149,10 +1135,20 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
         return fresh
 
     result.env = spliced_env
-    result.slice_capture = {**capture, **new_capture}
-    for func in changed_set:
-        if func not in new_capture:
-            result.slice_capture.pop(func, None)
+    result.slice_capture = {
+        func: new_capture[func] if func in changed_set else {
+            key: _SliceEntry(
+                entry.output,
+                entry.passthrough,
+                [(renumber(i), recorded) for i, recorded in entry.records],
+                entry.warnings,
+                entry.symbolics,
+            )
+            for key, entry in table.items()
+        }
+        for func, table in capture.items()
+        if func not in changed_set or func in new_capture
+    }
     info = {
         "reanalyzed": sorted(set(reanalyzed) | set(new_capture)),
         "reused_summaries": len(

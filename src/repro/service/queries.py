@@ -271,9 +271,8 @@ class QuerySession:
 
     @staticmethod
     def _witness_step(rid: int, record) -> dict:
-        """One witness step as a JSON-safe dict.  ``stmt`` is the live
-        statement id on a fresh result and the payload's canonical id
-        on a cached one (matching that payload's own labels)."""
+        """One witness step as a JSON-safe dict.  ``stmt`` is the
+        statement id, the same on a fresh and a cached result."""
         step = {
             "id": rid,
             "src": str(record.src),

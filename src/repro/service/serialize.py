@@ -39,7 +39,6 @@ from repro.core.pointsto import D, P, PointsToSet, locations_of
 from repro.checkers.facts import CheckFacts, collect_facts
 from repro.core.provenance import CLASSIFICATION, Derivation
 from repro.core.readwrite import ReadWriteSets, function_read_write
-from repro.simple.ir import iter_stmts
 
 #: Bump whenever the payload layout changes; stale store entries are
 #: then simply cache misses (the version participates in the key).
@@ -154,14 +153,14 @@ def _encode_scopes(analysis) -> dict:
     return scopes
 
 
-def _encode_readwrite(readwrite, table: _LocTable, stmt_ids: dict) -> dict:
+def _encode_readwrite(readwrite, table: _LocTable) -> dict:
     def locs(values) -> list[int]:
         return sorted(table.index(loc) for loc in values)
 
     return {
         func: [
             [
-                stmt_ids[s.stmt_id],
+                s.stmt_id,
                 locs(s.must_write),
                 locs(s.may_write),
                 locs(s.reads),
@@ -172,7 +171,7 @@ def _encode_readwrite(readwrite, table: _LocTable, stmt_ids: dict) -> dict:
     }
 
 
-def _encode_provenance(log, stmt_ids: dict[int, int]) -> dict:
+def _encode_provenance(log) -> dict:
     """The derivation log as a self-contained payload section.
 
     The section carries its *own* location table: reusing the main
@@ -182,10 +181,8 @@ def _encode_provenance(log, stmt_ids: dict[int, int]) -> dict:
     enabled-run payload yields the byte-identical disabled-run payload.
 
     Records keep their list order (a record's id is its index), so
-    ``latest`` and the parent links survive encoding for free.  Live
-    statement ids are renumbered through the same canonical mapping as
-    the rest of the payload; a ``None`` statement (NULL initialization)
-    stays ``null``.
+    ``latest`` and the parent links survive encoding for free.  A
+    ``None`` statement (NULL initialization) stays ``null``.
     """
     locations: set[AbsLoc] = set()
     for record in log.records:
@@ -201,11 +198,7 @@ def _encode_provenance(log, stmt_ids: dict[int, int]) -> dict:
                 table.index(record.tgt),
                 1 if record.definite else 0,
                 record.rule,
-                (
-                    stmt_ids.get(record.stmt_id)
-                    if record.stmt_id is not None
-                    else None
-                ),
+                record.stmt_id,
                 record.func,
                 list(record.path),
                 list(record.parents),
@@ -214,36 +207,8 @@ def _encode_provenance(log, stmt_ids: dict[int, int]) -> dict:
             for record in log.records
         ],
         "kill_count": log.kill_count,
-        "symbolic_intros": [
-            {
-                **intro,
-                "stmt_id": (
-                    stmt_ids.get(intro["stmt_id"])
-                    if intro["stmt_id"] is not None
-                    else None
-                ),
-            }
-            for intro in log.symbolic_intros
-        ],
+        "symbolic_intros": list(log.symbolic_intros),
     }
-
-
-def _canonical_stmt_ids(program) -> dict[int, int]:
-    """Live stmt_id -> canonical id.
-
-    Statement ids come from a process-global counter, so the same
-    source parsed twice (even in one process) yields different ids.
-    The encoding renumbers them by position — global initializers
-    first, then functions in sorted order, statements in traversal
-    order — making the payload a pure function of (source, options).
-    """
-    mapping: dict[int, int] = {}
-    for stmt in iter_stmts(program.global_init):
-        mapping.setdefault(stmt.stmt_id, len(mapping) + 1)
-    for name in sorted(program.functions):
-        for stmt in program.functions[name].iter_stmts():
-            mapping.setdefault(stmt.stmt_id, len(mapping) + 1)
-    return mapping
 
 
 def encode_analysis(
@@ -256,7 +221,6 @@ def encode_analysis(
         for fn in sorted(program.functions)
     }
     table = _LocTable(_collect_locations(analysis, readwrite))
-    stmt_ids = _canonical_stmt_ids(program)
     payload = {
         "format_version": FORMAT_VERSION,
         "name": name,
@@ -264,28 +228,27 @@ def encode_analysis(
         "statements": program.count_basic_stmts(),
         "locations": table.encode(),
         "labels": {
-            label: [func, stmt_ids[stmt_id]]
+            label: [func, stmt_id]
             for label, (func, stmt_id) in sorted(program.labels.items())
         },
         "stmt_func": {
-            str(stmt_ids[stmt.stmt_id]): fn.name
-            for fn in program.functions.values()
-            for stmt in fn.iter_stmts()
+            str(stmt_id): name
+            for name, stmt_ids in program.stmt_ids.items()
+            for stmt_id in stmt_ids
         },
         "point_info": {
-            str(stmt_ids[stmt_id]): info.indexed_triples(
+            str(stmt_id): info.indexed_triples(
                 *table.encoding_for(info.table)
             )
             for stmt_id, info in sorted(analysis.point_info.items())
-            if stmt_id in stmt_ids
         },
         "ig": _encode_ig(analysis.ig),
         "scopes": _encode_scopes(analysis),
         "globals": sorted(program.global_types),
         "functions": sorted(program.functions),
         "externals": sorted(program.externals),
-        "readwrite": _encode_readwrite(readwrite, table, stmt_ids),
-        "checkfacts": collect_facts(analysis).encode(stmt_ids),
+        "readwrite": _encode_readwrite(readwrite, table),
+        "checkfacts": collect_facts(analysis).encode(),
         "warnings": list(analysis.warnings),
         "stats": analysis.stats.as_dict(),
         "incremental": skeleton(program),
@@ -296,7 +259,7 @@ def encode_analysis(
         # recorded derivations, absent (not null) otherwise, so
         # provenance-off artifacts are byte-identical to pre-provenance
         # ones.
-        payload["provenance"] = _encode_provenance(log, stmt_ids)
+        payload["provenance"] = _encode_provenance(log)
     if source is not None:
         payload["source_sha256"] = hashlib.sha256(
             source.encode()
@@ -382,9 +345,8 @@ class DecodedProvenance:
     recorder overwrites ``latest[(src, tgt)]`` on every append, so the
     last record per pair wins in both.
 
-    Statement ids here are the payload's *canonical* ids (matching
-    ``labels`` / ``point_info`` of the same payload), not the producing
-    process's live ids.
+    Statement ids are the producing program's own, the same ids as the
+    payload's ``labels`` / ``point_info``.
     """
 
     def __init__(self, section: dict):
@@ -507,8 +469,8 @@ class DecodedAnalysis:
                 "passthrough_pairs", 0
             ),
         )
-        #: Program-shape facts for the checker framework (statement ids
-        #: already canonical — the same id space as ``point_info``).
+        #: Program-shape facts for the checker framework (the same
+        #: statement ids as ``point_info``).
         self.checkfacts = CheckFacts.decode(payload["checkfacts"])
         #: Derivation log of the producing run (mirrors the live
         #: ``PointsToAnalysis.provenance`` attribute), or None when the

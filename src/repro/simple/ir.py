@@ -14,7 +14,6 @@ enforce this.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from repro.frontend.ctypes import CType
@@ -121,22 +120,18 @@ Operand = Ref | Const | AddrOf
 
 
 class Stmt:
-    """Base class of all SIMPLE statements."""
+    """Base class of all SIMPLE statements.
+
+    ``stmt_id`` is the statement's position in its program, assigned
+    when the :class:`SimpleProgram` is built; 0 until then."""
 
     stmt_id: int
     loc: SourceLoc
     labels: tuple[str, ...]
 
 
-_STMT_IDS = itertools.count(1)
-
-
-def _fresh_id() -> int:
-    return next(_STMT_IDS)
-
-
 def _init_stmt(stmt: "Stmt", loc: SourceLoc) -> None:
-    stmt.stmt_id = _fresh_id()
+    stmt.stmt_id = 0
     stmt.loc = loc
     stmt.labels = ()
 
@@ -370,18 +365,43 @@ def iter_stmts(stmt: Stmt):
 
 @dataclass
 class SimpleProgram:
-    """A whole program in SIMPLE form."""
+    """A whole program in SIMPLE form.
+
+    Building one numbers its statements by position: global
+    initializers first, then the functions in sorted name order, each
+    body in pre-order, from 1.  Ids are therefore a function of the
+    program text alone, and each function's ids form one contiguous
+    range (``stmt_ids``), so a statement's ordinal within its function
+    is its id minus the range's start."""
 
     functions: dict[str, SimpleFunction]
     global_types: dict[str, CType]
     #: Prototypes of declared-but-undefined (external) functions.
     externals: dict[str, CType]
-    #: Label name -> (function name, stmt_id) for program-point queries.
-    labels: dict[str, tuple[str, int]]
     #: Global-variable initializers, run once before ``main``.
     global_init: SBlock = field(default_factory=lambda: SBlock([]))
     #: Total source lines (for Table 2).
     source_lines: int = 0
+    #: Label name -> (function name, stmt_id) for program-point queries.
+    labels: dict[str, tuple[str, int]] = field(init=False)
+    #: Function name -> the ids of its statements, in pre-order.
+    stmt_ids: dict[str, range] = field(init=False)
+
+    def __post_init__(self) -> None:
+        next_id = 1
+        for stmt in iter_stmts(self.global_init):
+            stmt.stmt_id = next_id
+            next_id += 1
+        self.labels = {}
+        self.stmt_ids = {}
+        for name in sorted(self.functions):
+            first = next_id
+            for stmt in self.functions[name].iter_stmts():
+                stmt.stmt_id = next_id
+                next_id += 1
+                for label in stmt.labels:
+                    self.labels[label] = (name, stmt.stmt_id)
+            self.stmt_ids[name] = range(first, next_id)
 
     def function(self, name: str) -> SimpleFunction:
         return self.functions[name]

@@ -10,16 +10,21 @@ that, and splices the freshly lowered functions into the old program's
 IR, reusing every unchanged :class:`~repro.simple.ir.SimpleFunction`
 object verbatim.
 
-Call-site renumbering: ``call_site`` ids are assigned by a per-parse
-counter in textual lowering order, and they are encoded raw into the
-artifact's invocation-graph section, so a spliced program must carry
-exactly the ids a cold parse of the new source would assign.  The
+Renumbering: a spliced program must carry exactly the ids a cold
+parse of the new source would assign, because both kinds of id are
+encoded into artifacts.  Statement ids are positions (see
+:class:`~repro.simple.ir.SimpleProgram`), so building the spliced
+program renumbers every statement, and an unchanged function's body
+moves as a whole by ``IncrementalParse.stmt_shift``.  ``call_site``
+ids are assigned by a per-parse counter in textual lowering order; the
 splice renumbers every call statement program-wide — functions in
 source order, each function's sites in its own (monotone) lowering
 order — which reproduces the cold numbering without re-lowering
 anything.  **This mutates the shared statement objects**: the caller
 (``repro.core.incremental``) takes ownership of the old program, which
-is only sound because an update always replaces the old analysis.
+is only sound because an update always replaces the old analysis.  The
+old program keeps its own statement-id table, so ids recorded against
+it can still be translated.
 
 Everything here is conservative: any structural condition the splice
 cannot prove (chunking failure, function added/removed/renamed,
@@ -234,6 +239,10 @@ class IncrementalParse:
     #: Old call-site id -> new call-site id for every call statement of
     #: every *unchanged* function (identity unless site counts shifted).
     site_map: dict[int, int] = field(default_factory=dict)
+    #: Unchanged function -> new minus old statement id, the same for
+    #: its whole body (zero unless a re-lowered body sorted before it
+    #: changed its statement count).
+    stmt_shift: dict[str, int] = field(default_factory=dict)
 
 
 def _call_stmts(fn) -> list[BasicStmt]:
@@ -368,25 +377,31 @@ def incremental_simplify(
                     stmt.loc.line + delta, stmt.loc.column, stmt.loc.filename
                 )
 
-    labels: dict[str, tuple[str, int]] = {}
-    for name in names:
-        source_labels = (
-            sub.labels if name in changed_set else old_program.labels
-        )
-        for label, (func, stmt_id) in source_labels.items():
-            if func == name:
-                labels[label] = (func, stmt_id)
-    if len(labels) != len(old_program.labels):
+    kept_labels = {
+        label
+        for label, (func, _) in old_program.labels.items()
+        if func not in changed_set
+    }
+    if not kept_labels.isdisjoint(sub.labels):
+        return None  # a duplicate label: the cold parse rejects it
+    if len(kept_labels) + len(sub.labels) != len(old_program.labels):
         return None  # a label moved across functions or was dropped
 
+    # Building the program renumbers every statement by position, the
+    # shared ones included; the old program keeps its own id table, so
+    # ``stmt_shift`` relates the two.
     program = SimpleProgram(
         functions=functions,
         global_types=dict(old_program.global_types),
         externals=dict(old_program.externals),
-        labels=labels,
         global_init=old_program.global_init,
         source_lines=sub.source_lines,
     )
+    stmt_shift = {
+        name: program.stmt_ids[name].start - old_program.stmt_ids[name].start
+        for name in names
+        if name not in changed_set
+    }
 
     # Program-wide call-site renumbering in cold-parse order: functions
     # in source order, each function's calls in its own monotone
@@ -400,4 +415,4 @@ def incremental_simplify(
             if name not in changed_set:
                 site_map[stmt.call_site] = counter
             stmt.call_site = counter
-    return IncrementalParse(program, changed, site_map)
+    return IncrementalParse(program, changed, site_map, stmt_shift)

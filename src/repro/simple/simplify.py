@@ -1017,8 +1017,8 @@ class _FunctionSimplifier:
         if len(self.blocks[-1]) == before:
             self.emit(BasicStmt(BasicKind.NOP), stmt.loc)
         target = self.blocks[-1][before]
+        self.program.register_label(stmt.name)
         target.labels = target.labels + (stmt.name,)
-        self.program.register_label(stmt.name, self.fn.name, target.stmt_id)
 
     # -- driver ------------------------------------------------------------
 
@@ -1109,7 +1109,7 @@ class _ProgramSimplifier:
             g.name: g.type for g in unit.globals
         }
         self.externals: dict[str, CType] = {}
-        self.labels: dict[str, tuple[str, int]] = {}
+        self.label_names: set[str] = set()
         self.implicit_decls: dict[str, FunctionType] = {}
         self._call_site_counter = 0
         self.source_lines = source_lines
@@ -1143,10 +1143,10 @@ class _ProgramSimplifier:
     def ensure_string_literal_var(self) -> None:
         self.global_types.setdefault(STRING_LIT_VAR, ArrayType(CHAR, None))
 
-    def register_label(self, name: str, func: str, stmt_id: int) -> None:
-        if name in self.labels:
+    def register_label(self, name: str) -> None:
+        if name in self.label_names:
             raise SimplifyError(f"duplicate label '{name}'")
-        self.labels[name] = (func, stmt_id)
+        self.label_names.add(name)
 
     def _lower_global_inits(self) -> SBlock:
         stmts: list[Stmt] = []
@@ -1256,7 +1256,6 @@ class _ProgramSimplifier:
             functions=functions,
             global_types=dict(self.global_types),
             externals=externals,
-            labels=dict(self.labels),
             global_init=global_init,
             source_lines=self.source_lines,
         )

@@ -3,8 +3,8 @@
 The strongest property here is byte-identity: running the checkers over
 a live analysis and over the same analysis decoded from its
 content-addressed payload must render the *exact same* SARIF document.
-That pins the checkfacts serialization, canonical statement ids, and
-witness encoding all at once.
+That pins the checkfacts serialization, statement ids, and witness
+encoding all at once.
 """
 
 import json

@@ -21,9 +21,7 @@ def findings_for(source, checker, provenance=False):
             analysis = analyze_source(source)
     else:
         analysis = analyze_source(source)
-    return run_checkers(
-        analysis, source=source, checkers=[checker], canonical_ids=False
-    )
+    return run_checkers(analysis, source=source, checkers=[checker])
 
 
 class TestNullDeref:

@@ -22,7 +22,7 @@ from repro.checkers import (
     run_checkers,
 )
 from repro.checkers.base import Finding
-from repro.checkers.diff import _func_pairs, _rows_fingerprint
+from repro.checkers.diff import _rows_fingerprint
 from repro.cli import main
 from repro.core import perf
 from repro.core.analysis import AnalysisOptions, analyze_source
@@ -210,9 +210,9 @@ class TestRowsFingerprint:
         assert len({id(pts._table) for pts in analysis.point_info.values()}) > 1
         shared: dict = {}
         for func in sorted(program.functions):
-            pairs = _func_pairs(program, func)
-            assert _rows_fingerprint(analysis, pairs, shared) == (
-                _rows_fingerprint(analysis, pairs, {})
+            stmt_ids = program.stmt_ids[func]
+            assert _rows_fingerprint(analysis, stmt_ids, shared) == (
+                _rows_fingerprint(analysis, stmt_ids, {})
             ), func
 
 

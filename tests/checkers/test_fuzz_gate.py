@@ -10,9 +10,8 @@ Two invariants over generator-produced programs:
    A completed run that passed through the claimed statement is a
    counterexample to the D classification.
 
-The concrete check keys on source lines rather than statement ids
-because ``run_source`` re-lowers the program and statement ids are a
-process-global sequence; lines survive the round trip.  Only executed
+The concrete check keys on source lines, which the interpreter's own
+lowering of the program shares with the analyzed one.  Only executed
 statements that actually dereference count: a loop condition shares
 its line with an inline body, so a bare "line executed" signal would
 blame statements the run never reached.
@@ -67,7 +66,7 @@ def check_seed(seed, provenance):
             analysis = analyze_source(source)
     else:
         analysis = analyze_source(source)
-    findings = run_checkers(analysis, source=source, canonical_ids=False)
+    findings = run_checkers(analysis, source=source)
     for finding in findings:
         finding.as_dict()  # must be serializable without crashing
     _check_definite_null_derefs(source, findings)
@@ -125,5 +124,5 @@ def test_fuzz_gate_sweep_larger_programs(seed):
         GeneratorConfig(n_functions=6, n_globals=4, n_locals=5, n_stmts=12),
     )
     analysis = analyze_source(source)
-    findings = run_checkers(analysis, source=source, canonical_ids=False)
+    findings = run_checkers(analysis, source=source)
     _check_definite_null_derefs(source, findings)

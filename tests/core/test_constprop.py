@@ -178,13 +178,16 @@ class TestInterprocedural:
 class TestDifferentialAgainstInterpreter:
     """Every constant fact must match the concrete machine."""
 
-    def check(self, source, max_steps=200_000):
+    def check(self, source, max_steps=200_000) -> int:
+        """Run the machine against the facts; the number compared."""
         program = simplify_source(source)
         analysis_result = analyze_source(source)
         cp = propagate_constants(analysis_result)
         mismatches = []
+        compared = 0
 
         def observer(stmt, interp):
+            nonlocal compared
             env = cp.point_info.get(stmt.stmt_id)
             if env is None:
                 return
@@ -208,6 +211,7 @@ class TestDifferentialAgainstInterpreter:
                     continue
                 if isinstance(actual, Pointer):
                     continue
+                compared += 1
                 if actual != expected:
                     mismatches.append((stmt.stmt_id, str(loc), expected, actual))
 
@@ -217,10 +221,12 @@ class TestDifferentialAgainstInterpreter:
         except Exception:
             pass
         assert not mismatches, mismatches[:5]
+        return compared
 
     def test_benchmark_suite_constants_agree(self):
         for name in ("config", "dry", "toplev", "csuite", "compress"):
-            self.check(BENCHMARKS[name].source, max_steps=300_000)
+            compared = self.check(BENCHMARKS[name].source, max_steps=300_000)
+            assert compared > 0, f"{name}: no constant fact was compared"
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=20, deadline=None)

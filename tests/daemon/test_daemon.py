@@ -38,8 +38,6 @@ class TestServing:
                 {"source": FAST_SOURCE, "query": "labels"}
             )
         assert first["ok"] and second["ok"]
-        # Statement ids come from a process-global counter, so only
-        # the shape and cross-client agreement are stable.
         assert second["result"] == first["result"]
         assert second["result"]["L"][0] == "main"
 

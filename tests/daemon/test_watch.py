@@ -120,10 +120,8 @@ def _send_all(host: str, port: int, lines: list[str]) -> list[dict]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_watch_answers_identically(case, daemon_factory, tmp_path):
     lines = _lines(case)
-    # Fork the worker before serve() analyzes anything in this process
-    # (statement ids come from a process-global counter).
-    host, port, _ = daemon_factory(workers=1)
     over_stdin = _via_serve(lines, tmp_path)
+    host, port, _ = daemon_factory(workers=1)
     over_tcp = _send_all(host, port, lines)
     assert len(over_stdin) == len(over_tcp) == len(lines)
     for stdin_response, tcp_response in zip(over_stdin, over_tcp):

@@ -158,14 +158,7 @@ class TestCachedAnswersUnderTracing:
             fresh = QuerySession(live)
             warm = QuerySession(cached)
             assert not fresh.cached and warm.cached
-            # Statement ids are process-global on the live side but
-            # deterministically renumbered in the payload, so
-            # id-bearing answers (labels, call_sites) compare by shape
-            # below; value-level queries must match exactly.
-            queries = ["warnings"]
-            assert sorted(fresh.evaluate("labels")) == sorted(
-                warm.evaluate("labels")
-            )
+            queries = ["labels", "warnings"]
             program = live.program
             for label, (func, _) in sorted(program.labels.items()):
                 for var in _pointer_vars(program, func)[:4]:

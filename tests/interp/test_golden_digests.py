@@ -12,8 +12,7 @@ sha256 digests:
   shipped, now derived from the live analysis on demand.  The digests
   were frozen from v3 artifacts; the view pins every byte of the v4
   artifact *and* the on-demand tables against them;
-* ``answers``: the query answers ``list_labels`` (statement ids
-  renumbered canonically, as the artifact does), ``call_sites`` and
+* ``answers``: the query answers ``list_labels``, ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
 
 The digests were generated while the bitset, dict and legacy cores
@@ -48,11 +47,7 @@ from repro.core.statistics import (
     collect_table6,
 )
 from repro.service.queries import QuerySession
-from repro.service.serialize import (
-    _canonical_stmt_ids,
-    canonical_json,
-    semantic_payload_bytes,
-)
+from repro.service.serialize import canonical_json, semantic_payload_bytes
 
 from .test_soundness_fuzz import CONFIGS, CORPUS
 
@@ -99,12 +94,7 @@ def digests(name: str, source: str) -> dict[str, str]:
     """The ``payload`` and ``answers`` digests of one program."""
     analysis = analyze_source(source)
     session = QuerySession(analysis)
-    stmt_ids = _canonical_stmt_ids(analysis.program)
-    labels = {
-        label: [func, stmt_ids[stmt_id]]
-        for label, (func, stmt_id) in session.list_labels().items()
-    }
-    answers = [labels, session.call_sites(), session.summary()]
+    answers = [session.list_labels(), session.call_sites(), session.summary()]
     return {
         "payload": _sha256(v3_view(analysis, name)),
         "answers": _sha256(

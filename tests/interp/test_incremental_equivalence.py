@@ -30,7 +30,6 @@ from repro.benchsuite.generator import generate_program
 from repro.core.analysis import analyze_source
 from repro.core.incremental import update_analysis
 from repro.service.queries import QuerySession
-from repro.service.serialize import _canonical_stmt_ids
 
 from .test_golden_digests import v3_view
 from .test_soundness_fuzz import CONFIGS, CORPUS, TIER1
@@ -38,14 +37,7 @@ from .test_soundness_fuzz import CONFIGS, CORPUS, TIER1
 
 def _answers(analysis):
     session = QuerySession(analysis)
-    # Statement ids differ between parses; renumber label targets the
-    # way the artifact does.
-    stmt_ids = _canonical_stmt_ids(analysis.program)
-    labels = {
-        label: [func, stmt_ids[stmt_id]]
-        for label, (func, stmt_id) in session.list_labels().items()
-    }
-    return (labels, session.call_sites(), session.summary())
+    return (session.list_labels(), session.call_sites(), session.summary())
 
 
 def _fuzz_chains(config_name: str, seed: int) -> list:

@@ -120,8 +120,7 @@ class TestServe:
         assert responses[0]["result"] == responses[1]["result"] == [
             ["g", "D"]
         ]
-        # Same key twice -> the second answer came from the warm session
-        # (live statement ids are process-global, so only check shape).
+        # Same key twice -> the second answer came from the warm session.
         labels = responses[2]["result"]
         assert list(labels) == ["L"] and labels["L"][0] == "main"
 

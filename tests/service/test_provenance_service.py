@@ -13,7 +13,7 @@ Three contracts:
 * **Round-trip fidelity** — enabled payloads encode deterministically
   across separate parses, decode to a log the witness helpers accept
   verbatim, and answer the ``explain:`` family identically to the
-  live result (modulo statement-id renumbering).
+  live result.
 * **Serve/store integration** — the store addresses provenance-enabled
   requests separately, and the serve loop's ``{"cmd": "provenance"}``
   is gated on the recording switch.
@@ -118,42 +118,21 @@ class TestRoundTrip:
         live = QuerySession(analysis)
         cached = QuerySession(decode_analysis(raw))
 
-        def shape(answer):
-            # Statement ids are renumbered in the payload; everything
-            # else must match exactly.
-            return [
-                (
-                    pair["src"], pair["tgt"], pair["definiteness"],
-                    [
-                        (step["rule"], step["src"], step["tgt"],
-                         step["definiteness"], step["func"],
-                         tuple(step["path"]))
-                        for step in pair["witness"]
-                    ],
-                )
-                for pair in answer["pairs"]
-            ]
-
-        for query in ("explain:*main::p@L", "explain:pa@L"):
-            assert shape(live.evaluate(query)) == shape(
-                cached.evaluate(query)
-            )
-        live_weak = live.evaluate("why_possible:pa@L")
-        cached_weak = cached.evaluate("why_possible:pa@L")
-        assert [
-            (p["src"], p["tgt"], p["weakening"]["rule"])
-            for p in live_weak["pairs"]
-        ] == [
-            (p["src"], p["tgt"], p["weakening"]["rule"])
-            for p in cached_weak["pairs"]
+        # Witness steps name statements by id; a program and its
+        # payload number them alike, so the answers match exactly.
+        witness = [
+            step
+            for pair in live.evaluate("explain:pa@L")["pairs"]
+            for step in pair["witness"]
         ]
-        assert [
-            {k: v for k, v in intro.items() if k != "stmt_id"}
-            for intro in live.evaluate("blame_invisible:1_h")
-        ] == [
-            {k: v for k, v in intro.items() if k != "stmt_id"}
-            for intro in cached.evaluate("blame_invisible:1_h")
-        ]
+        assert any(step["stmt"] for step in witness)
+        for query in (
+            "explain:*main::p@L",
+            "explain:pa@L",
+            "why_possible:pa@L",
+            "blame_invisible:1_h",
+        ):
+            assert live.evaluate(query) == cached.evaluate(query), query
 
     def test_explain_without_log_is_a_query_error(self):
         session = QuerySession(analyze_source(SOURCE))

@@ -10,8 +10,10 @@ import pytest
 from repro.benchsuite import BENCHMARKS
 from repro.core.analysis import analyze_source
 from repro.core.locations import LocKind
+from repro.service.commands import SessionCache, handle_request
 from repro.service.queries import QueryError, QuerySession, parse_query
 from repro.service.serialize import decode_analysis, encode_analysis
+from repro.service.store import ResultStore
 
 SAMPLE = """
 int g;
@@ -176,6 +178,22 @@ class TestEvaluate:
         fresh, cached = sessions_for(SAMPLE)
         assert fresh.summary()["cached"] is False
         assert cached.summary()["cached"] is True
+
+
+class TestStableStatementIds:
+    def test_labels_agree_on_miss_hit_and_reparse(self, tmp_path):
+        request = {"source": BENCHMARKS["stanford"].source, "query": "labels"}
+        store = ResultStore(tmp_path / "store")
+        miss = handle_request(request, store, SessionCache())
+        hit = handle_request(request, store, SessionCache())
+        reparse = handle_request(
+            request, ResultStore(tmp_path / "other"), SessionCache()
+        )
+        assert [miss["cached"], hit["cached"], reparse["cached"]] == [
+            False, True, False,
+        ]
+        assert set(miss["result"]) == {"P1", "P2"}
+        assert miss["result"] == hit["result"] == reparse["result"]
 
 
 def _named_vars_at(analysis, label):

@@ -63,14 +63,8 @@ class TestRoundTrip:
             assert decoded.at_label(label) == analysis.at_label(label)
 
     def test_point_info_complete(self):
-        # Statement ids are canonicalized by the encoding (live ids
-        # come from a process-global counter), so compare the
-        # per-statement sets as an order-insensitive multiset.
         analysis, decoded = roundtrip(SAMPLE)
-        assert len(decoded.point_info) == len(analysis.point_info)
-        assert sorted(str(info) for info in decoded.point_info.values()) == (
-            sorted(str(info) for info in analysis.point_info.values())
-        )
+        assert decoded.point_info == analysis.point_info
 
     def test_graph_shape_exact(self):
         analysis, decoded = roundtrip(SAMPLE)
