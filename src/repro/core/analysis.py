@@ -101,7 +101,7 @@ class PointsToAnalysis:
         #: ``perf.CONFIG.track_provenance`` was off.
         self.provenance = None
         #: Slice-keyed memo capture of the producing run (func ->
-        #: {("slice", key_pairs): interproc._SliceEntry}), retained so
+        #: {("slice", key_rows): interproc._SliceEntry}), retained so
         #: incremental updates can reuse per-function summaries; None
         #: on decoded or hand-built results.
         self.slice_capture = None
@@ -286,7 +286,7 @@ class Analyzer:
         #: call memoization (see repro.core.slices).
         self._summaries: dict | None = None
         #: Slice-keyed call memo, global per function: func ->
-        #: {("slice", key_pairs): interproc._SliceEntry}, LRU-bounded.
+        #: {("slice", key_rows): interproc._SliceEntry}, LRU-bounded.
         self._slice_memo: dict[str, dict] = {}
         #: Optional incremental seed bank (repro.core.incremental
         #: .SeedBank): consulted on slice-memo misses so a re-run can

@@ -64,7 +64,7 @@ from repro.core.locations import (
     global_loc,
     install_table,
 )
-from repro.core.pointsto import Definiteness, PointsToSet
+from repro.core.pointsto import Definiteness, PointsToSet, row_triples
 from repro.core.slices import FunctionSummary, _scan_function, summarize_program
 from repro.core.perf import CONFIG
 from repro.simple.ir import SimpleProgram
@@ -209,20 +209,6 @@ class _SummaryOracle:
         return FunctionSummary(
             frozenset(referenced), reason is not None, reason
         )
-
-
-def _all_ig_nodes(root) -> list:
-    """Iterative node collection (IGNode.walk's nested generators are
-    too slow for the thousands-of-nodes graphs the update path scans
-    several times)."""
-    nodes = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        for callees in node.children.values():
-            stack.extend(callees.values())
-    return nodes
 
 
 def skeleton(program: SimpleProgram) -> dict:
@@ -496,6 +482,19 @@ def _neutral_triples(triples) -> list:
     ]
 
 
+def _slice_triples(rows, table: LocTable) -> tuple:
+    """Slice rows (a memo key or a passthrough, ids of ``table``) as
+    location triples in row order.  Seeds and store records keep this
+    table-free form; :func:`_slice_rows` is the way back."""
+    return tuple(row_triples(rows, table))
+
+
+def _slice_rows(triples) -> tuple:
+    """Location triples as rows of the active table, in order (the
+    inverse of :func:`_slice_triples`)."""
+    return tuple(PointsToSet.from_triples(triples).rows.items())
+
+
 def _revive_triples(data) -> tuple:
     return tuple(
         (
@@ -523,8 +522,8 @@ class SeedEntry:
 class SeedBank:
     """Per-function slice-memo seeds a re-run may consult on a miss.
 
-    Entries are keyed on the exact slice ``key_pairs`` tuple the memo
-    uses; :meth:`materialize` rebuilds a live
+    Entries are keyed on the slice key's triples (the memo's key rows,
+    table-free); :meth:`materialize` rebuilds a live
     :class:`~repro.core.interproc._SliceEntry` under whatever location
     table is active in the consulting run, so a seed hit is
     indistinguishable from a within-run hit."""
@@ -542,14 +541,16 @@ class SeedBank:
     def functions(self) -> list[str]:
         return sorted(self._entries)
 
-    def put(self, func: str, key_pairs: tuple, entry: SeedEntry) -> None:
-        self._entries.setdefault(func, {})[key_pairs] = entry
+    def put(self, func: str, key_triples: tuple, entry: SeedEntry) -> None:
+        self._entries.setdefault(func, {})[key_triples] = entry
 
-    def materialize(self, func: str, key_pairs: tuple):
-        table = self._entries.get(func)
-        if not table:
+    def materialize(self, func: str, key_rows: tuple, table: LocTable):
+        """The entry for the slice key ``key_rows`` (ids of ``table``,
+        the active table), or None."""
+        entries = self._entries.get(func)
+        if not entries:
             return None
-        seed = table.get(key_pairs)
+        seed = entries.get(_slice_triples(key_rows, table))
         if seed is None:
             return None
         output = PointsToSet.from_triples(seed.output)
@@ -559,7 +560,7 @@ class SeedBank:
         ]
         return _SliceEntry(
             output,
-            seed.passthrough,
+            _slice_rows(seed.passthrough),
             records,
             list(seed.warnings),
             seed.symbolics,
@@ -619,7 +620,7 @@ def bank_from_capture(
         # their ordinals (id minus the function's first id).
         shift = {m: new_ids[m].start - old_ids[m].start for m in closure}
         for key, entry in table.items():
-            key_pairs = key[1] if isinstance(key, tuple) and key and key[0] == "slice" else key
+            rows_table = entry.output.table
             records = []
             ok = True
             for stmt_id, recorded in entry.records:
@@ -632,10 +633,10 @@ def bank_from_capture(
                 continue
             bank.put(
                 func,
-                key_pairs,
+                _slice_triples(key[1], rows_table),
                 SeedEntry(
                     output=tuple(entry.output.triples()),
-                    passthrough=tuple(entry.passthrough),
+                    passthrough=_slice_triples(entry.passthrough, rows_table),
                     records=tuple(records),
                     warnings=tuple(entry.warnings),
                     # Re-encode types against the new parse: struct
@@ -672,7 +673,7 @@ def capture_records(
         entries = []
         usable = True
         for key, entry in table.items():
-            key_pairs = key[1] if isinstance(key, tuple) and key and key[0] == "slice" else key
+            rows_table = entry.output.table
             entry_records = []
             for stmt_id, recorded in entry.records:
                 member = analysis.function_of_stmt(stmt_id)
@@ -690,9 +691,13 @@ def capture_records(
                 break
             entries.append(
                 {
-                    "key": _neutral_triples(key_pairs),
+                    "key": _neutral_triples(
+                        _slice_triples(key[1], rows_table)
+                    ),
                     "output": _neutral_triples(entry.output.triples()),
-                    "passthrough": _neutral_triples(entry.passthrough),
+                    "passthrough": _neutral_triples(
+                        _slice_triples(entry.passthrough, rows_table)
+                    ),
                     "records": entry_records,
                     "warnings": list(entry.warnings),
                     "symbolics": _neutral_symbolics(entry.symbolics),
@@ -729,7 +734,7 @@ def bank_from_records(
         if func not in program.functions:
             continue
         for entry in record.get("entries", ()):
-            key_pairs = _revive_triples(entry["key"])
+            key_triples = _revive_triples(entry["key"])
             entry_records = []
             ok = True
             for member, ordinal, triples in entry["records"]:
@@ -746,7 +751,7 @@ def bank_from_records(
                 continue
             bank.put(
                 func,
-                key_pairs,
+                key_triples,
                 SeedEntry(
                     output=_revive_triples(entry["output"]),
                     passthrough=_revive_triples(entry["passthrough"]),
@@ -903,7 +908,7 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
     new_oracle = _SummaryOracle(new_program, options)
 
     if ig_nodes is None:
-        ig_nodes = _all_ig_nodes(old_analysis.ig.root)
+        ig_nodes = old_analysis.ig.nodes()
     node_kinds: dict[str, set] = {}
     for node in ig_nodes:
         node_kinds.setdefault(node.func, set()).add(node.kind)
@@ -946,9 +951,9 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
         k_star = None
         covered_old = None
         for key, entry in entries:
-            key_pairs = key[1]
-            roots = {src.root() for src, _, _ in key_pairs} | {
-                tgt.root() for _, tgt, _ in key_pairs
+            key_triples = _slice_triples(key[1], entry.output.table)
+            roots = {src.root() for src, _, _ in key_triples} | {
+                tgt.root() for _, tgt, _ in key_triples
             }
             effective = {
                 root for root in roots if root.kind is LocKind.GLOBAL
@@ -1009,16 +1014,20 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
             func_entries: dict = {}
             covered_new = None
             for key, old_entry in entries:
-                key_pairs = key[1]
+                old_table = old_entry.output.table
+                key_triples = _slice_triples(key[1], old_table)
+                passthrough = _slice_triples(old_entry.passthrough, old_table)
                 func_input = PointsToSet.from_triples(
-                    list(key_pairs) + list(old_entry.passthrough)
+                    key_triples + passthrough
                 )
                 _process_ordinary(mini, node, func_input)
+                key = ("slice", _slice_rows(key_triples))
                 new_entry = mini._slice_memo.get(func, {}).get(key)
                 if new_entry is None:
                     raise _Fallback(f"'{func}' slice key not reproduced")
-                if tuple(new_entry.passthrough) != tuple(
-                    old_entry.passthrough
+                if (
+                    _slice_triples(new_entry.passthrough, func_input.table)
+                    != passthrough
                 ):
                     raise _Fallback(f"'{func}' passthrough diverged")
                 if list(new_entry.warnings) != list(old_entry.warnings):
@@ -1244,7 +1253,7 @@ def update_analysis(
         # whole-program fingerprint sweep; absent provenance, lift
         # dependency edges from the old invocation graph (a caller's
         # facts depend on every callee it actually invoked).
-        ig_nodes = _all_ig_nodes(old_analysis.ig.root)
+        ig_nodes = old_analysis.ig.nodes()
         edges = prov_edges
         if edges is None:
             edges = {}

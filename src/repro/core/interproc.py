@@ -33,7 +33,7 @@ from repro.core.intra import apply_assignment
 from repro.core.invocation_graph import IGNode, IGNodeKind
 from repro.core.lvalues import LocSet, l_locations
 from repro.core.mapping import map_call, unmap_call
-from repro.core.pointsto import PointsToSet, merge_all
+from repro.core.pointsto import PointsToSet, merge_all, pair_count
 from repro.core.slices import split_input
 from repro.simple.ir import BasicStmt
 
@@ -318,9 +318,14 @@ def _refresh_stored(
 @dataclass
 class _SliceEntry:
     """One slice-keyed memo entry: the body's output plus everything a
-    hit must replay — the passthrough pairs the output (and every
+    hit must replay — the passthrough rows the output (and every
     recorded program-point set) embeds, and the record/warning stream
-    the body emitted."""
+    the body emitted.
+
+    ``passthrough`` holds ``(source id, (definite mask, possible
+    mask))`` rows in the input's row order, bound to ``output.table``
+    like the entry's key.  A hit masks them out of each stored set and
+    writes the current call's passthrough rows in their place."""
 
     output: PointsToSet
     passthrough: tuple
@@ -355,12 +360,7 @@ def _slice_context(analyzer, child: IGNode, func_input: PointsToSet):
 def _reconstruct_output(entry: _SliceEntry, passthrough: tuple) -> PointsToSet:
     if entry.passthrough == passthrough:
         return entry.output
-    output = entry.output.copy()
-    for src, tgt, _ in entry.passthrough:
-        output.discard(src, tgt)
-    for src, tgt, definiteness in passthrough:
-        output.add(src, tgt, definiteness)
-    return output
+    return entry.output.swapped(entry.passthrough, passthrough)
 
 
 def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
@@ -371,11 +371,7 @@ def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
     changed = entry.passthrough != passthrough
     for stmt_id, recorded in entry.records:
         if changed:
-            recorded = recorded.copy()
-            for src, tgt, _ in entry.passthrough:
-                recorded.discard(src, tgt)
-            for src, tgt, definiteness in passthrough:
-                recorded.add(src, tgt, definiteness)
+            recorded = recorded.swapped(entry.passthrough, passthrough)
         for frame in analyzer._record_frames:
             frame.append((stmt_id, recorded))
         analyzer.record_by_id(stmt_id, recorded)
@@ -390,15 +386,15 @@ def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
 def _process_ordinary_sliced(
     analyzer, child: IGNode, func_input: PointsToSet, slice_ctx
 ) -> PointsToSet | None:
-    key_pairs, passthrough, slice_root_count = slice_ctx
+    key_rows, passthrough, slice_root_count = slice_ctx
     # Tagged so a slice key can never collide with a whole-input
     # fingerprint in a node's mirror table (provenance-recording
     # passes of the same run use whole-input keys).
-    key = ("slice", key_pairs)
+    key = ("slice", key_rows)
     stats = analyzer.memo_stats
     stats.slice_lookups += 1
-    stats.slice_key_pairs += len(key_pairs)
-    stats.slice_passthrough_pairs += len(passthrough)
+    stats.slice_key_pairs += pair_count(key_rows)
+    stats.slice_passthrough_pairs += pair_count(passthrough)
     obs.gauge("analysis.slice_roots", slice_root_count)
     # The table is global per function, not per node: a non-opaque
     # callee's analysis is a deterministic function of (function,
@@ -410,7 +406,7 @@ def _process_ordinary_sliced(
     if entry is None:
         bank = getattr(analyzer, "seed_bank", None)
         if bank is not None:
-            entry = bank.materialize(child.func, key_pairs)
+            entry = bank.materialize(child.func, key_rows, func_input.table)
             if entry is not None:
                 # A seed hit is indistinguishable from a within-run
                 # hit: the bank only holds entries whose producing

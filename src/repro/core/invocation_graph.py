@@ -88,10 +88,14 @@ class IGNode:
         return list(reversed(names))
 
     def walk(self) -> Iterator["IGNode"]:
-        yield self
-        for site_children in self.children.values():
-            for child in site_children.values():
-                yield from child.walk()
+        """The subtree in pre-order, children in insertion order (an
+        explicit stack, so chains of any depth)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for site_children in reversed(node.children.values()):
+                stack.extend(reversed(site_children.values()))
 
     def __repr__(self) -> str:
         return f"<IGNode {'->'.join(self.path())} {self.kind.value}>"
@@ -118,37 +122,62 @@ class InvocationGraph:
     # -- construction ----------------------------------------------------
 
     def _build(self, node: IGNode) -> None:
+        """Grow ``node``'s static subtree depth-first, on an explicit
+        stack.  A node's children are all attached before any of them
+        is expanded; the tree and every node's child order are the
+        same as a recursive build's, because a node's shape depends
+        only on its ancestor chain."""
+        stack = [node]
+        while stack:
+            parent = stack.pop()
+            fresh = []
+            for call_site, callee in self._direct_sites(parent.func):
+                if callee not in self.program.functions:
+                    continue  # external functions have no invocation node
+                child, expand = self._attach(parent, call_site, callee)
+                if expand:
+                    fresh.append(child)
+            stack.extend(reversed(fresh))
+
+    def _direct_sites(self, func: str) -> list[tuple[int, str]]:
         # Each function's body is walked once per program, however many
         # nodes it gets (an incremental splice swaps in a new program).
         if self._sites_program is not self.program:
             self._sites_program, self._call_sites = self.program, {}
-        sites = self._call_sites.get(node.func)
+        sites = self._call_sites.get(func)
         if sites is None:
-            fn = self.program.functions[node.func]
-            sites = self._call_sites[node.func] = direct_call_sites(fn)
-        for call_site, callee in sites:
-            if callee not in self.program.functions:
-                continue  # external functions have no invocation node
-            self.attach_call(node, call_site, callee)
+            sites = self._call_sites[func] = direct_call_sites(
+                self.program.functions[func]
+            )
+        return sites
 
     def attach_call(self, parent: IGNode, call_site: int, callee: str) -> IGNode:
         """Create (or return) the child node for ``callee`` at
         ``call_site`` under ``parent``, performing the recursion check
         against the ancestor chain.  Used both by the static builder
         and by the dynamic function-pointer expansion."""
+        node, expand = self._attach(parent, call_site, callee)
+        if expand:
+            self._build(node)
+        return node
+
+    def _attach(
+        self, parent: IGNode, call_site: int, callee: str
+    ) -> tuple[IGNode, bool]:
+        """The child node, and whether it is new and still needs its
+        subtree built (approximate nodes have none)."""
         existing = parent.child(call_site, callee)
         if existing is not None:
-            return existing
+            return existing, False
         partner = self._find_recursive_ancestor(parent, callee)
         if partner is not None:
             node = IGNode(callee, IGNodeKind.APPROXIMATE, rec_partner=partner)
             partner.kind = IGNodeKind.RECURSIVE
             parent.add_child(call_site, node)
-            return node
+            return node, False
         node = IGNode(callee)
         parent.add_child(call_site, node)
-        self._build(node)
-        return node
+        return node, True
 
     @staticmethod
     def _find_recursive_ancestor(parent: IGNode, callee: str) -> IGNode | None:

@@ -71,12 +71,15 @@ class AbsLoc:
     tuples of fields.  Equality still falls back to a field comparison.
     """
 
-    __slots__ = ("base", "kind", "func", "path", "_hash", "_root")
+    __slots__ = ("base", "kind", "func", "path", "text", "_hash", "_root")
 
     base: str
     kind: LocKind
     func: str | None
     path: tuple[str, ...]
+    #: The printed name (``str(loc)``), computed once: order-sensitive
+    #: consumers sort by it on every call.
+    text: str
 
     def __new__(
         cls,
@@ -94,6 +97,10 @@ class AbsLoc:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "path", path)
+        text = base
+        for element in path:
+            text += element if element in ARRAY_PARTS else f".{element}"
+        object.__setattr__(self, "text", text)
         # Hash content only: ``func`` is None for globals, and on
         # Python < 3.12 ``hash(None)`` is address-based — it varies
         # run to run with address-space layout, which reorders sets of
@@ -132,13 +139,7 @@ class AbsLoc:
         return (AbsLoc, (self.base, self.kind, self.func, self.path))
 
     def __str__(self) -> str:
-        text = self.base
-        for element in self.path:
-            if element in ARRAY_PARTS:
-                text += element
-            else:
-                text += f".{element}"
-        return text
+        return self.text
 
     def __repr__(self) -> str:
         scope = f"{self.func}::" if self.func else ""
@@ -227,13 +228,17 @@ class LocTable:
     REPL) still interoperate.
     """
 
-    __slots__ = ("_ids", "_locs", "_roots")
+    __slots__ = ("_ids", "_locs", "_roots", "vis")
 
     def __init__(self) -> None:
         self._ids: dict[AbsLoc, int] = {}
         self._locs: list[AbsLoc] = []
         #: id -> id of the location's root() (itself for whole vars).
         self._roots: list[int] = []
+        #: Bit mask of the ids whose location is visible everywhere:
+        #: a row whose targets all lie inside it keeps every name
+        #: across a call boundary.
+        self.vis = 0
 
     def id_of(self, loc: AbsLoc) -> int:
         index = self._ids.get(loc)
@@ -242,15 +247,27 @@ class LocTable:
             self._ids[loc] = index
             self._locs.append(loc)
             self._roots.append(index)
+            if loc.is_visible_everywhere:
+                self.vis |= 1 << index
             if loc.path:
                 self._roots[index] = self.id_of(loc.root())
         return index
+
+    def get_id(self, loc: AbsLoc) -> int | None:
+        """``loc``'s id, or None when the table has none yet (never
+        allocates: a new id would shift the order of later targets)."""
+        return self._ids.get(loc)
 
     def loc_of(self, index: int) -> AbsLoc:
         return self._locs[index]
 
     def root_id(self, index: int) -> int:
         return self._roots[index]
+
+    @property
+    def roots(self) -> list[int]:
+        """id -> root id, as a list (read-only)."""
+        return self._roots
 
     def __len__(self) -> int:
         return len(self._locs)

@@ -36,7 +36,14 @@ from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.lvalues import r_locations
 from repro.core.locations import NULL, AbsLoc, LocKind, retval_loc, symbolic_name
-from repro.core.pointsto import D, P, Definiteness, PointsToSet
+from repro.core.pointsto import (
+    D,
+    P,
+    Definiteness,
+    PointsToSet,
+    iter_bits,
+    row_triples,
+)
 from repro.simple.ir import Const, Operand, Ref, SimpleFunction
 
 
@@ -50,7 +57,9 @@ class MapInfo:
     from_caller: dict[AbsLoc, AbsLoc] = field(default_factory=dict)
     #: visible caller roots (globals, heap) whose relationships were
     #: carried into the callee — these are owned by the callee output.
-    visible_roots: set[AbsLoc] = field(default_factory=set)
+    #: Insertion-ordered (values unused): unmap updates in this order,
+    #: which decides the caller output's row order.
+    visible_roots: dict[AbsLoc, None] = field(default_factory=dict)
 
     def representative_count(self, callee_root: AbsLoc) -> int:
         return len(self.to_caller.get(callee_root, ()))
@@ -66,7 +75,9 @@ class MapInfo:
 
 
 def _definite_first(pairs):
-    return sorted(pairs, key=lambda item: (item[2] is not D, str(item[0]), str(item[1])))
+    return sorted(
+        pairs, key=lambda item: (item[2] is not D, item[0].text, item[1].text)
+    )
 
 
 class _Mapper:
@@ -83,12 +94,18 @@ class _Mapper:
         self.result = PointsToSet()
         self.queue: deque[AbsLoc] = deque()
         self.processed: set[AbsLoc] = set()
-        # Index the caller set by source root for the reachability walk.
-        self.by_root: dict[AbsLoc, list] = {}
-        for src, tgt, definiteness in input_set.triples():
-            self.by_root.setdefault(src.root(), []).append(
-                (src, tgt, definiteness)
-            )
+        #: Target ids whose enqueue is known to be a no-op: their root
+        #: is already a visible root, or is not a GLOBAL/HEAP one.
+        self.settled = 0
+        # Index the caller's rows by source root for the reachability
+        # walk (row order within a root).
+        self.by_root: dict[AbsLoc, list[int]] = {}
+        table = input_set.table
+        loc_of = table.loc_of
+        roots = table.roots
+        by_root = self.by_root
+        for sid in input_set.rows:
+            by_root.setdefault(loc_of(roots[sid]), []).append(sid)
 
     # -- symbolic assignment --------------------------------------------
 
@@ -119,7 +136,7 @@ class _Mapper:
         if visible:
             if root.kind not in (LocKind.GLOBAL, LocKind.HEAP):
                 return
-            self.info.visible_roots.add(root)
+            self.info.visible_roots[root] = None
         if root not in self.processed:
             self.queue.append(root)
 
@@ -213,12 +230,26 @@ class _Mapper:
             call_extra = prov.call_extra()
             prov_record = prov.record
             rule_reach = provenance.RULE_MAP_REACH
+        rows = self.input_set.rows
+        table = self.input_set.table
+        outside = ~table.vis
         while self.queue:
             root = self.queue.popleft()
             if root in self.processed:
                 continue
             self.processed.add(root)
-            pairs = self.by_root.get(root, ())
+            sids = self.by_root.get(root)
+            if not sids:
+                continue
+            if root.kind is LocKind.GLOBAL and not prov.enabled:
+                targets = 0
+                for sid in sids:
+                    row = rows[sid]
+                    targets |= row[0] | row[1]
+                if not targets & outside:
+                    self._copy_rows(sids, targets)
+                    continue
+            pairs = row_triples([(sid, rows[sid]) for sid in sids], table)
             for src, tgt, definiteness in _definite_first(pairs):
                 if root.is_visible_everywhere:
                     mapped_src = src
@@ -240,8 +271,59 @@ class _Mapper:
                         call_extra,
                     )
 
+    def _copy_rows(self, sids: list[int], targets: int) -> None:
+        """Carry a GLOBAL root whose targets (``targets``, the union of
+        its rows) are all visible everywhere: every pair maps to
+        itself, so its rows are copied whole — in the order
+        :func:`_definite_first` would first add each source (definite
+        rows, then possible ones, each by name).  The only other effect
+        of mapping those pairs is enqueueing the target roots the walk
+        has not met yet, in the same sorted pair order."""
+        rows = self.input_set.rows
+        table = self.input_set.table
+        loc_of = table.loc_of
+        if len(sids) > 1:
+            sids = sorted(
+                sids, key=lambda sid: (not rows[sid][0], loc_of(sid).text)
+            )
+        for sid in sids:
+            self.result.add_row(sid, *rows[sid])
+        pending = targets & ~self.settled
+        if not pending:
+            return
+        roots = table.roots
+        visible_roots = self.info.visible_roots
+        fresh: dict[AbsLoc, int] = {}
+        for tid in iter_bits(pending):
+            troot = loc_of(roots[tid])
+            if (
+                troot.kind in (LocKind.GLOBAL, LocKind.HEAP)
+                and troot not in visible_roots
+            ):
+                fresh[troot] = fresh.get(troot, 0) | 1 << tid
+            else:
+                self.settled |= 1 << tid
+        order = list(fresh)
+        if len(order) > 1:
+            mask = 0
+            for bits in fresh.values():
+                mask |= bits
+            picked = [
+                (sid, (rows[sid][0] & mask, rows[sid][1] & mask))
+                for sid in sids
+                if (rows[sid][0] | rows[sid][1]) & mask
+            ]
+            order = [
+                tgt.root()
+                for _, tgt, _ in _definite_first(row_triples(picked, table))
+            ]
+        for troot in order:
+            self.enqueue(troot, visible=True)
+
     def degrade_multi_represented(self) -> None:
         """Weaken definite pairs through multi-represented symbolics."""
+        if all(len(roots) < 2 for roots in self.info.to_caller.values()):
+            return
         for src, tgt, definiteness in list(self.result.triples()):
             if definiteness is not D:
                 continue
@@ -282,6 +364,10 @@ def map_call(
 # ---------------------------------------------------------------------------
 # Unmap
 # ---------------------------------------------------------------------------
+
+#: Root kinds of the callee's own frame: their rows die with the call
+#: (the retval root's rows become the return value).
+_FRAME_KINDS = (LocKind.LOCAL, LocKind.PARAM, LocKind.RETVAL, LocKind.FUNCTION)
 
 
 @dataclass
@@ -324,62 +410,72 @@ def unmap_call(
 
     # Group the callee's pairs by the caller root they describe.  Each
     # entry carries the provenance parents of the callee fact behind it
-    # (the empty tuple when recording is off).
-    new_rels: dict[
-        AbsLoc, list[tuple[AbsLoc, AbsLoc, Definiteness, tuple[int, ...]]]
-    ] = {}
+    # (the empty tuple when recording is off).  A GLOBAL row whose
+    # targets are all visible everywhere names the same pairs on both
+    # sides, so it is carried whole as a ``(source id, row)`` entry; a
+    # GLOBAL root is never heap nor represented by a symbolic name, so
+    # such entries only ever meet the strong update.
+    new_rels: dict[AbsLoc, list] = {}
     returns: list[tuple[tuple[str, ...], AbsLoc, Definiteness]] = []
     ret_root = retval_loc(callee_fn.name)
     prov = provenance.CURRENT
     recording = prov.enabled
     return_support: list[tuple[AbsLoc, int]] = []
+    table = callee_output.table
+    assert caller_input.table is table
+    loc_of = table.loc_of
+    roots = table.roots
+    outside = ~table.vis
 
-    for src, tgt, definiteness in callee_output.triples():
-        src_root = src.root()
-        if src_root == ret_root:
-            callee_rid = (
-                prov.latest.get((src, tgt)) if recording else None
-            )
-            for caller_tgt, unique in unrewrite(tgt):
-                ret_def = definiteness if unique else P
-                returns.append((src.path, caller_tgt, ret_def))
-                if callee_rid is not None:
-                    return_support.append((caller_tgt, callee_rid))
-            continue
-        if src_root.kind in (
-            LocKind.LOCAL,
-            LocKind.PARAM,
-            LocKind.RETVAL,
-            LocKind.FUNCTION,
-        ):
+    for sid, row in callee_output.rows.items():
+        src_root = loc_of(roots[sid])
+        if src_root.kind in _FRAME_KINDS and src_root != ret_root:
             continue  # the callee's frame dies with the call
-        sources = unrewrite(src)
-        if not sources:
+        if (
+            src_root.kind is LocKind.GLOBAL
+            and not recording
+            and not (row[0] | row[1]) & outside
+        ):
+            new_rels.setdefault(src_root, []).append((sid, row))
             continue
-        targets = unrewrite(tgt)
-        if not targets:
-            continue  # dangling target: the relationship cannot be named
-        parents: tuple[int, ...] = ()
-        if recording:
-            callee_rid = prov.latest.get((src, tgt))
-            if callee_rid is not None:
-                parents = (callee_rid,)
-        for caller_src, s_unique in sources:
-            for caller_tgt, t_unique in targets:
-                out_def = definiteness if (s_unique and t_unique) else P
-                new_rels.setdefault(caller_src.root(), []).append(
-                    (caller_src, caller_tgt, out_def, parents)
+        for src, tgt, definiteness in row_triples(((sid, row),), table):
+            if src_root == ret_root:
+                callee_rid = (
+                    prov.latest.get((src, tgt)) if recording else None
                 )
+                for caller_tgt, unique in unrewrite(tgt):
+                    ret_def = definiteness if unique else P
+                    returns.append((src.path, caller_tgt, ret_def))
+                    if callee_rid is not None:
+                        return_support.append((caller_tgt, callee_rid))
+                continue
+            sources = unrewrite(src)
+            if not sources:
+                continue
+            targets = unrewrite(tgt)
+            if not targets:
+                continue  # dangling target: the relationship cannot be named
+            parents: tuple[int, ...] = ()
+            if recording:
+                callee_rid = prov.latest.get((src, tgt))
+                if callee_rid is not None:
+                    parents = (callee_rid,)
+            for caller_src, s_unique in sources:
+                for caller_tgt, t_unique in targets:
+                    out_def = definiteness if (s_unique and t_unique) else P
+                    new_rels.setdefault(caller_src.root(), []).append(
+                        (caller_src, caller_tgt, out_def, parents)
+                    )
 
     # Decide, per represented caller root, between strong and weak update.
     result = caller_input.copy()
-    # Snapshot the caller's sources grouped by root once: the update
+    # Snapshot the caller's rows grouped by root id once: the update
     # loop below only ever kills/weakens sources the caller already
     # had (its own additions are grouped under the root being updated),
     # so one pass replaces a per-root scan over all sources.
-    sources_by_root: dict[AbsLoc, list[AbsLoc]] = {}
-    for src in result.sources():
-        sources_by_root.setdefault(src.root(), []).append(src)
+    sources_by_root: dict[int, list[int]] = {}
+    for sid in result.rows:
+        sources_by_root.setdefault(roots[sid], []).append(sid)
     updates: dict[AbsLoc, bool] = {}  # caller root -> strong?
     for sym_root, caller_roots in map_info.to_caller.items():
         strong = len(caller_roots) == 1
@@ -409,13 +505,17 @@ def unmap_call(
     for root, strong in updates.items():
         if root.represents_multiple():
             strong = False
-        root_sources = sources_by_root.get(root, ())
+        root_sources = sources_by_root.get(table.get_id(root), ())
         if strong:
-            for src in root_sources:
-                result.kill_source(src)
-            for caller_src, caller_tgt, definiteness, parents in new_rels.get(
-                root, ()
-            ):
+            for sid in root_sources:
+                result.kill_row(sid)
+            for entry in new_rels.get(root, ()):
+                if len(entry) == 2:
+                    # Killed above if the caller had it: re-inserted at
+                    # the end, exactly where kill + add would put it.
+                    result.add_row(entry[0], *entry[1])
+                    continue
+                caller_src, caller_tgt, definiteness, parents = entry
                 result.add(caller_src, caller_tgt, definiteness)
                 if recording:
                     prov_record(
@@ -427,8 +527,8 @@ def unmap_call(
                         call_extra,
                     )
         else:
-            for src in root_sources:
-                result.weaken_source(src)
+            for sid in root_sources:
+                result.weaken_row(sid)
             for caller_src, caller_tgt, _, parents in new_rels.get(root, ()):
                 result.add(caller_src, caller_tgt, P)
                 if recording:

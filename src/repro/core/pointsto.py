@@ -54,7 +54,7 @@ D = Definiteness.D
 P = Definiteness.P
 
 
-def _iter_bits(mask: int):
+def iter_bits(mask: int):
     """Yield the set bit indexes of ``mask``, ascending."""
     while mask:
         low = mask & -mask
@@ -100,6 +100,12 @@ class PointsToSet:
         """The location table whose ids this set's bitsets use."""
         return self._table
 
+    @property
+    def rows(self) -> dict[int, tuple[int, int]]:
+        """The rows ``{source id: (definite mask, possible mask)}`` in
+        row order.  Read-only: mutate through the methods below."""
+        return self._src
+
     # -- construction / copy-on-write ----------------------------------
 
     @classmethod
@@ -140,9 +146,9 @@ class PointsToSet:
         rows: dict[int, tuple[int, int]] = {}
         for sid, (defs, poss) in other._src.items():
             new_defs = new_poss = 0
-            for tid in _iter_bits(defs):
+            for tid in iter_bits(defs):
                 new_defs |= 1 << id_of(loc_of(tid))
-            for tid in _iter_bits(poss):
+            for tid in iter_bits(poss):
                 new_poss |= 1 << id_of(loc_of(tid))
             rows[id_of(loc_of(sid))] = (new_defs, new_poss)
         return rows
@@ -184,6 +190,49 @@ class PointsToSet:
         else:
             self._src[sid] = (defs, poss | bit)
 
+    def add_row(self, sid: int, defs: int, poss: int) -> None:
+        """Add every pair of one row at once: exactly :meth:`add` of
+        each pair in turn (a D pair upgrades a P one, a P pair never
+        weakens a D one), and a new source goes to the end."""
+        self._own()
+        row = self._src.get(sid)
+        if row is None:
+            self._src[sid] = (defs, poss)
+        else:
+            defs |= row[0]
+            self._src[sid] = (defs, (row[1] | poss) & ~defs)
+
+    def swapped(
+        self,
+        old_rows: Sequence[tuple[int, tuple[int, int]]],
+        new_rows: Sequence[tuple[int, tuple[int, int]]],
+    ) -> "PointsToSet":
+        """A copy with ``old_rows``' pairs masked out and ``new_rows``
+        added as by :meth:`add_row`, in order.  Same set and row order as
+        discarding each old pair and then adding each new one: a row
+        the mask empties is deleted, so it re-enters at the end."""
+        result = self.copy()
+        result._own()
+        rows = result._src
+        for sid, (defs, poss) in old_rows:
+            row = rows.get(sid)
+            if row is None:
+                continue
+            keep = ~(defs | poss)
+            defs, poss = row[0] & keep, row[1] & keep
+            if defs or poss:
+                rows[sid] = (defs, poss)
+            else:
+                del rows[sid]
+        for sid, (defs, poss) in new_rows:
+            row = rows.get(sid)
+            if row is None:
+                rows[sid] = (defs, poss)
+            else:
+                defs |= row[0]
+                rows[sid] = (defs, (row[1] | poss) & ~defs)
+        return result
+
     def discard(self, src: AbsLoc, tgt: AbsLoc) -> None:
         table = self._table
         sid = table.id_of(src)
@@ -204,7 +253,10 @@ class PointsToSet:
 
     def kill_source(self, src: AbsLoc) -> None:
         """Remove every relationship whose source is ``src``."""
-        sid = self._table.id_of(src)
+        self.kill_row(self._table.id_of(src))
+
+    def kill_row(self, sid: int) -> None:
+        """:meth:`kill_source` by source id."""
         row = self._src.get(sid)
         if row is None:
             return
@@ -216,7 +268,10 @@ class PointsToSet:
 
     def weaken_source(self, src: AbsLoc) -> None:
         """Turn every definite relationship from ``src`` into possible."""
-        sid = self._table.id_of(src)
+        self.weaken_row(self._table.id_of(src))
+
+    def weaken_row(self, sid: int) -> None:
+        """:meth:`weaken_source` by source id."""
         row = self._src.get(sid)
         if row is None or not row[0]:
             return
@@ -225,7 +280,8 @@ class PointsToSet:
         self._src[sid] = (0, defs | poss)
         if provenance.CURRENT.enabled:
             loc_of = self._table.loc_of
-            for tid in _iter_bits(defs):
+            src = loc_of(sid)
+            for tid in iter_bits(defs):
                 provenance.CURRENT.record_weaken(src, loc_of(tid))
 
     # -- queries --------------------------------------------------------
@@ -235,8 +291,8 @@ class PointsToSet:
         if row is None:
             return []
         loc_of = self._table.loc_of
-        result = [(loc_of(tid), D) for tid in _iter_bits(row[0])]
-        result.extend((loc_of(tid), P) for tid in _iter_bits(row[1]))
+        result = [(loc_of(tid), D) for tid in iter_bits(row[0])]
+        result.extend((loc_of(tid), P) for tid in iter_bits(row[1]))
         return result
 
     def sources_of(self, tgt: AbsLoc) -> list[tuple[AbsLoc, Definiteness]]:
@@ -272,13 +328,7 @@ class PointsToSet:
         return (loc_of(sid) for sid in self._src)
 
     def triples(self) -> Iterator[tuple[AbsLoc, AbsLoc, Definiteness]]:
-        loc_of = self._table.loc_of
-        for sid, (defs, poss) in self._src.items():
-            src = loc_of(sid)
-            for tid in _iter_bits(defs):
-                yield src, loc_of(tid), D
-            for tid in _iter_bits(poss):
-                yield src, loc_of(tid), P
+        return row_triples(self._src.items(), self._table)
 
     def indexed_triples(self, index: Sequence[int], memo: dict) -> list[list]:
         """The triples as sorted ``[src, tgt, "D"|"P"]`` rows of
@@ -295,9 +345,9 @@ class PointsToSet:
             if triples is None:
                 sid, (defs, poss) = row
                 src = index[sid]
-                triples = [[src, index[tid], "D"] for tid in _iter_bits(defs)]
+                triples = [[src, index[tid], "D"] for tid in iter_bits(defs)]
                 triples.extend(
-                    [src, index[tid], "P"] for tid in _iter_bits(poss)
+                    [src, index[tid], "P"] for tid in iter_bits(poss)
                 )
                 triples.sort()
                 memo[row] = triples
@@ -382,8 +432,12 @@ class PointsToSet:
         # weakening of Table 1; provenance records each one.
         recording = provenance.CURRENT.enabled
         other_get = other_src.get
-        for sid, (defs, poss) in self_src.items():
+        for sid, mine in self_src.items():
             row = other_get(sid)
+            if row == mine:
+                rows[sid] = mine  # d ∧ d = d: nothing to weaken
+                continue
+            defs, poss = mine
             if row is None:
                 union_defs = 0
                 union_poss = defs | poss
@@ -406,7 +460,7 @@ class PointsToSet:
         loc_of = self._table.loc_of
         src = loc_of(sid)
         weaken = provenance.CURRENT.record_weaken
-        for tid in _iter_bits(mask):
+        for tid in iter_bits(mask):
             weaken(src, loc_of(tid), rule=provenance.RULE_MERGE_WEAKEN)
 
     # -- invariants (used by property tests) ---------------------------------
@@ -417,14 +471,14 @@ class PointsToSet:
         loc_of = self._table.loc_of
         for sid, (defs, poss) in self._src.items():
             src = loc_of(sid)
-            definite = [loc_of(tid) for tid in _iter_bits(defs)]
+            definite = [loc_of(tid) for tid in iter_bits(defs)]
             if len(definite) > 1:
                 problems.append(
                     f"{src} definitely points to both "
                     f"{definite[0]} and {definite[1]}"
                 )
             if definite:
-                for tid in _iter_bits(poss):
+                for tid in iter_bits(poss):
                     problems.append(
                         f"{src} definitely points to {definite[0]} but "
                         f"also possibly to {loc_of(tid)}"
@@ -436,12 +490,31 @@ class PointsToSet:
                         f"abstract location: ({src},{tgt},D)"
                     )
             if src.is_null:
-                for tid in _iter_bits(defs | poss):
+                for tid in iter_bits(defs | poss):
                     problems.append(
                         f"NULL used as a points-to source: "
                         f"{src}->{loc_of(tid)}"
                     )
         return problems
+
+
+def row_triples(
+    rows: Iterable[tuple[int, tuple[int, int]]], table: LocTable
+) -> Iterator[tuple[AbsLoc, AbsLoc, Definiteness]]:
+    """The triples of ``rows`` (ids of ``table``) in row order; within
+    a row, definite targets then possible ones, each by ascending id."""
+    loc_of = table.loc_of
+    for sid, (defs, poss) in rows:
+        src = loc_of(sid)
+        for tid in iter_bits(defs):
+            yield src, loc_of(tid), D
+        for tid in iter_bits(poss):
+            yield src, loc_of(tid), P
+
+
+def pair_count(rows: Iterable[tuple[int, tuple[int, int]]]) -> int:
+    """How many pairs ``rows`` hold."""
+    return sum((defs | poss).bit_count() for _, (defs, poss) in rows)
 
 
 def locations_of(sets: Iterable[PointsToSet]) -> set[AbsLoc]:
@@ -454,7 +527,9 @@ def locations_of(sets: Iterable[PointsToSet]) -> set[AbsLoc]:
             mask |= defs | poss | 1 << sid
         masks[pts._table] = mask
     return {
-        table.loc_of(i) for table, mask in masks.items() for i in _iter_bits(mask)
+        table.loc_of(i)
+        for table, mask in masks.items()
+        for i in iter_bits(mask)
     }
 
 

@@ -7,11 +7,14 @@ formals-reachable targets, but it also carries every global and heap
 root into the callee (they are visible everywhere), so the redundant
 context is exactly the global state the callee's transitive call
 closure never references.  This module computes, per call, the
-*reachable slice* of the mapped input — the pairs that can influence
+*reachable slice* of the mapped input — the rows that can influence
 the body's analysis — and the *passthrough* complement that provably
-flows through the body unchanged.  The memo is then keyed on the
-slice alone; a hit reconstructs the output by swapping the stored
-passthrough for the current one (see ``interproc``).
+flows through the body unchanged.  The split works on whole bitset
+rows (a source id with its definite and possible masks): the criterion
+looks only at a row's source root, so no row is ever cut in two.  The
+memo is then keyed on the slice alone; a hit reconstructs the output
+by masking the stored passthrough rows out and writing the current
+ones in (see ``interproc``).
 
 The passthrough invariant (those pairs flow through the body
 unchanged, with the same definiteness) holds because a passthrough
@@ -42,8 +45,10 @@ dynamically), the function participating in a call cycle (its node
 re-enters), or unmodeled externals under the ``havoc`` policy (havoc
 smashes everything reachable, including passthrough candidates).
 
-The key is *order-sensitive*: a tuple of the key pairs in the input
-set's iteration order.  Symbolic-name assignment during sub-call
+The key is *order-sensitive*: a tuple of the key rows, ``(source id,
+(definite mask, possible mask))``, in the input set's row order — one
+to one with the tuple of the key's pairs in iteration order, for ids
+of one location table.  Symbolic-name assignment during sub-call
 mapping is first-reaching-path-wins over that order, so a hit must
 guarantee the body would have seen the slice in the same order; the
 inert passthrough rows interleaved between key rows never compete for
@@ -61,7 +66,7 @@ from repro.core.externals import (
     RETURN_FIRST_ARG,
 )
 from repro.core.locations import HEAP, AbsLoc, LocKind, global_loc
-from repro.core.pointsto import PointsToSet
+from repro.core.pointsto import PointsToSet, iter_bits
 from repro.simple.ir import (
     AddrOf,
     BasicKind,
@@ -70,6 +75,9 @@ from repro.simple.ir import (
     SimpleProgram,
     SReturn,
 )
+
+#: Target kinds the slice closure does not follow.
+_NOT_TRAVERSED = (LocKind.NULL, LocKind.FUNCTION)
 
 #: Externals with effect models confined to argument-reachable state
 #: and the heap — both always inside the slice.
@@ -214,56 +222,73 @@ def split_input(
     callee_env,
     referenced_globals: frozenset[str],
 ) -> tuple[tuple, tuple, int]:
-    """Split the mapped input into (key_pairs, passthrough_pairs).
+    """Split the mapped input's rows into (key, passthrough).
 
     Returns ``(key, passthrough, slice_root_count)`` where ``key`` and
-    ``passthrough`` are tuples of ``(src, tgt, definiteness)`` triples
-    in the input's iteration order.
+    ``passthrough`` are tuples of ``(source id, (definite mask,
+    possible mask))`` rows in the input's row order.  Every row lies
+    wholly on one side: the criterion only looks at the source root.
     """
-    triples = list(func_input.triples())
+    table = func_input.table
+    rows = func_input.rows
+    roots = table.roots
+    loc_of = table.loc_of
+    vis = table.vis
 
-    # Group by source root; note which roots have invisible targets
-    # (their pairs can change sub-callee symbolic multiplicities).
-    adjacency: dict[AbsLoc, set[AbsLoc]] = {}
-    tainted_roots: set[AbsLoc] = set()
-    for src, tgt, _ in triples:
-        sroot = src.root()
-        adjacency.setdefault(sroot, set()).add(tgt.root())
-        if not tgt.is_visible_everywhere:
-            tainted_roots.add(sroot)
+    # Per source root: the union of its rows' targets, and whether any
+    # target is invisible (such pairs can change sub-callee symbolic
+    # multiplicities).
+    reach: dict[int, int] = {}
+    tainted: set[int] = set()
+    for sid, (defs, poss) in rows.items():
+        rid = roots[sid]
+        mask = defs | poss
+        reach[rid] = reach.get(rid, 0) | mask
+        if mask & ~vis:
+            tainted.add(rid)
 
     # Seed roots: the formals, the closure-referenced globals, the heap.
+    # A seed the table has never seen has no rows and no referrer, so
+    # it only counts.
     seeds: list[AbsLoc] = [
         callee_env.var_loc(pname) for pname, _ in callee_fn.params
     ]
-    for gname in referenced_globals:
-        seeds.append(global_loc(gname))
+    seeds.extend(global_loc(gname) for gname in referenced_globals)
     seeds.append(HEAP)
+    stack: list[int] = []
+    unseen = 0
+    for seed in seeds:
+        rid = table.get_id(seed)
+        if rid is None:
+            unseen += 1
+        else:
+            stack.append(rid)
 
-    # Transitive closure over the points-to relation.
-    slice_roots: set[AbsLoc] = set()
-    stack = seeds
+    # Transitive closure over the points-to relation, by root id.
+    slice_roots: set[int] = set()
     while stack:
-        root = stack.pop()
-        if root in slice_roots:
+        rid = stack.pop()
+        if rid in slice_roots:
             continue
-        slice_roots.add(root)
-        for tgt_root in adjacency.get(root, ()):
-            if tgt_root not in slice_roots and not (
-                tgt_root.is_null or tgt_root.is_function
+        slice_roots.add(rid)
+        for tid in iter_bits(reach.get(rid, 0)):
+            target_root = roots[tid]
+            if target_root not in slice_roots and not (
+                loc_of(target_root).kind in _NOT_TRAVERSED
             ):
-                stack.append(tgt_root)
+                stack.append(target_root)
 
     key: list = []
     passthrough: list = []
-    for triple in triples:
-        sroot = triple[0].root()
-        if (
-            sroot.kind is LocKind.GLOBAL
-            and sroot not in slice_roots
-            and sroot not in tainted_roots
-        ):
-            passthrough.append(triple)
-        else:
-            key.append(triple)
-    return tuple(key), tuple(passthrough), len(slice_roots)
+    verdicts: dict[int, bool] = {}
+    for row in rows.items():
+        rid = roots[row[0]]
+        inert = verdicts.get(rid)
+        if inert is None:
+            inert = verdicts[rid] = (
+                rid not in slice_roots
+                and rid not in tainted
+                and loc_of(rid).kind is LocKind.GLOBAL
+            )
+        (passthrough if inert else key).append(row)
+    return tuple(key), tuple(passthrough), len(slice_roots) + unseen

@@ -1,13 +1,20 @@
 """Figure 2: invocation graph construction."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.core.analysis import analyze
 from repro.core.invocation_graph import (
+    IGNode,
     IGNodeKind,
     InvocationGraph,
     call_site_count,
+    direct_call_sites,
 )
 from repro.simple import simplify_source
+
+from ..interp.test_golden_digests import corpus
 
 
 def build(source):
@@ -155,3 +162,76 @@ class TestStructure:
         ig = build(source)
         leaf_nodes = [n for n in ig.nodes() if n.func == "leaf"]
         assert len(leaf_nodes) == 2
+
+
+# ---------------------------------------------------------------------------
+# Explicit-stack build and walk, against recursive references
+# ---------------------------------------------------------------------------
+
+
+def recursive_walk(node):
+    yield node
+    for site_children in node.children.values():
+        for child in site_children.values():
+            yield from recursive_walk(child)
+
+
+def recursive_build(program, node):
+    """The static graph under ``node`` as a recursive depth-first build
+    makes it."""
+    for site, callee in direct_call_sites(program.functions[node.func]):
+        if callee not in program.functions:
+            continue
+        partner = next(
+            (n for n in (node, *node.ancestors()) if n.func == callee), None
+        )
+        if partner is not None:
+            partner.kind = IGNodeKind.RECURSIVE
+            node.add_child(
+                site,
+                IGNode(callee, IGNodeKind.APPROXIMATE, rec_partner=partner),
+            )
+        else:
+            recursive_build(program, node.add_child(site, IGNode(callee)))
+    return node
+
+
+def shape(node):
+    """A subtree as nested (func, kind, partner, [(site, child)])."""
+    partner = node.rec_partner.path() if node.rec_partner else None
+    return (
+        node.func,
+        node.kind,
+        partner,
+        [
+            (site, shape(child))
+            for site, site_children in node.children.items()
+            for child in site_children.values()
+        ],
+    )
+
+
+def explicit_stack_programs():
+    programs = dict(corpus())
+    for path in sorted(Path(__file__).parents[2].glob("examples/*.c")):
+        programs[path.name] = path.read_text()
+    return programs
+
+
+PROGRAMS = explicit_stack_programs()
+
+
+def test_explicit_stack_corpus():
+    assert len(PROGRAMS) == 78
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_build_and_walk_match_recursive_references(name):
+    program = simplify_source(PROGRAMS[name])
+    static = InvocationGraph(program)
+    reference = recursive_build(program, IGNode("main"))
+    assert shape(static.root) == shape(reference)
+    assert list(static.root.walk()) == list(recursive_walk(static.root))
+    # After the analysis, with the function-pointer call sites bound.
+    graph = analyze(program).ig
+    assert list(graph.root.walk()) == list(recursive_walk(graph.root))

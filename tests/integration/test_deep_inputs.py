@@ -3,9 +3,10 @@ the recursion limits.
 
 The count tests monkeypatch-count the work of each statement or
 expression walk instead of timing it: typing a long sum, the
-has-calls pass over deeply nested ``if``s, and the invocation graph's
-call-site scans.  Each count is linear in the input, where the old
-walks were quadratic or worse.
+has-calls pass over deeply nested ``if``s, the invocation graph's
+call-site scans, and the location lookups and single-pair adds of the
+call boundary on ``fanout`` and ``relay``.  Each count is linear in
+the input, where the old walks were quadratic or worse.
 
 Inputs deeper than a recursive phase can follow must come back from
 ``handle_request`` as ``{"error": "too_deep", "phase": ...}``, and the
@@ -20,7 +21,7 @@ from collections import Counter
 import pytest
 
 from repro.benchsuite import PERF_BENCHMARKS
-from repro.core import analysis, invocation_graph
+from repro.core import analysis, invocation_graph, locations, pointsto
 from repro.core.analysis import TooDeepError, analyze_source
 from repro.frontend import cast
 from repro.frontend.parser import parse
@@ -136,6 +137,35 @@ def test_call_sites_listed_once_per_function(monkeypatch):
     assert result.ig.node_count() > 10 * len(functions)
     assert set(calls) == functions
     assert set(calls.values()) == {1}
+
+
+def test_call_boundary_moves_rows_not_pairs(monkeypatch):
+    """Map, slice split, memo-hit replay and unmap carry whole bitset
+    rows: analyzing ``fanout`` and ``relay`` looks up a location id or
+    adds a single pair a few thousand times at most (pair at a time,
+    fanout made 135,478 ``id_of`` and 39,813 ``add`` calls, relay
+    over 53,000 ``id_of`` calls)."""
+    id_of = counting(monkeypatch, locations.LocTable, "id_of")
+    add = counting(monkeypatch, pointsto.PointsToSet, "add")
+    analyze_source(PERF_BENCHMARKS["fanout"].source)
+    assert 0 < id_of[None] <= 10_000
+    assert 0 < add[None] <= 1_000
+    id_of.clear()
+    analyze_source(PERF_BENCHMARKS["relay"].source)
+    assert 0 < id_of[None] <= 6_000
+
+
+def test_invocation_graph_of_a_long_chain():
+    """The invocation graph is built and walked on explicit stacks: a
+    2,000-function chain (far past the interpreter's recursion limit)
+    gives 2,001 nodes, one per function, in chain order."""
+    program = simplify_source(chain_program(2000))
+    graph = invocation_graph.InvocationGraph(program)
+    nodes = graph.nodes()
+    assert len(nodes) == graph.node_count() == 2001
+    assert [node.func for node in nodes] == ["main"] + [
+        f"f{i}" for i in range(1, 2001)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,10 @@ class TestDeterminism:
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Renders the check pipeline's SARIF for finding-bearing programs —
-#: a cold full check per program plus one differential check — and
-#: digests the bytes.  Run under different hash seeds by the test.
+#: a cold full check per program, one differential check, and the
+#: CLI's ``check --no-cache --format sarif`` with provenance on, whose
+#: witnesses carry derivation record ids — and digests the bytes.  Run
+#: under different hash seeds by the test.
 SARIF_SCRIPT = """
 import hashlib, json, sys
 from repro.benchsuite import BENCHMARKS
@@ -97,13 +99,39 @@ report = check_diff(
 digests["diff"] = hashlib.sha256(
     render_sarif(report.findings, "diff").encode()
 ).hexdigest()
+
+# The CLI path, provenance on: witnesses carry derivation record ids.
+import contextlib, io, os, tempfile
+from repro.cli import main
+
+os.chdir(tempfile.mkdtemp())
+for name in ("hash", "misr", "sim", "toplev"):
+    path = name + ".c"
+    with open(path, "w") as handle:
+        handle.write(BENCHMARKS[name].source)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check", path, "--no-cache", "--format", "sarif"])
+    text = out.getvalue()
+    digests["cli-" + name] = hashlib.sha256(text.encode()).hexdigest()
 json.dump(digests, sys.stdout)
 """
 
 
-def _sarif_digests(hash_seed: str) -> dict:
+#: Prints ``fanout``'s memo counters.
+MEMO_SCRIPT = """
+import json, sys
+from repro.benchsuite import PERF_BENCHMARKS
+from repro.core.analysis import analyze_source
+
+stats = analyze_source(PERF_BENCHMARKS["fanout"].source).stats
+json.dump({"hits": stats.hits, "lookups": stats.lookups}, sys.stdout)
+"""
+
+
+def _run_script(script: str, hash_seed: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", SARIF_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed, "PATH": ""},
@@ -113,13 +141,14 @@ def _sarif_digests(hash_seed: str) -> dict:
 
 
 class TestCheckDeterminism:
-    """SARIF output byte-identical across hash seeds and runs."""
+    """SARIF output byte-identical across hash seeds and runs, with
+    and without provenance witnesses."""
 
     def test_sarif_stable_across_hash_seeds(self):
-        first = _sarif_digests("0")
-        second = _sarif_digests("424242")
+        first = _run_script(SARIF_SCRIPT, "0")
+        second = _run_script(SARIF_SCRIPT, "424242")
         assert first == second
-        assert len(first) == 5
+        assert len(first) == 9
 
     def test_sarif_stable_across_repeated_runs(self):
         from repro.checkers import render_sarif, run_checkers
@@ -135,3 +164,11 @@ class TestCheckDeterminism:
             for _ in range(3)
         }
         assert len(digests) == 1
+
+
+def test_memo_counters_stable_across_hash_seeds():
+    """How often the call memo hits depends on row order, so it must
+    not depend on the hash seed either."""
+    first = _run_script(MEMO_SCRIPT, "0")
+    assert first == _run_script(MEMO_SCRIPT, "1")
+    assert 0 < first["hits"] < first["lookups"]
