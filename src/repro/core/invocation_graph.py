@@ -243,10 +243,14 @@ class InvocationGraph:
         return "\n".join(lines)
 
     def render(self) -> str:
-        """ASCII rendering of the graph (Figure 2 style)."""
+        """ASCII rendering of the graph (Figure 2 style): one line per
+        node in pre-order, children by call site, indented by depth.
+        Walked on an explicit stack, so a call chain of any depth
+        renders."""
         lines: list[str] = []
-
-        def visit(node: IGNode, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             marker = ""
             if node.kind is IGNodeKind.RECURSIVE:
                 marker = " (R)"
@@ -255,11 +259,12 @@ class InvocationGraph:
                 if node.rec_partner is not None:
                     marker += f" ~> {node.rec_partner.func}"
             lines.append("  " * depth + node.func + marker)
-            for site in sorted(node.children):
-                for child in node.children[site].values():
-                    visit(child, depth + 1)
-
-        visit(self.root, 0)
+            children = [
+                child
+                for site in sorted(node.children)
+                for child in node.children[site].values()
+            ]
+            stack.extend((child, depth + 1) for child in reversed(children))
         return "\n".join(lines)
 
 

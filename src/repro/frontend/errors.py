@@ -2,16 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
 class SourceLoc:
-    """A position in the source text (1-based line and column)."""
+    """A position in the source text (1-based line and column).
 
-    line: int
-    column: int
-    filename: str = "<source>"
+    A value object: equal and hashed by its three fields, and never
+    mutated.  A plain ``__slots__`` class because the lexer builds one
+    per token.
+    """
+
+    __slots__ = ("line", "column", "filename")
+
+    def __init__(self, line: int, column: int, filename: str = "<source>"):
+        self.line = line
+        self.column = column
+        self.filename = filename
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SourceLoc:
+            return NotImplemented
+        return (self.line, self.column, self.filename) == (
+            other.line,
+            other.column,
+            other.filename,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column, self.filename))
+
+    def __repr__(self) -> str:
+        return (
+            f"SourceLoc(line={self.line!r}, column={self.column!r}, "
+            f"filename={self.filename!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

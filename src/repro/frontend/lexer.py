@@ -5,12 +5,15 @@ escapes, and simple preprocessor-line skipping (``#...`` lines are
 ignored — benchmark sources in this repository are self-contained and
 pre-expanded).
 
-One compiled master pattern scans the whole input: each alternative is
-a token class (trivia, identifier, number, punctuator, string,
-character constant), tried in an order that makes the first match the
-longest valid token.  Lines and columns come from the newline
-positions of the trivia the scan skips.  Only malformed input leaves
-the fast path, to :func:`_quoted_error` for a precise diagnostic.
+One compiled master pattern matches once per token: a non-capturing
+prefix skips the trivia (whitespace, comments, column-1 preprocessor
+lines) in front of the token, then one named alternative per token
+class (identifier, number, punctuator, string, character constant,
+end of input), tried in an order that makes the first match the
+longest valid token.  Lines and columns come from the newlines before
+each token's start (no token spans a newline).  Only malformed input
+leaves the fast path, to :func:`_quoted_error` for a precise
+diagnostic.
 """
 
 from __future__ import annotations
@@ -31,28 +34,38 @@ _ESCAPE = (
     r"""|[ntrabfv\\'"?])"""
 )
 
+#: Whitespace, then any run of comments and column-1 preprocessor
+#: lines (with backslash-newline continuations), each followed by
+#: whitespace.  No piece can start another, so the prefix scans
+#: linearly; and since the ``end`` and ``error`` alternatives match
+#: wherever the prefix stops, the token part never makes it backtrack.
+_TRIVIA = (
+    r"[ \t\r\n\f\v]*"
+    r"(?:(?://[^\n]*|/\*[\s\S]*?\*/|^\#(?:\\\n|[^\n])*)[ \t\r\n\f\v]*)*"
+)
+
 _MASTER = re.compile(
-    "|".join(
+    _TRIVIA
+    + "(?:"
+    + "|".join(
         [
-            # Whitespace, comments and column-1 preprocessor lines
-            # (with backslash-newline continuations).
-            r"(?P<trivia>(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[\s\S]*?\*/"
-            r"|^\#(?:\\\n|[^\n])*)+)",
             r"(?P<ident>[^\W\d]\w*)",
             r"(?P<hex>0[xX][0-9a-fA-F]*)[uUlLfF]*",
             r"(?P<float>(?:[0-9]+\.[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
             r"|[0-9]+[eE][+-]?[0-9]+)[uUlLfF]*",
             r"(?P<int>[0-9]+)[uUlLfF]*",
-            # A comment opener the trivia alternative could not close.
+            # A comment opener the trivia prefix could not close.
             r"(?P<open_comment>/\*)",
             "(?P<punct>"
             + "|".join(re.escape(spelling) for spelling, _ in PUNCTUATORS)
             + ")",
             rf'(?P<string>"(?:[^"\\\n]|{_ESCAPE})*")',
             rf"(?P<char>'(?:[^\\\n]|{_ESCAPE})')",
+            r"(?P<end>\Z)",
             r"(?P<error>[\s\S])",
         ]
-    ),
+    )
+    + ")",
     re.MULTILINE,
 )
 
@@ -115,25 +128,30 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
     append = tokens.append
     keywords = KEYWORDS
     punct_kind = _PUNCT_KIND
+    ident_kind = TokenKind.IDENT
+    int_kind = TokenKind.INT_CONST
     line = 1
     line_start = 0
+    # No token spans a newline, so one compare per token finds the
+    # tokens that start on a later line than the one before.
+    next_newline = source.find("\n")
     for match in _MASTER.finditer(source):
         group = match.lastgroup
-        start = match.start()
-        if group == "trivia":
-            newlines = source.count("\n", start, match.end())
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", start, match.end()) + 1
-            continue
+        start = match.start(group)
+        if -1 < next_newline < start:
+            line += source.count("\n", next_newline, start)
+            line_start = source.rindex("\n", next_newline, start) + 1
+            next_newline = source.find("\n", start)
         loc = SourceLoc(line, start - line_start + 1, filename)
         text = match.group(group)
         if group == "ident":
-            append(Token(keywords.get(text, TokenKind.IDENT), text, loc))
+            append(Token(keywords.get(text, ident_kind), text, loc))
         elif group == "punct":
             append(Token(punct_kind[text], text, loc))
         elif group == "int":
-            append(Token(TokenKind.INT_CONST, _int_value(text, loc), loc))
+            append(Token(int_kind, _int_value(text, loc), loc))
+        elif group == "end":
+            break
         elif group == "float":
             append(Token(TokenKind.FLOAT_CONST, float(text), loc))
         elif group == "hex":
@@ -150,6 +168,5 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
             raise LexError(_quoted_error(source, start), loc)
         else:
             raise LexError(f"unexpected character {text!r}", loc)
-    loc = SourceLoc(line, len(source) - line_start + 1, filename)
     append(Token(TokenKind.EOF, "", loc))
     return tokens

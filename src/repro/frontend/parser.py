@@ -11,6 +11,8 @@ raise :class:`ParseError` with the offending source location.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.frontend import cast
 from repro.frontend.ctypes import (
     CHAR,
@@ -32,7 +34,13 @@ from repro.frontend.ctypes import (
 from repro.frontend.errors import ParseError, SourceLoc
 from repro.frontend.lexer import tokenize
 from repro.frontend.symbols import Symbol, SymbolTable
-from repro.frontend.tokens import Token, TokenKind as T
+from repro.frontend.tokens import Token, TokenKind
+
+#: The token kinds as plain attributes.  Reading a member off the Enum
+#: class goes through ``EnumType.__getattr__`` on Python 3.11 and
+#: costs about fifteen times a plain attribute read; the parser reads
+#: one for every kind it tests a token against.
+T = SimpleNamespace(**TokenKind.__members__)
 
 _TYPE_SPECIFIER_KINDS = {
     T.VOID,
@@ -66,26 +74,72 @@ _ASSIGN_OPS = {
     T.RSHIFT_ASSIGN: ">>=",
 }
 
-# Binary operator precedence levels, loosest first.
-_BINARY_LEVELS: list[list[tuple[T, str]]] = [
-    [(T.PIPE_PIPE, "||")],
-    [(T.AMP_AMP, "&&")],
-    [(T.PIPE, "|")],
-    [(T.CARET, "^")],
-    [(T.AMP, "&")],
-    [(T.EQ, "=="), (T.NE, "!=")],
-    [(T.LT, "<"), (T.GT, ">"), (T.LE, "<="), (T.GE, ">=")],
-    [(T.LSHIFT, "<<"), (T.RSHIFT, ">>")],
-    [(T.PLUS, "+"), (T.MINUS, "-")],
-    [(T.STAR, "*"), (T.SLASH, "/"), (T.PERCENT, "%")],
-]
+#: Binary operator -> (precedence level, spelling), loosest level
+#: first.  Every level is left-associative.
+_BINARY_OPS: dict[TokenKind, tuple[int, str]] = {
+    T.PIPE_PIPE: (0, "||"),
+    T.AMP_AMP: (1, "&&"),
+    T.PIPE: (2, "|"),
+    T.CARET: (3, "^"),
+    T.AMP: (4, "&"),
+    T.EQ: (5, "=="),
+    T.NE: (5, "!="),
+    T.LT: (6, "<"),
+    T.GT: (6, ">"),
+    T.LE: (6, "<="),
+    T.GE: (6, ">="),
+    T.LSHIFT: (7, "<<"),
+    T.RSHIFT: (7, ">>"),
+    T.PLUS: (8, "+"),
+    T.MINUS: (8, "-"),
+    T.STAR: (9, "*"),
+    T.SLASH: (9, "/"),
+    T.PERCENT: (9, "%"),
+}
+
+#: Prefix operators whose operand is a cast expression.
+_UNARY_OPS = {
+    T.AMP: "&",
+    T.STAR: "*",
+    T.PLUS: "+",
+    T.MINUS: "-",
+    T.TILDE: "~",
+    T.BANG: "!",
+}
+
+#: Binary operators a constant expression may fold (a zero divisor
+#: leaves it unfolded).
+_CONST_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b if b else None,
+    "%": lambda a, b: a % b if b else None,
+    "<<": lambda a, b: a << b,
+    ">>": lambda a, b: a >> b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b),
+    ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b),
+    ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "||": lambda a, b: int(bool(a) or bool(b)),
+}
 
 
 class Parser:
     """Parses a token stream into a translation unit."""
 
     def __init__(self, source: str, filename: str = "<source>"):
-        self.tokens = tokenize(source, filename)
+        tokens = tokenize(source, filename)
+        # A second EOF lets one-token lookahead index past the end
+        # without a bounds check.
+        tokens.append(tokens[-1])
+        self.tokens = tokens
         self.pos = 0
         self.symtab = SymbolTable()
         self.unit = cast.TranslationUnit()
@@ -96,11 +150,10 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
-    def _at(self, kind: T, offset: int = 0) -> bool:
-        return self._peek(offset).kind is kind
+    def _at(self, kind: TokenKind) -> bool:
+        return self.tokens[self.pos].kind is kind
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -108,7 +161,7 @@ class Parser:
             self.pos += 1
         return tok
 
-    def _expect(self, kind: T) -> Token:
+    def _expect(self, kind: TokenKind) -> Token:
         tok = self._peek()
         if tok.kind is not kind:
             raise ParseError(
@@ -116,7 +169,7 @@ class Parser:
             )
         return self._advance()
 
-    def _accept(self, kind: T) -> Token | None:
+    def _accept(self, kind: TokenKind) -> Token | None:
         if self._at(kind):
             return self._advance()
         return None
@@ -524,27 +577,7 @@ class Parser:
             right = self._eval_const(expr.right)
             if left is None or right is None:
                 return None
-            ops = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: a // b if b else None,
-                "%": lambda a, b: a % b if b else None,
-                "<<": lambda a, b: a << b,
-                ">>": lambda a, b: a >> b,
-                "&": lambda a, b: a & b,
-                "|": lambda a, b: a | b,
-                "^": lambda a, b: a ^ b,
-                "==": lambda a, b: int(a == b),
-                "!=": lambda a, b: int(a != b),
-                "<": lambda a, b: int(a < b),
-                ">": lambda a, b: int(a > b),
-                "<=": lambda a, b: int(a <= b),
-                ">=": lambda a, b: int(a >= b),
-                "&&": lambda a, b: int(bool(a) and bool(b)),
-                "||": lambda a, b: int(bool(a) or bool(b)),
-            }
-            fn = ops.get(expr.op)
+            fn = _CONST_OPS.get(expr.op)
             return fn(left, right) if fn else None
         if isinstance(expr, (cast.SizeofType, cast.SizeofExpr)):
             return 4  # nominal size; layout is irrelevant to the analysis
@@ -757,22 +790,21 @@ class Parser:
         else_expr = self._parse_conditional()
         return cast.Conditional(cond, then_expr, else_expr, loc)
 
-    def _parse_binary(self, level: int) -> cast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_cast()
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int) -> cast.Expr:
+        """A binary expression of operators at ``min_level`` or tighter,
+        by precedence climbing: one call per operator, not one per
+        precedence level per operand."""
+        left = self._parse_cast()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            matched = None
-            for kind, op in _BINARY_LEVELS[level]:
-                if tok.kind is kind:
-                    matched = op
-                    break
-            if matched is None:
+            tok = tokens[self.pos]
+            entry = _BINARY_OPS.get(tok.kind)
+            if entry is None or entry[0] < min_level:
                 return left
-            self._advance()
+            level, op = entry
+            self.pos += 1
             right = self._parse_binary(level + 1)
-            left = cast.Binary(matched, left, right, tok.loc)
+            left = cast.Binary(op, left, right, tok.loc)
 
     def _starts_type_name(self, offset: int = 0) -> bool:
         tok = self._peek(offset)
@@ -808,15 +840,7 @@ class Parser:
                 self._expect(T.RPAREN)
                 return cast.SizeofType(of_type, loc)
             return cast.SizeofExpr(self._parse_unary(), loc)
-        simple_ops = {
-            T.AMP: "&",
-            T.STAR: "*",
-            T.PLUS: "+",
-            T.MINUS: "-",
-            T.TILDE: "~",
-            T.BANG: "!",
-        }
-        op = simple_ops.get(tok.kind)
+        op = _UNARY_OPS.get(tok.kind)
         if op is not None:
             self._advance()
             return cast.Unary(op, self._parse_cast(), loc)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.frontend.errors import SourceLoc
 
@@ -107,6 +106,11 @@ class TokenKind(enum.Enum):
 
     EOF = "end of input"
 
+    # Kinds are singletons compared by identity: hash them by identity
+    # too, in C, rather than by Enum's Python-level name hash, which
+    # every per-token dict or set lookup of the parser would pay.
+    __hash__ = object.__hash__
+
 
 #: Keyword spelling -> TokenKind, for the lexer's identifier post-pass.
 KEYWORDS = {
@@ -198,24 +202,30 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     ``value`` holds the decoded payload: ``int`` for integer/char
     constants, ``float`` for float constants, ``str`` for identifiers and
-    strings, and the spelling for keywords/punctuation.
+    strings, and the spelling for keywords/punctuation.  A plain
+    ``__slots__`` class, never mutated after the lexer builds it.
     """
 
-    kind: TokenKind
-    value: object
-    loc: SourceLoc
+    __slots__ = ("kind", "value", "loc")
+
+    def __init__(self, kind: TokenKind, value: object, loc: SourceLoc):
+        self.kind = kind
+        self.value = value
+        self.loc = loc
 
     @property
     def spelling(self) -> str:
         if isinstance(self.value, str):
             return self.value
         return str(self.value)
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, value={self.value!r}, loc={self.loc!r})"
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.value!r})@{self.loc}"

@@ -26,6 +26,7 @@ of mis-decoding stale payloads.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import asdict
@@ -550,7 +551,19 @@ class DecodedAnalysis:
 
 
 def decode_analysis(payload: dict | bytes | str) -> DecodedAnalysis:
-    """Rebuild a queryable result from an encoded payload."""
-    if isinstance(payload, (bytes, str)):
-        payload = json.loads(payload)
-    return DecodedAnalysis(payload)
+    """Rebuild a queryable result from an encoded payload.
+
+    The cyclic garbage collector is paused meanwhile: the JSON parse
+    and the point sets built from it are tens of thousands of new,
+    acyclic containers, and collecting while they pile up only
+    traverses them again and again.  In a process holding a large
+    heap, those passes took more time than the decode itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(payload, (bytes, str)):
+            payload = json.loads(payload)
+        return DecodedAnalysis(payload)
+    finally:
+        if enabled:
+            gc.enable()

@@ -102,6 +102,8 @@ class _FunctionSimplifier:
         self.blocks: list[list[Stmt]] = []
         #: id(node) -> (node, type); holding the node pins its id.
         self._types: dict[int, tuple[cast.Expr, CType]] = {}
+        #: id(node) -> (node, (side effects, may trap)), likewise.
+        self._hazards: dict[int, tuple[cast.Expr, tuple[bool, bool]]] = {}
 
     # -- emission ------------------------------------------------------
 
@@ -340,35 +342,6 @@ class _FunctionSimplifier:
                 return IndexClass.POSITIVE
         return IndexClass.UNKNOWN
 
-    def _has_side_effects(self, expr: cast.Expr) -> bool:
-        if isinstance(expr, (cast.Assign, cast.Call)):
-            return True
-        if isinstance(expr, cast.Unary):
-            if expr.op in ("++pre", "--pre", "++post", "--post"):
-                return True
-            return self._has_side_effects(expr.operand)
-        if isinstance(expr, cast.Binary):
-            return self._has_side_effects(expr.left) or self._has_side_effects(
-                expr.right
-            )
-        if isinstance(expr, cast.Conditional):
-            return (
-                self._has_side_effects(expr.cond)
-                or self._has_side_effects(expr.then_expr)
-                or self._has_side_effects(expr.else_expr)
-            )
-        if isinstance(expr, cast.Comma):
-            return any(self._has_side_effects(e) for e in expr.exprs)
-        if isinstance(expr, cast.Cast):
-            return self._has_side_effects(expr.operand)
-        if isinstance(expr, cast.Subscript):
-            return self._has_side_effects(expr.base) or self._has_side_effects(
-                expr.index
-            )
-        if isinstance(expr, cast.Member):
-            return self._has_side_effects(expr.base)
-        return False
-
     # -- rvalue lowering -----------------------------------------------
 
     def operand(self, expr: cast.Expr) -> Operand:
@@ -529,42 +502,58 @@ class _FunctionSimplifier:
         self.emit(stmt, expr.loc)
         return Ref(temp)
 
-    def _may_trap(self, expr: cast.Expr) -> bool:
-        """Whether evaluating ``expr`` may fault (dereference, member
-        access through a pointer, indexing) — such expressions must
-        stay behind the short-circuit."""
-        if isinstance(expr, cast.Unary):
-            if expr.op == "*":
-                return True
-            if expr.op == "&":
-                return False  # &e computes an address, no access
-            return self._may_trap(expr.operand)
-        if isinstance(expr, cast.Member):
-            return expr.arrow or self._may_trap(expr.base)
-        if isinstance(expr, cast.Subscript):
-            return True
+    def hazards(self, expr: cast.Expr) -> tuple[bool, bool]:
+        """Whether evaluating ``expr`` has side effects, and whether it
+        may fault (dereference, member access through a pointer,
+        indexing, a call) — such expressions must stay behind a
+        short-circuit.  Computed once per node: ``&&``/``||`` probe
+        their right operand, and re-probing a right-nested chain's
+        tail at every level would be quadratic in its length."""
+        entry = self._hazards.get(id(expr))
+        if entry is None:
+            entry = self._hazards[id(expr)] = (expr, self._hazards_of(expr))
+        return entry[1]
+
+    def _hazards_of(self, expr: cast.Expr) -> tuple[bool, bool]:
         if isinstance(expr, cast.Call):
-            return True
-        if isinstance(expr, cast.Binary):
-            return self._may_trap(expr.left) or self._may_trap(expr.right)
-        if isinstance(expr, cast.Conditional):
-            return (
-                self._may_trap(expr.cond)
-                or self._may_trap(expr.then_expr)
-                or self._may_trap(expr.else_expr)
-            )
+            return True, True
+        if isinstance(expr, cast.Assign):
+            return True, False
+        if isinstance(expr, cast.Unary):
+            effects, traps = self.hazards(expr.operand)
+            if expr.op in ("++pre", "--pre", "++post", "--post"):
+                effects = True
+            elif expr.op == "*":
+                traps = True
+            elif expr.op == "&":
+                traps = False  # &e computes an address, no access
+            return effects, traps
+        if isinstance(expr, cast.Member):
+            effects, traps = self.hazards(expr.base)
+            return effects, expr.arrow or traps
+        if isinstance(expr, cast.Subscript):
+            return self.hazards(expr.base)[0] or self.hazards(expr.index)[0], True
         if isinstance(expr, cast.Cast):
-            return self._may_trap(expr.operand)
-        if isinstance(expr, cast.Comma):
-            return any(self._may_trap(e) for e in expr.exprs)
-        return False
+            return self.hazards(expr.operand)
+        if isinstance(expr, cast.Binary):
+            parts = (expr.left, expr.right)
+        elif isinstance(expr, cast.Conditional):
+            parts = (expr.cond, expr.then_expr, expr.else_expr)
+        elif isinstance(expr, cast.Comma):
+            parts = expr.exprs
+        else:
+            return False, False
+        effects = traps = False
+        for part in parts:
+            part_effects, part_traps = self.hazards(part)
+            effects = effects or part_effects
+            traps = traps or part_traps
+        return effects, traps
 
     def _operand_logical(self, expr: cast.Binary) -> Operand:
         """Short-circuit && and ||, preserving conditional side effects
         and keeping possibly-trapping operands behind the guard."""
-        if not self._has_side_effects(expr.right) and not self._may_trap(
-            expr.right
-        ):
+        if self.hazards(expr.right) == (False, False):
             left = self.operand(expr.left)
             right = self.operand(expr.right)
             temp = self.fresh_temp(INT)
@@ -838,7 +827,7 @@ class _FunctionSimplifier:
             ref, ctype = self.lvalue(expr.operand)
             delta_op = "+" if "++" in expr.op else "-"
             self._emit_incdec(ref, ctype, delta_op, expr.loc)
-        elif self._has_side_effects(expr):
+        elif self.hazards(expr)[0]:
             self.operand(expr)
         # A pure expression statement is a no-op.
 

@@ -14,6 +14,7 @@ from repro.core.invocation_graph import (
 )
 from repro.simple import simplify_source
 
+from ..integration.test_deep_inputs import chain_program
 from ..interp.test_golden_digests import corpus
 
 
@@ -196,6 +197,27 @@ def recursive_build(program, node):
     return node
 
 
+def recursive_render(root):
+    """``InvocationGraph.render`` as the recursive walk printed it."""
+    lines = []
+
+    def visit(node, depth):
+        marker = ""
+        if node.kind is IGNodeKind.RECURSIVE:
+            marker = " (R)"
+        elif node.kind is IGNodeKind.APPROXIMATE:
+            marker = " (A)"
+            if node.rec_partner is not None:
+                marker += f" ~> {node.rec_partner.func}"
+        lines.append("  " * depth + node.func + marker)
+        for site in sorted(node.children):
+            for child in node.children[site].values():
+                visit(child, depth + 1)
+
+    visit(root, 0)
+    return "\n".join(lines)
+
+
 def shape(node):
     """A subtree as nested (func, kind, partner, [(site, child)])."""
     partner = node.rec_partner.path() if node.rec_partner else None
@@ -232,6 +254,16 @@ def test_build_and_walk_match_recursive_references(name):
     reference = recursive_build(program, IGNode("main"))
     assert shape(static.root) == shape(reference)
     assert list(static.root.walk()) == list(recursive_walk(static.root))
+    assert static.render() == recursive_render(static.root)
     # After the analysis, with the function-pointer call sites bound.
     graph = analyze(program).ig
     assert list(graph.root.walk()) == list(recursive_walk(graph.root))
+    assert graph.render() == recursive_render(graph.root)
+
+
+def test_render_of_a_long_chain():
+    """A 2,000-function chain renders one line per function, each one
+    level deeper (the recursive walk runs out of stack long before)."""
+    graph = InvocationGraph(simplify_source(chain_program(2000)))
+    expected = ["main"] + [f"{'  ' * i}f{i}" for i in range(1, 2001)]
+    assert graph.render() == "\n".join(expected)

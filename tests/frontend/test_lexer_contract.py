@@ -15,6 +15,7 @@ Regenerate (and justify the regeneration in CHANGES.md) with::
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,6 +27,7 @@ import pytest
 
 from repro.frontend.errors import LexError
 from repro.frontend.lexer import tokenize
+from repro.frontend.tokens import TokenKind
 
 from tests.interp.test_golden_digests import corpus as golden_corpus
 
@@ -110,6 +112,16 @@ ERRORS += [
 ]
 
 
+#: Long runs of trivia in front of a malformed token.  Trivia is a
+#: prefix of the token pattern, so each of these must still scan
+#: linearly: no retry of the trivia may happen per character.
+ERRORS += [
+    (" " * 10**5 + "/* never closed", "unterminated comment", 1, 100_001),
+    ("/**/" * 10**4 + '"abc', "unterminated string literal", 1, 40_001),
+    ("#define X " + "\\\n" * 10**4 + "\n@", "unexpected character '@'", 10_002, 1),
+]
+
+
 class _TooSlow(Exception):
     pass
 
@@ -118,30 +130,58 @@ def _raise_too_slow(signum, frame):
     raise _TooSlow
 
 
-@pytest.mark.parametrize(
-    "source,message,line,column", ERRORS, ids=[e[1] for e in ERRORS]
-)
-def test_lex_error_pinned(source, message, line, column):
+@contextlib.contextmanager
+def _linear_scan():
     # SIGALRM interrupts a runaway (backtracking) regex match; a linear
-    # scan of any of these sources takes well under a millisecond.
+    # scan of any source pinned here takes well under 100 milliseconds.
     armed = hasattr(signal, "setitimer")
     if armed:
         previous = signal.signal(signal.SIGALRM, _raise_too_slow)
         signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        with pytest.raises(LexError) as info:
-            tokenize(source)
+        yield
     except _TooSlow:
         pytest.fail("tokenize backtracked instead of scanning linearly")
     finally:
         if armed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "source,message,line,column", ERRORS, ids=[e[1] for e in ERRORS]
+)
+def test_lex_error_pinned(source, message, line, column):
+    with _linear_scan(), pytest.raises(LexError) as info:
+        tokenize(source)
     error = info.value
     assert (error.message, error.loc.line, error.loc.column) == (
         message, line, column
     )
     assert str(error) == f"<source>:{line}:{column}: {message}"
+
+
+#: (source, token count, (line, column) of EOF) of well-formed inputs
+#: that are mostly trivia.
+TRIVIA = [
+    ("#define X " + "\\\n" * 10**4 + "\nint x;", 4, (10_002, 7)),
+    ("int x; /* c */ \n // t\n   ", 4, (3, 4)),
+    ("/* only */ // trivia", 1, (1, 21)),
+    ("", 1, (1, 1)),
+    ("\n\n", 1, (3, 1)),
+    (" " * 10**5 + "x" + "\n" * 10**4, 2, (10_001, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "source,count,eof", TRIVIA, ids=[f"trivia{i}" for i in range(len(TRIVIA))]
+)
+def test_trivia_scan_pinned(source, count, eof):
+    with _linear_scan():
+        tokens = tokenize(source)
+    assert len(tokens) == count
+    assert tokens[-1].kind is TokenKind.EOF
+    assert (tokens[-1].loc.line, tokens[-1].loc.column) == eof
 
 
 def test_accepted_edge_tokens_pinned():

@@ -2,11 +2,13 @@
 the recursion limits.
 
 The count tests monkeypatch-count the work of each statement or
-expression walk instead of timing it: typing a long sum, the
-has-calls pass over deeply nested ``if``s, the invocation graph's
-call-site scans, and the location lookups and single-pair adds of the
-call boundary on ``fanout`` and ``relay``.  Each count is linear in
-the input, where the old walks were quadratic or worse.
+expression walk instead of timing it: parsing binary expressions,
+typing a long sum, the side-effect and may-trap probes of a nested
+``&&`` chain, the has-calls pass over deeply nested ``if``s, the
+invocation graph's call-site scans, and the location lookups and
+single-pair adds of the call boundary on ``fanout`` and ``relay``.
+Each count is linear in the input, where the old walks were quadratic
+or worse.
 
 Inputs deeper than a recursive phase can follow must come back from
 ``handle_request`` as ``{"error": "too_deep", "phase": ...}``, and the
@@ -23,12 +25,14 @@ import pytest
 from repro.benchsuite import PERF_BENCHMARKS
 from repro.core import analysis, invocation_graph, locations, pointsto
 from repro.core.analysis import TooDeepError, analyze_source
-from repro.frontend import cast
+from repro.frontend import cast, parser
 from repro.frontend.parser import parse
 from repro.service.commands import SessionCache, handle_request
 from repro.service.store import ResultStore
 from repro.simple import simplify
 from repro.simple.simplify import simplify_program, simplify_source
+
+from tests.interp.test_golden_digests import corpus as golden_corpus
 
 
 def chain_program(depth: int) -> str:
@@ -60,6 +64,26 @@ def sum_program(terms: int) -> str:
     return (
         "int v0, v1, v2, v3, v4, v5, v6, v7;\n"
         f"int main() {{ int s; int *p; s = {total}; p = &s; END: return 0; }}\n"
+    )
+
+
+def logical_chain_program(depth: int) -> str:
+    """``a && (a && (... && a))``: ``depth`` operators, each right
+    operand one parenthesized level deeper."""
+    chain = "a"
+    for _ in range(depth):
+        chain = f"a && ({chain})"
+    return (
+        "int a;\n"
+        f"int main() {{ int x; int *p; x = {chain}; p = &x; END: return 0; }}\n"
+    )
+
+
+def parens_program(depth: int) -> str:
+    """One constant wrapped in ``depth`` pairs of parentheses."""
+    return (
+        "int main() { int x; x = " + "(" * depth + "1" + ")" * depth
+        + "; END: return 0; }"
     )
 
 
@@ -104,6 +128,35 @@ def test_stype_types_each_expression_once(monkeypatch):
     calls = counting(monkeypatch, simplify._FunctionSimplifier, "stype")
     simplify_program(unit)
     assert 0 < calls[None] <= 2 * nodes
+
+
+def test_binary_expressions_parse_in_one_call_per_operator(monkeypatch):
+    """Precedence climbing: one ``_parse_binary`` call per conditional
+    expression plus one per binary operator.  On the cold-suite corpus
+    (the golden corpus minus ``relay`` and ``fanout``), descending one
+    call per precedence level per operand made 122,022 calls."""
+    programs = [
+        source for name, source in golden_corpus().items()
+        if name not in PERF_BENCHMARKS
+    ]
+    assert len(programs) == 74
+    calls = counting(monkeypatch, parser.Parser, "_parse_binary")
+    for source in programs:
+        parse(source)
+    assert 0 < calls[None] <= 20_000
+
+
+def test_logical_chain_probes_each_operand_once(monkeypatch):
+    """``&&``/``||`` ask whether their right operand has side effects
+    or may trap; the answer is kept per node, so a right-nested chain
+    is probed in linear work, not 2n² calls."""
+    depth = 100
+    unit = parse(logical_chain_program(depth))
+    calls = counting(monkeypatch, simplify._FunctionSimplifier, "hazards")
+    program = simplify_program(unit)
+    assert 0 < calls[None] <= 4 * depth + 10
+    result = analysis.analyze(program)
+    assert ("p", "x", "D") in result.triples_at("END")
 
 
 def test_has_calls_touches_each_statement_once(monkeypatch):
@@ -168,6 +221,17 @@ def test_invocation_graph_of_a_long_chain():
     ]
 
 
+def test_deep_parentheses_are_served(tmp_path):
+    """A 100-deep parenthesized expression parses: the parser spends
+    eight frames per level (about 122 levels fit the default stack)."""
+    response = handle_request(
+        {"source": parens_program(100), "query": "labels"},
+        ResultStore(tmp_path),
+        SessionCache(),
+    )
+    assert response["ok"] and set(response["result"]) == {"END"}
+
+
 # ---------------------------------------------------------------------------
 # Structured failure past the recursion limits
 # ---------------------------------------------------------------------------
@@ -176,11 +240,7 @@ TOO_DEEP = [
     ("chain75", chain_program(75), "analyze"),
     ("nested130", nested_program(130), "analyze"),
     ("sum500", sum_program(500), "simplify"),
-    (
-        "parens400",
-        "int main() { int x; x = " + "(" * 400 + "1" + ")" * 400 + "; return 0; }",
-        "parse",
-    ),
+    ("parens400", parens_program(400), "parse"),
 ]
 
 
