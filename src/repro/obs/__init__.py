@@ -22,6 +22,10 @@ wall time *unconditionally* (its ``elapsed`` attribute is the one
 timing source for batch reports and benchmarks) and only additionally
 records a span + histogram entry when tracing is on.
 
+While a tracer is installed, a ``gc.callbacks`` hook records every
+cyclic-collector run into it (collections, pause seconds and objects
+freed, per generation: the snapshot's ``"gc"`` section).
+
 Consumers: ``repro-pta analyze --trace[=json]``, the JSON-lines serve
 loop's ``{"cmd": "metrics"}`` request, and
 ``benchmarks/bench_perf.py``'s ``tracing`` section.  See
@@ -30,6 +34,7 @@ docs/OBSERVABILITY.md for the span taxonomy and schemas.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 
@@ -93,6 +98,27 @@ def traces() -> TraceBuffer:
 def event(kind: str, /, **fields) -> int:
     """Emit one structured event into the process journal."""
     return _journal.emit(kind, **fields)
+
+
+#: perf_counter() at the start of the collection in progress.
+_gc_started = 0.0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """The ``gc.callbacks`` hook: time each collection and record it
+    into the current tracer when one is enabled."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+    elif _current.enabled:
+        _current.record_gc(
+            info["generation"],
+            time.perf_counter() - _gc_started,
+            info["collected"],
+        )
+
+
+gc.callbacks.append(_on_gc)
 
 
 def get_tracer():

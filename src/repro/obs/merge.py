@@ -17,6 +17,8 @@ shape (:meth:`repro.obs.tracer.Tracer.snapshot`):
   associative and commutative (asserted by property tests), so a
   merged histogram equals the histogram of the interleaved
   observation stream regardless of how requests were sharded.
+* **gc** — per generation, field-wise sum of collections, pause
+  seconds and objects collected; present only when some source has it.
 
 All functions work on plain dicts, so worker snapshots can be merged
 straight off the wire without reconstructing tracer objects.
@@ -24,7 +26,7 @@ straight off the wire without reconstructing tracer objects.
 
 from __future__ import annotations
 
-from repro.obs.tracer import Histogram
+from repro.obs.tracer import Histogram, add_gc
 
 __all__ = [
     "fold_snapshot",
@@ -90,12 +92,19 @@ def merge_snapshots(named_snapshots: list[tuple[str, dict]]) -> dict:
         )
         for name in sorted(histogram_names)
     }
-    return {
+    merged = {
         "counters": counters,
         "gauges": gauges,
         "gauge_sources": gauge_sources,
         "histograms": histograms,
     }
+    gc_section: dict = {}
+    for _, snap in named_snapshots:
+        for generation, entry in snap.get("gc", {}).items():
+            add_gc(gc_section, generation, entry)
+    if gc_section:
+        merged["gc"] = dict(sorted(gc_section.items()))
+    return merged
 
 
 def fold_snapshot(tracer, snapshot: dict) -> None:
@@ -115,6 +124,8 @@ def fold_snapshot(tracer, snapshot: dict) -> None:
         if histogram is None:
             histogram = tracer.histograms[name] = Histogram()
         histogram.merge_dict(entry)
+    for generation, entry in snapshot.get("gc", {}).items():
+        add_gc(tracer.gc, generation, entry)
 
 
 def histogram_quantile(histogram: dict, fraction: float) -> float | None:

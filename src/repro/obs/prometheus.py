@@ -10,7 +10,11 @@ Naming conventions (documented in docs/OBSERVABILITY.md):
 * gauges keep their sanitized name;
 * histograms record seconds and expose the conventional
   ``_seconds_bucket{le="..."}`` cumulative series plus
-  ``_seconds_sum`` / ``_seconds_count``.
+  ``_seconds_sum`` / ``_seconds_count``;
+* the snapshot's ``"gc"`` section becomes three counter families
+  labelled by ``generation``: ``repro_gc_collections_total``,
+  ``repro_gc_pause_seconds_total`` and
+  ``repro_gc_collected_objects_total``.
 
 The renderer emits ``# HELP`` / ``# TYPE`` headers per family, and
 :func:`parse_exposition` is a strict well-formedness checker used by
@@ -43,6 +47,14 @@ def sanitize(name: str, namespace: str = "repro") -> str:
     if not _NAME_OK.match(candidate):
         candidate = f"{namespace}_metric"
     return candidate
+
+
+#: (snapshot field, family, help) of the collector series.
+_GC_FAMILIES = (
+    ("collections", "gc_collections_total", "Cyclic collector runs."),
+    ("pause_s", "gc_pause_seconds_total", "Time spent collecting."),
+    ("collected", "gc_collected_objects_total", "Objects the collector freed."),
+)
 
 
 def _format_value(value) -> str:
@@ -80,6 +92,16 @@ def render_prometheus(
         lines.append(f"# HELP {series} Cumulative event count.")
         lines.append(f"# TYPE {series} counter")
         lines.append(f"{series} {_format_value(counters[series])}")
+
+    gc_section = snapshot.get("gc", {})
+    for field, family, help_text in _GC_FAMILIES if gc_section else ():
+        series = f"{namespace}_{family}"
+        lines.append(f"# HELP {series} {help_text}")
+        lines.append(f"# TYPE {series} counter")
+        for generation in sorted(gc_section):
+            label = generation.removeprefix("gen")
+            value = _format_value(gc_section[generation].get(field, 0))
+            lines.append(f'{series}{{generation="{label}"}} {value}')
 
     gauges: dict[str, float] = {}
     for name, value in snapshot.get("gauges", {}).items():

@@ -14,6 +14,11 @@ A :class:`Tracer` records three kinds of runtime signal:
   (``analysis.ig_nodes``).
 * **Histograms** — log-scale latency distributions
   (``service.query``), recorded in seconds.
+* **Collector activity** — per generation, the cyclic garbage
+  collector's collections, pause seconds and objects freed while the
+  tracer was installed (fed by :mod:`repro.obs`'s ``gc.callbacks``
+  hook).  Kept apart from the counters: they depend on the heap's
+  history, not on the work a request did.
 
 A :class:`NullTracer` provides the same interface with every method a
 no-op and ``enabled`` False; it is the default process-wide tracer
@@ -137,6 +142,17 @@ class Histogram:
             )
 
 
+def add_gc(section: dict, generation: str, entry: dict) -> None:
+    """Add one generation's collector figures into a ``"gc"`` section
+    (field-wise sum)."""
+    mine = section.get(generation)
+    if mine is None:
+        section[generation] = dict(entry)
+    else:
+        for field, value in entry.items():
+            mine[field] = mine.get(field, 0) + value
+
+
 class _SpanContext:
     """Context manager opening/closing one span on a tracer."""
 
@@ -172,6 +188,8 @@ class Tracer:
         self.counters: dict[str, int | float] = {}
         self.gauges: dict[str, int | float] = {}
         self.histograms: dict[str, Histogram] = {}
+        #: ``"gen<N>"`` -> {"collections", "pause_s", "collected"}.
+        self.gc: dict[str, dict] = {}
 
     # -- spans -------------------------------------------------------------
 
@@ -232,6 +250,14 @@ class Tracer:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(seconds)
 
+    def record_gc(self, generation: int, seconds: float, collected: int) -> None:
+        """One finished collection of ``generation``."""
+        add_gc(
+            self.gc,
+            f"gen{generation}",
+            {"collections": 1, "pause_s": seconds, "collected": collected},
+        )
+
     # -- reporting ---------------------------------------------------------
 
     def events(self) -> list[dict]:
@@ -239,8 +265,9 @@ class Tracer:
         return [root.to_dict() for root in self.roots]
 
     def snapshot(self) -> dict:
-        """Counters, gauges, and histograms as one JSON-safe dict."""
-        return {
+        """Counters, gauges, and histograms as one JSON-safe dict, plus
+        a ``"gc"`` section once a collection has been recorded."""
+        snapshot = {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
@@ -248,6 +275,12 @@ class Tracer:
                 for name, histogram in sorted(self.histograms.items())
             },
         }
+        if self.gc:
+            snapshot["gc"] = {
+                generation: dict(entry, pause_s=round(entry["pause_s"], 6))
+                for generation, entry in sorted(self.gc.items())
+            }
+        return snapshot
 
     def render(self) -> str:
         """The span forest as an indented text tree with durations."""
@@ -337,6 +370,9 @@ class NullTracer:
         pass
 
     def observe(self, name: str, seconds: float) -> None:
+        pass
+
+    def record_gc(self, generation: int, seconds: float, collected: int) -> None:
         pass
 
     def events(self) -> list[dict]:
