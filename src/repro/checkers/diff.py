@@ -280,11 +280,10 @@ def _resolved_deps(analysis) -> dict[str, set[str]] | None:
     program = getattr(analysis, "program", None)
     if program is not None:
         from repro.core.funcptr import address_taken_functions
-        from repro.core.slices import _scan_function
+        from repro.core.slices import scan_program
 
         taken: list[str] | None = None
-        for func, fn in program.functions.items():
-            scan = _scan_function(fn, program)
+        for func, scan in scan_program(program).items():
             callees = set(scan.callees)
             if scan.has_indirect:
                 if taken is None:

@@ -39,6 +39,7 @@ shipment).
 
 from __future__ import annotations
 
+import gc
 import time
 
 
@@ -69,6 +70,10 @@ def worker_main(
     # Journal events inherited from the parent process (fork) predate
     # this worker — ship only what this worker emits.
     shipped_seq = obs.journal().next_seq
+    # A fork taken while another thread of the parent was inside a
+    # collector pause (repro.service.gcpause) starts with the collector
+    # off, and no end of that pause runs here.
+    gc.enable()
 
     store = ResultStore(store_url)
     sessions = SessionCache(max_sessions)

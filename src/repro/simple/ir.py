@@ -149,6 +149,18 @@ class BasicKind(enum.Enum):
     NOP = "nop"
 
 
+#: The kinds as plain module globals, for hot paths (see ``LocKind``'s
+#: aliases in repro.core.locations).
+COPY_KIND = BasicKind.COPY
+ADDR_KIND = BasicKind.ADDR
+CONST_KIND = BasicKind.CONST
+BINOP_KIND = BasicKind.BINOP
+UNOP_KIND = BasicKind.UNOP
+CALL_KIND = BasicKind.CALL
+ALLOC_KIND = BasicKind.ALLOC
+NOP_KIND = BasicKind.NOP
+
+
 @dataclass
 class BasicStmt(Stmt):
     """A basic statement.
@@ -386,6 +398,13 @@ class SimpleProgram:
     labels: dict[str, tuple[str, int]] = field(init=False)
     #: Function name -> the ids of its statements, in pre-order.
     stmt_ids: dict[str, range] = field(init=False)
+    #: Function name -> its scan (:func:`repro.core.slices.scan_program`),
+    #: made on first use.  A scan reads names only, which nothing
+    #: changes once the program is built (an incremental splice
+    #: renumbers statements but renames nothing).
+    scans: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         next_id = 1
