@@ -150,6 +150,37 @@ class PointsToSet:
                 rows[sid] = (defs, poss | bit)
         return result
 
+    @classmethod
+    def from_indexed_rows(
+        cls,
+        table: LocTable,
+        locs: Sequence[AbsLoc],
+        rows: Sequence[tuple[int, list[int], list[int]]],
+        members: Iterable[int],
+        ids: list[int],
+        decoded: list,
+    ) -> "PointsToSet":
+        """The set of rows ``rows[r]`` for ``r`` in ``members``, each
+        ``(si, [D targets], [P targets])`` of indexes into ``locs``:
+        what :meth:`from_indexed_triples` makes of their sorted triples.
+        ``decoded[r]`` caches row ``r`` (None until needed), so the
+        sets built with one list share their rows."""
+        result = cls(table)
+        for r in members:
+            row = decoded[r]
+            if row is None:
+                si, defs_at, poss_at = rows[r]
+                # Ids in the sorted triples' order: source, targets.
+                for i in (si, *sorted(defs_at + poss_at)):
+                    if ids[i] < 0:
+                        ids[i] = table.id_of(locs[i])
+                row = decoded[r] = ids[si], (
+                    sum(1 << ids[i] for i in defs_at),
+                    sum(1 << ids[i] for i in poss_at),
+                )
+            result._src[row[0]] = row[1]
+        return result
+
     def copy(self) -> "PointsToSet":
         result = object.__new__(PointsToSet)
         result._table = self._table
@@ -362,31 +393,6 @@ class PointsToSet:
 
     def triples(self) -> Iterator[tuple[AbsLoc, AbsLoc, Definiteness]]:
         return row_triples(self._src.items(), self._table)
-
-    def indexed_triples(self, index: Sequence[int], memo: dict) -> list[list]:
-        """The triples as sorted ``[src, tgt, "D"|"P"]`` rows of
-        external indexes, read straight from the bitsets.
-
-        ``index`` maps every location id of :attr:`table` to its
-        external index (a serialized location table's).  ``memo``
-        keeps the encoded rows across calls with the same ``index``:
-        copy-on-write sets share most of their rows, so each distinct
-        row is encoded once and its triples are shared."""
-        encoded = []
-        for row in self._src.items():
-            triples = memo.get(row)
-            if triples is None:
-                sid, (defs, poss) = row
-                src = index[sid]
-                triples = [[src, index[tid], "D"] for tid in iter_bits(defs)]
-                triples.extend(
-                    [src, index[tid], "P"] for tid in iter_bits(poss)
-                )
-                triples.sort()
-                memo[row] = triples
-            encoded.append(triples)
-        encoded.sort(key=lambda triples: triples[0][0])
-        return [triple for triples in encoded for triple in triples]
 
     def locations(self) -> set[AbsLoc]:
         return locations_of((self,))

@@ -34,8 +34,8 @@ from repro.core.analysis import AnalysisOptions, _is_temp_name
 from repro.core.incremental import skeleton
 from repro.core.interproc import MemoStats
 from repro.core.invocation_graph import IGNode, IGNodeKind, InvocationGraph
-from repro.core.locations import AbsLoc, LocKind, LocTable, active_table
-from repro.core.pointsto import PointsToSet, locations_of
+from repro.core.locations import AbsLoc, LocKind, LocTable
+from repro.core.pointsto import PointsToSet, iter_bits, locations_of
 from repro.checkers.facts import CheckFacts, collect_facts
 from repro.core.provenance import CLASSIFICATION, Derivation
 from repro.core.readwrite import ReadWriteSets, function_read_write
@@ -51,10 +51,13 @@ from repro.service.gcpause import gc_paused
 #: plan cold).
 #: v4: Tables 2-6/perf "summaries" section dropped; derive on demand.
 #: v2/v3 payloads still decode (their "summaries" is ignored).
-FORMAT_VERSION = 4
+#: v5: "point_info" spells each shared row and set once
+#: (:func:`_encode_point_info`); "stmt_func" is one ``[start, stop]``
+#: id range per function.
+FORMAT_VERSION = 5
 
 #: Payload versions :class:`DecodedAnalysis` accepts.
-SUPPORTED_VERSIONS = frozenset({2, 3, 4})
+SUPPORTED_VERSIONS = frozenset({2, 3, 4, 5})
 
 #: Version of the *optional* ``"provenance"`` payload section.  The
 #: section is versioned independently: it only appears when the
@@ -89,9 +92,9 @@ class _LocTable:
         return self._index[loc]
 
     def encoding_for(self, table: LocTable) -> tuple[list[int], dict]:
-        """Location id of ``table`` -> index here, and the row memo
-        :meth:`PointsToSet.indexed_triples` shares across the sets of
-        ``table``."""
+        """Location id of ``table`` -> index here, and the memo of
+        encoded rows :func:`_encode_point_info` shares across the sets
+        of ``table``."""
         encoding = self._encodings.get(table)
         if encoding is None:
             get = self._index.get
@@ -112,6 +115,51 @@ def _collect_locations(analysis, readwrite) -> set[AbsLoc]:
         for sets in sets_list:
             locations |= sets.must_write | sets.may_write | sets.reads
     return locations
+
+
+def _encode_point_info(point_info: dict, table: _LocTable) -> dict:
+    """The per-statement point sets as a dictionary: ``rows`` holds
+    each distinct row once, as ``[src, [D targets], [P targets]]`` of
+    location indexes; ``sets`` each distinct set once, as its row ids
+    ordered by source index; ``stmts`` each statement's set id.
+
+    Rows and sets are numbered in order of first appearance over
+    ascending statement ids, keyed by their encoded content, so the
+    bytes do not depend on how the live sets share rows or on which
+    tables they use.  The row memo and the cache of shared row dicts
+    only skip repeated work."""
+    row_ids: dict[tuple, int] = {}
+    set_ids: dict[tuple, int] = {}
+    by_rows: dict[int, int] = {}
+    stmts: dict[str, int] = {}
+    for stmt_id, info in sorted(point_info.items()):
+        set_id = by_rows.get(id(info.rows))
+        if set_id is None:
+            index, memo = table.encoding_for(info.table)
+            encoded = []
+            for row in info.rows.items():
+                content = memo.get(row)
+                if content is None:
+                    sid, (defs, poss) = row
+                    content = memo[row] = (
+                        index[sid],
+                        tuple(sorted(index[t] for t in iter_bits(defs))),
+                        tuple(sorted(index[t] for t in iter_bits(poss))),
+                    )
+                encoded.append(content)
+            encoded.sort()  # sources are distinct: by source index
+            members = tuple(
+                row_ids.setdefault(content, len(row_ids))
+                for content in encoded
+            )
+            set_id = set_ids.setdefault(members, len(set_ids))
+            by_rows[id(info.rows)] = set_id
+        stmts[str(stmt_id)] = set_id
+    return {
+        "rows": [[src, list(defs), list(poss)] for src, defs, poss in row_ids],
+        "sets": [list(members) for members in set_ids],
+        "stmts": stmts,
+    }
 
 
 def _encode_ig(ig) -> list:
@@ -233,16 +281,10 @@ def encode_analysis(
             for label, (func, stmt_id) in sorted(program.labels.items())
         },
         "stmt_func": {
-            str(stmt_id): name
+            name: [stmt_ids.start, stmt_ids.stop]
             for name, stmt_ids in program.stmt_ids.items()
-            for stmt_id in stmt_ids
         },
-        "point_info": {
-            str(stmt_id): info.indexed_triples(
-                *table.encoding_for(info.table)
-            )
-            for stmt_id, info in sorted(analysis.point_info.items())
-        },
+        "point_info": _encode_point_info(analysis.point_info, table),
         "ig": _encode_ig(analysis.ig),
         "scopes": _encode_scopes(analysis),
         "globals": sorted(program.global_types),
@@ -428,17 +470,29 @@ class DecodedAnalysis:
             label: (func, stmt_id)
             for label, (func, stmt_id) in payload["labels"].items()
         }
-        self._stmt_func = {
-            int(stmt_id): func
-            for stmt_id, func in payload["stmt_func"].items()
-        }
-        table, ids = active_table(), [-1] * len(self._locs)
-        self.point_info: dict[int, PointsToSet] = {
-            int(stmt_id): PointsToSet.from_indexed_triples(
-                table, self._locs, triples, ids
-            )
-            for stmt_id, triples in payload["point_info"].items()
-        }
+        stmt_func, point_info = payload["stmt_func"], payload["point_info"]
+        # Each decoded artifact gets its own table, as each run does.
+        locs, table, ids = self._locs, LocTable(), [-1] * len(self._locs)
+        if version < 5:
+            self._stmt_func = {int(i): f for i, f in stmt_func.items()}
+            self.point_info: dict[int, PointsToSet] = {
+                int(i): PointsToSet.from_indexed_triples(table, locs, t, ids)
+                for i, t in point_info.items()
+            }
+        else:
+            self._stmt_func = {
+                i: f for f, span in stmt_func.items() for i in range(*span)
+            }
+            self.point_info = {}
+            rows, sets = point_info["rows"], point_info["sets"]
+            decoded, built = [None] * len(rows), {}
+            for stmt_id, set_id in point_info["stmts"].items():
+                pts = built.get(set_id)
+                if pts is None:
+                    pts = built[set_id] = PointsToSet.from_indexed_rows(
+                        table, locs, rows, sets[set_id], ids, decoded
+                    )
+                self.point_info[int(stmt_id)] = pts.copy()
         self.ig = _decode_ig(payload["ig"])
         self.scopes: dict[str, dict] = payload["scopes"]
         self.globals: list[str] = payload["globals"]

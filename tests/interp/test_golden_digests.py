@@ -7,11 +7,13 @@ sha256 digests:
 
 * ``payload``: the *v3 view* of
   :func:`repro.service.serialize.semantic_payload_bytes` — the encoded
-  artifact minus the run-shape counters, stamped ``format_version: 3``
-  and carrying the Tables 2-6 ``summaries`` section that v3 artifacts
-  shipped, now derived from the live analysis on demand.  The digests
-  were frozen from v3 artifacts; the view pins every byte of the v4
-  artifact *and* the on-demand tables against them;
+  artifact minus the run-shape counters, expanded from the v5 row and
+  set dictionary to the v4 layout (:func:`v4_payload`), stamped
+  ``format_version: 3`` and carrying the Tables 2-6 ``summaries``
+  section that v3 artifacts shipped, now derived from the live analysis
+  on demand.  The digests were frozen from v3 artifacts; the view pins
+  every byte of the v5 artifact *and* the on-demand tables against
+  them;
 * ``answers``: the query answers ``list_labels``, ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
 
@@ -79,10 +81,37 @@ TABLES = {
 }
 
 
+def v4_payload(payload: dict) -> dict:
+    """A v5 payload in the v4 layout: ``point_info`` spelled out as
+    each statement's sorted ``[src, tgt, "D"|"P"]`` triples and
+    ``stmt_func`` as one entry per statement id."""
+    info = payload["point_info"]
+    rows = [
+        sorted([[src, t, "D"] for t in defs] + [[src, t, "P"] for t in poss])
+        for src, defs, poss in info["rows"]
+    ]
+    return dict(
+        payload,
+        format_version=4,
+        point_info={
+            stmt_id: [
+                triple for r in info["sets"][set_id] for triple in rows[r]
+            ]
+            for stmt_id, set_id in info["stmts"].items()
+        },
+        stmt_func={
+            str(stmt_id): func
+            for func, (start, stop) in payload["stmt_func"].items()
+            for stmt_id in range(start, stop)
+        },
+    )
+
+
 def v3_view(analysis, name: str) -> bytes:
-    """The semantic payload as a v3 artifact encoded it: the v4 bytes
-    plus the Tables 2-6 ``summaries`` section, under version 3."""
-    payload = json.loads(semantic_payload_bytes(analysis, name))
+    """The semantic payload as a v3 artifact encoded it: the v4 view of
+    the v5 bytes plus the Tables 2-6 ``summaries`` section, under
+    version 3."""
+    payload = v4_payload(json.loads(semantic_payload_bytes(analysis, name)))
     payload["format_version"] = 3
     payload["summaries"] = {
         key: asdict(collect(analysis, name)) for key, collect in TABLES.items()

@@ -21,10 +21,12 @@ import weakref
 
 import pytest
 
+from repro.core import locations
 from repro.core.analysis import analyze_source
 from repro.frontend import ctypes
 from repro.service.commands import SessionCache, handle_request
 from repro.service.gcpause import gc_paused
+from repro.service.serialize import decode_analysis, encode_analysis_bytes
 from repro.service.store import ResultStore
 
 from tests.interp.test_golden_digests import corpus
@@ -120,6 +122,21 @@ def test_a_dropped_analysis_is_freed_without_the_collector():
         assert partner() is None
         assert env() is None
         assert result() is None
+
+
+def test_decoding_leaves_the_fallback_table_alone():
+    """Each decoded artifact binds its sets to a table of its own, so
+    decoding and dropping results never grows the process-wide table
+    that sets made outside a run share."""
+    artifacts = [
+        encode_analysis_bytes(analyze_source(source))
+        for source in corpus().values()
+    ]
+    before = len(locations._FALLBACK_TABLE)
+    for _ in range(3):
+        decoded = [decode_analysis(artifact) for artifact in artifacts]
+        del decoded
+    assert len(locations._FALLBACK_TABLE) == before
 
 
 def test_back_edges_do_not_outlive_the_tree():

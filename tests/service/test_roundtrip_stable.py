@@ -2,9 +2,11 @@
 
 The store's content addressing only works if encoding the same
 analysis always produces the same bytes — across processes, hash
-seeds, and repeated runs.  This drives the full benchmark suite
-through ``encode_analysis_bytes`` in two separate interpreters with
-different ``PYTHONHASHSEED`` values and compares digests.
+seeds, and repeated runs.  This drives the 76-program golden corpus
+(the suite, ``livc``, the perfsuite's ``relay``/``fanout`` and the
+soundness-fuzz programs, which share the most rows) through
+``encode_analysis_bytes`` in two separate interpreters with different
+``PYTHONHASHSEED`` values and compares digests.
 """
 
 import hashlib
@@ -13,17 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
 
 DIGEST_SCRIPT = """
 import hashlib, json, sys
-from repro.benchsuite import BENCHMARKS
 from repro.core.analysis import analyze_source
 from repro.service.serialize import encode_analysis_bytes
+from tests.interp.test_golden_digests import corpus
 
 digests = {}
-for name in sorted(BENCHMARKS):
-    source = BENCHMARKS[name].source
+for name, source in corpus().items():
     payload = encode_analysis_bytes(
         analyze_source(source, filename=name), name=name, source=source
     )
@@ -37,7 +38,11 @@ def suite_digests(hash_seed: str) -> dict:
         [sys.executable, "-c", DIGEST_SCRIPT],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed, "PATH": ""},
+        env={
+            "PYTHONPATH": f"{ROOT / 'src'}:{ROOT}",
+            "PYTHONHASHSEED": hash_seed,
+            "PATH": "",
+        },
         check=True,
     )
     return json.loads(proc.stdout)
@@ -47,7 +52,7 @@ def test_suite_encoding_stable_across_processes():
     first = suite_digests("0")
     second = suite_digests("424242")
     assert first == second
-    assert len(first) >= 10  # really covered the suite
+    assert len(first) == 76  # really covered the corpus
 
 
 def test_repeated_encoding_in_one_process_stable():

@@ -13,10 +13,13 @@ from repro.service.queries import QueryError, QuerySession
 from repro.service.serialize import (
     FORMAT_VERSION,
     SUPPORTED_VERSIONS,
+    canonical_json,
     decode_analysis,
     encode_analysis,
     encode_analysis_bytes,
 )
+
+from tests.interp.test_golden_digests import corpus, v4_payload
 
 SAMPLE = """
 int g;
@@ -119,7 +122,7 @@ class TestRoundTrip:
         # and the tables derive on demand from the analysis.
         analysis, decoded = roundtrip(SAMPLE)
         payload = encode_analysis(analysis, name="t", source=SAMPLE)
-        assert payload["format_version"] == FORMAT_VERSION == 4
+        assert payload["format_version"] == FORMAT_VERSION == 5
         assert "summaries" not in payload
         assert not hasattr(decoded, "summaries")
 
@@ -176,15 +179,15 @@ def _answers(session: QuerySession, queries: list[str]) -> list:
 
 class TestOlderVersions:
     def test_supported_versions(self):
-        assert SUPPORTED_VERSIONS == {2, 3, 4}
+        assert SUPPORTED_VERSIONS == {2, 3, 4, 5}
 
     def test_v3_payload_with_summaries_answers_every_query_kind(self):
         with perf.configured(track_provenance=True):
             analysis = analyze_source(DISPATCH)
         payload = encode_analysis(analysis, name="t", source=DISPATCH)
-        # A v3 artifact: same layout plus the summaries section the
+        # A v3 artifact: the v4 layout plus the summaries section the
         # decoder now ignores.
-        v3 = dict(payload, format_version=3)
+        v3 = dict(v4_payload(payload), format_version=3)
         v3["summaries"] = {
             "table6": {"ig_nodes": analysis.ig.node_count()},
             "perf": {"statements": analysis.program.count_basic_stmts()},
@@ -230,10 +233,9 @@ def test_decoded_point_sets_match_from_triples_over_the_golden_corpus():
     gives."""
     from repro.core.locations import AbsLoc, LocKind, LocTable, install_table
     from repro.core.pointsto import D, P, PointsToSet
-    from tests.interp.test_golden_digests import corpus
 
     for name, source in corpus().items():
-        payload = json.loads(encode_analysis_bytes(analyze_source(source)))
+        payload = _v4_artifact(encode_analysis_bytes(analyze_source(source)))
         locs = [
             AbsLoc(base, LocKind(kind), func, tuple(path))
             for base, kind, func, path in payload["locations"]
@@ -267,3 +269,35 @@ def test_decoded_point_sets_match_from_triples_over_the_golden_corpus():
         assert [decoded_table.loc_of(i) for i in range(len(decoded_table))] == [
             reference_table.loc_of(i) for i in range(len(reference_table))
         ], name
+
+
+def _v4_artifact(v5_bytes: bytes) -> dict:
+    """The v4 form of an artifact, read back through JSON text as a
+    stored v4 artifact would be."""
+    return json.loads(canonical_json(v4_payload(json.loads(v5_bytes))))
+
+
+def _table_locations(decoded) -> list:
+    (table,) = {pts.table for pts in decoded.point_info.values()}
+    return [table.loc_of(i) for i in range(len(table))]
+
+
+def test_v4_and_v5_forms_decode_alike_over_the_golden_corpus():
+    """Decoding the row and set dictionary gives the sets, row order,
+    table ids and statement owners the spelled-out v4 triples give,
+    and statements that share a set id share one row dict."""
+    for name, source in corpus().items():
+        v5_bytes = encode_analysis_bytes(analyze_source(source))
+        new = decode_analysis(v5_bytes)
+        old = decode_analysis(_v4_artifact(v5_bytes))
+        assert list(new.point_info) == list(old.point_info), name
+        for stmt_id, expected in old.point_info.items():
+            assert list(new.point_info[stmt_id].rows.items()) == list(
+                expected.rows.items()
+            ), (name, stmt_id)
+        assert _table_locations(new) == _table_locations(old), name
+        assert new._stmt_func == old._stmt_func, name
+        shared = {}
+        for stmt_id, set_id in new.payload["point_info"]["stmts"].items():
+            rows = new.point_info[int(stmt_id)].rows
+            assert shared.setdefault(set_id, rows) is rows, (name, stmt_id)
