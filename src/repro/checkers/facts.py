@@ -17,19 +17,21 @@ each function's exit points so the leak checker needs no live matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.frontend.ctypes import PointerType, decay
 from repro.simple.ir import (
+    ALLOC_KIND,
+    CALL_KIND,
+    COPY_KIND,
+    NOP_KIND,
     AddrOf,
-    BasicKind,
     BasicStmt,
     Ref,
     SDoWhile,
     SFor,
     SReturn,
     SWhile,
-    iter_stmts,
+    child_stmts,
 )
 
 #: Schema version of the encoded section (independent of the payload's
@@ -197,78 +199,39 @@ def _is_pointer_var(program, func: str, name: str) -> bool:
     return isinstance(decay(ctype), PointerType)
 
 
-def _operands(stmt: BasicStmt) -> Iterable:
-    if stmt.rvalue is not None:
-        yield stmt.rvalue
-    yield from stmt.operands
-    yield from stmt.args
-
-
-def _assigned_names(fn) -> set[str]:
-    """Variables that are assigned, address-taken (so a callee may
-    write them), or parameters — everything the uninitialized-use
-    checker should *not* flag."""
-    assigned = set(fn.param_names)
-    for stmt in fn.iter_stmts():
-        if not isinstance(stmt, BasicStmt):
-            continue
-        if stmt.lhs is not None and not stmt.lhs.deref:
-            assigned.add(stmt.lhs.base)
-        for op in _operands(stmt):
-            if isinstance(op, AddrOf):
-                assigned.add(op.ref.base)
-    return assigned
-
-
-def _chase_temp(fn, name: str) -> str | None:
+def _chase_temp(copies: dict[str, str], name: str) -> str | None:
     """The user variable an allocation lands in: casts lower
     ``h = (int *) malloc(4)`` to ``__t = malloc(4); h = __t`` — follow
-    the copy chain out of lowering temps (None if it dead-ends)."""
+    the copy chain out of lowering temps (None if it dead-ends).
+    ``copies`` maps a variable to the variable its first plain copy in
+    the function assigns it to."""
     from repro.core.analysis import _is_temp_name
 
     for _ in range(4):  # copy chains from lowering are short
         if not _is_temp_name(name):
             return name
-        for stmt in fn.iter_stmts():
-            if (
-                isinstance(stmt, BasicStmt)
-                and stmt.kind is BasicKind.COPY
-                and isinstance(stmt.rvalue, Ref)
-                and stmt.rvalue.is_plain_var
-                and stmt.rvalue.base == name
-                and stmt.lhs is not None
-                and stmt.lhs.is_plain_var
-            ):
-                name = stmt.lhs.base
-                break
-        else:
+        name = copies.get(name)
+        if name is None:
             return None
     return None if _is_temp_name(name) else name
 
 
-def _loop_stmt_ids(loop) -> tuple[int, ...]:
-    """Basic statements re-executed on every iteration: the body, the
-    condition re-evaluation, and (for ``for``) the step."""
-    blocks = [loop.body, loop.cond_eval]
+def _loop_parts(loop) -> list:
+    """The blocks a loop re-executes on every iteration, in the order
+    its facts list their statements: the body, the condition
+    re-evaluation, and (for ``for``) the step."""
+    parts = [loop.body, loop.cond_eval]
     if isinstance(loop, SFor):
-        blocks.append(loop.step)
-    ids = []
-    for block in blocks:
-        if block is None:
-            continue
-        for stmt in iter_stmts(block):
-            if isinstance(stmt, BasicStmt) and stmt.kind is not BasicKind.NOP:
-                ids.append(stmt.stmt_id)
-            elif isinstance(stmt, SReturn):
-                ids.append(stmt.stmt_id)
-    return tuple(dict.fromkeys(ids))
+        parts.append(loop.step)
+    return [part for part in parts if part is not None]
 
 
-def _heap_alive(analysis, funcs_with_allocs: set[str]) -> dict[str, bool]:
-    """Per allocating function: does any heap-directed relationship
-    survive to some exit point?  Functions without an explicit
-    ``return`` read as alive (we never see their exit state)."""
-    if not funcs_with_allocs:
+def _heap_alive(analysis, exits: dict[str, list]) -> dict[str, bool]:
+    """Per allocating function (the keys of ``exits``, each with its
+    ``return`` statements): does any heap-directed relationship survive
+    to some exit point?  Functions without an explicit ``return`` read
+    as alive (we never see their exit state)."""
+    if not exits:
         return {}
     from repro.core.analysis import _is_temp_name
     from repro.core.heapconn import HeapConnectionAnalysis
@@ -279,17 +242,13 @@ def _heap_alive(analysis, funcs_with_allocs: set[str]) -> dict[str, bool]:
     # the differential engine restricts this to the dirty set.
     heap = HeapConnectionAnalysis(analysis)
     alive_map: dict[str, bool] = {}
-    for func in sorted(funcs_with_allocs):
-        fn = analysis.program.functions.get(func)
-        if fn is None:
-            continue
+    for func in sorted(exits):
         heap.analyze_function(func)
-        exits = [s for s in fn.iter_stmts() if isinstance(s, SReturn)]
-        if not exits:
+        if not exits[func]:
             alive_map[func] = True
             continue
         alive = False
-        for stmt in exits:
+        for stmt in exits[func]:
             matrix = heap.point_info.get(stmt.stmt_id)
             if matrix is None:
                 continue
@@ -300,6 +259,153 @@ def _heap_alive(analysis, funcs_with_allocs: set[str]) -> dict[str, bool]:
                 break
         alive_map[func] = alive
     return alive_map
+
+
+def _function_facts(program, fname: str, fn, facts: CheckFacts) -> list | None:
+    """Add ``fn``'s facts to ``facts`` from one walk of its body.
+    Returns its ``return`` statements when it allocates, else None.
+
+    Whatever needs the whole function first — which names are ever
+    assigned, where a lowering temp is copied, the statements of each
+    loop — is gathered during the walk and applied after it."""
+    # Variables assigned, address-taken (so a callee may write them)
+    # or parameters: the uninitialized-use checker skips them.
+    assigned = set(fn.param_names)
+    copies: dict[str, str] = {}  # see _chase_temp
+    pointers: dict[str, bool] = {}
+    uses: list[tuple] = []  # UseSite fields but ``assigned``
+    allocs: list[tuple] = []  # (stmt, line, receiving variable)
+    exits: list[SReturn] = []
+    loops: list = []
+    # The ids of the statements a loop re-executes (basic but ``nop``,
+    # and returns) in walk order; each loop part's are a slice of it,
+    # ``spans[id(part)]``, closed when the walk leaves the part.
+    repeated: list[int] = []
+    spans: dict[int, list[int] | None] = {}
+
+    def is_pointer(name: str) -> bool:
+        pointer = pointers.get(name)
+        if pointer is None:
+            pointer = pointers[name] = _is_pointer_var(program, fname, name)
+        return pointer
+
+    lines = facts.lines
+    derefs = facts.derefs
+    stack: list = [fn.body]
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, BasicStmt):
+            stmt_id = stmt.stmt_id
+            line = stmt.loc.line
+            lines[stmt_id] = line
+            kind = stmt.kind
+            if kind is not NOP_KIND:
+                repeated.append(stmt_id)
+            lhs = stmt.lhs
+            if lhs is not None:
+                if lhs.deref:
+                    derefs.append(
+                        DerefSite(stmt_id, fname, lhs.base, line, write=True)
+                    )
+                else:
+                    assigned.add(lhs.base)
+            rvalue = stmt.rvalue
+            for op in (rvalue, *stmt.operands, *stmt.args):
+                if isinstance(op, Ref):
+                    # AddrOf never loads memory (&(*p).f computes an
+                    # address), so it is not a dereference site.
+                    if op.deref:
+                        derefs.append(
+                            DerefSite(stmt_id, fname, op.base, line,
+                                      write=False)
+                        )
+                elif isinstance(op, AddrOf):
+                    assigned.add(op.ref.base)
+
+            if kind is CALL_KIND and stmt.callee_ptr is not None:
+                # An indirect call loads the function-pointer variable.
+                derefs.append(
+                    DerefSite(stmt_id, fname, stmt.callee_ptr, line,
+                              write=False)
+                )
+            elif kind is ALLOC_KIND:
+                name = lhs.base if lhs is not None and lhs.is_plain_var \
+                    else None
+                allocs.append((stmt_id, line, name))
+            elif kind is COPY_KIND and isinstance(rvalue, Ref) \
+                    and rvalue.is_plain_var:
+                if lhs is not None and lhs.is_plain_var:
+                    copies.setdefault(rvalue.base, lhs.base)
+                if is_pointer(rvalue.base):
+                    uses.append((stmt_id, rvalue.base, line, USE_COPY))
+            for arg in stmt.args:
+                if isinstance(arg, Ref) and arg.is_plain_var and \
+                        is_pointer(arg.base):
+                    uses.append((stmt_id, arg.base, line, USE_ARG))
+            continue
+
+        if isinstance(stmt, SReturn):
+            stmt_id = stmt.stmt_id
+            line = stmt.loc.line
+            lines[stmt_id] = line
+            repeated.append(stmt_id)
+            exits.append(stmt)
+            value = stmt.value
+            if value is None:
+                continue
+            name = addr = None
+            if isinstance(value, Ref):
+                if value.deref:
+                    derefs.append(
+                        DerefSite(stmt_id, fname, value.base, line,
+                                  write=False)
+                    )
+                elif value.is_plain_var:
+                    name = value.base
+                    if is_pointer(name):
+                        uses.append((stmt_id, name, line, USE_RETURN))
+            elif isinstance(value, AddrOf):
+                addr = value.ref.base
+            facts.returns.append(
+                ReturnSite(stmt_id, fname, line, name, addr,
+                           fn.return_type.involves_pointers())
+            )
+            continue
+
+        if isinstance(stmt, list):  # the end of a loop part
+            stmt[1] = len(repeated)
+            continue
+        if isinstance(stmt, (SWhile, SDoWhile, SFor)):
+            loops.append(stmt)
+            for part in _loop_parts(stmt):
+                spans[id(part)] = None
+        elif id(stmt) in spans:
+            span = spans[id(stmt)] = [len(repeated), 0]
+            stack.append(span)
+        stack.extend(reversed(child_stmts(stmt)))
+
+    for stmt_id, name, line, kind in uses:
+        facts.uses.append(
+            UseSite(stmt_id, fname, name, line, kind, name in assigned)
+        )
+    for stmt_id, line, name in allocs:
+        if name is not None:
+            name = _chase_temp(copies, name)
+        facts.allocs.append(AllocSite(stmt_id, fname, line, name))
+    # Loop sites last: their fallback line (structured statements
+    # often carry NO_LOC) needs the body lines.
+    for loop in loops:
+        body_ids = tuple(
+            stmt_id
+            for part in _loop_parts(loop)
+            for stmt_id in repeated[slice(*spans[id(part)])]
+        )
+        if not body_ids:
+            continue
+        body_lines = [lines[s] for s in body_ids if lines.get(s)]
+        line = loop.loc.line or (min(body_lines) if body_lines else 0)
+        facts.loops.append(LoopSite(fname, line, body_ids))
+    return exits if allocs else None
 
 
 def collect_facts(analysis, funcs=None) -> CheckFacts:
@@ -313,110 +419,25 @@ def collect_facts(analysis, funcs=None) -> CheckFacts:
     """
     program = analysis.program
     facts = CheckFacts()
-    funcs_with_allocs: set[str] = set()
-
     names = sorted(program.functions) if funcs is None else sorted(
         set(funcs) & set(program.functions)
     )
+    exits: dict[str, list] = {}
     for fname in names:
-        fn = program.functions[fname]
-        assigned = _assigned_names(fn)
-        loop_nodes = []
+        found = _function_facts(
+            program, fname, program.functions[fname], facts
+        )
+        if found is not None:
+            exits[fname] = found
+    facts.heap_alive = _heap_alive(analysis, exits)
+    return facts
 
-        for stmt in fn.iter_stmts():
-            if isinstance(stmt, (SWhile, SDoWhile, SFor)):
-                loop_nodes.append(stmt)
-                continue
 
-            if isinstance(stmt, SReturn):
-                line = stmt.loc.line
-                facts.lines[stmt.stmt_id] = line
-                value = stmt.value
-                if value is None:
-                    continue
-                ptr = fn.return_type.involves_pointers()
-                name = addr = None
-                if isinstance(value, Ref):
-                    if value.deref:
-                        facts.derefs.append(
-                            DerefSite(stmt.stmt_id, fname, value.base,
-                                      line, write=False)
-                        )
-                    elif value.is_plain_var:
-                        name = value.base
-                        if _is_pointer_var(program, fname, name):
-                            facts.uses.append(
-                                UseSite(stmt.stmt_id, fname, name, line,
-                                        USE_RETURN, name in assigned)
-                            )
-                elif isinstance(value, AddrOf):
-                    addr = value.ref.base
-                facts.returns.append(
-                    ReturnSite(stmt.stmt_id, fname, line, name, addr, ptr)
-                )
-                continue
-
-            if not isinstance(stmt, BasicStmt):
-                continue
-            line = stmt.loc.line
-            facts.lines[stmt.stmt_id] = line
-
-            if stmt.lhs is not None and stmt.lhs.deref:
-                facts.derefs.append(
-                    DerefSite(stmt.stmt_id, fname, stmt.lhs.base, line,
-                              write=True)
-                )
-            for op in _operands(stmt):
-                # AddrOf never loads memory (&(*p).f computes an
-                # address), so it is not a dereference site.
-                if isinstance(op, Ref) and op.deref:
-                    facts.derefs.append(
-                        DerefSite(stmt.stmt_id, fname, op.base, line,
-                                  write=False)
-                    )
-
-            if stmt.kind is BasicKind.CALL and stmt.callee_ptr is not None:
-                # An indirect call loads the function-pointer variable.
-                facts.derefs.append(
-                    DerefSite(stmt.stmt_id, fname, stmt.callee_ptr, line,
-                              write=False)
-                )
-
-            if stmt.kind is BasicKind.ALLOC:
-                funcs_with_allocs.add(fname)
-                name = None
-                if stmt.lhs is not None and stmt.lhs.is_plain_var:
-                    name = _chase_temp(fn, stmt.lhs.base)
-                facts.allocs.append(
-                    AllocSite(stmt.stmt_id, fname, line, name)
-                )
-
-            if stmt.kind is BasicKind.COPY and isinstance(stmt.rvalue, Ref):
-                ref = stmt.rvalue
-                if ref.is_plain_var and _is_pointer_var(program, fname,
-                                                        ref.base):
-                    facts.uses.append(
-                        UseSite(stmt.stmt_id, fname, ref.base, line,
-                                USE_COPY, ref.base in assigned)
-                    )
-            for arg in stmt.args:
-                if isinstance(arg, Ref) and arg.is_plain_var and \
-                        _is_pointer_var(program, fname, arg.base):
-                    facts.uses.append(
-                        UseSite(stmt.stmt_id, fname, arg.base, line,
-                                USE_ARG, arg.base in assigned)
-                    )
-
-        # Loop sites last: their fallback line (structured statements
-        # often carry NO_LOC) needs the body lines collected above.
-        for loop in loop_nodes:
-            body_ids = _loop_stmt_ids(loop)
-            if not body_ids:
-                continue
-            body_lines = [facts.lines[s] for s in body_ids
-                          if facts.lines.get(s)]
-            line = loop.loc.line or (min(body_lines) if body_lines else 0)
-            facts.loops.append(LoopSite(fname, line, body_ids))
-
-    facts.heap_alive = _heap_alive(analysis, funcs_with_allocs)
+def analysis_facts(analysis) -> CheckFacts:
+    """:func:`collect_facts` of a whole live analysis, extracted once
+    and kept on the analysis: the encoder and a checker run on the same
+    cold request share one extraction.  Read it, never change it."""
+    facts = getattr(analysis, "_checkfacts", None)
+    if facts is None:
+        facts = analysis._checkfacts = collect_facts(analysis)
     return facts

@@ -32,7 +32,7 @@ from repro.checkers.base import (
     Finding,
     register,
 )
-from repro.checkers.facts import collect_facts
+from repro.checkers.facts import analysis_facts
 
 #: Checker id of the unused-suppression notes (they ride the registry
 #: so SARIF rule metadata and ``--checkers`` selection apply to them).
@@ -87,9 +87,10 @@ def run_checkers(
     """Run checkers over a live or decoded analysis.
 
     ``facts`` defaults to the payload's decoded section on a cached
-    result and to a fresh :func:`collect_facts` extraction on a live
-    one.  ``source`` enables ``// repro-ignore`` suppressions (and,
-    unless ``unused_suppressions=False``, notes for suppressions that
+    result and to the live one's :func:`analysis_facts` (extracted
+    once per analysis; the encoder's extraction on a cold request).
+    ``source`` enables ``// repro-ignore`` suppressions (and, unless
+    ``unused_suppressions=False``, notes for suppressions that
     suppress nothing).
     """
     if facts is None:
@@ -100,7 +101,7 @@ def run_checkers(
                     "decoded analysis has no checkfacts section and no "
                     "program to extract them from"
                 )
-            facts = collect_facts(analysis)
+            facts = analysis_facts(analysis)
 
     ctx = CheckContext(analysis, facts)
     findings: list[Finding] = []

@@ -45,11 +45,21 @@ class FuncEnv:
         #: uses it to record which invisible variables a memoized
         #: computation introduced, so a seed hit can replay them.
         self.on_symbolic = None
+        #: name -> its resolved location.  A resolution never changes:
+        #: symbolic names (``1_x``) are not C identifiers, so
+        #: registering one cannot shadow a name already resolved.
+        self._var_locs: dict[str, AbsLoc] = {}
 
     # -- variable resolution ----------------------------------------------
 
     def var_loc(self, name: str) -> AbsLoc:
         """The abstract location of a named variable in this scope."""
+        loc = self._var_locs.get(name)
+        if loc is None:
+            loc = self._var_locs[name] = self._resolve(name)
+        return loc
+
+    def _resolve(self, name: str) -> AbsLoc:
         if self.fn is not None:
             if name in self._param_names:
                 return AbsLoc(name, PARAM_KIND, self.func)

@@ -36,12 +36,14 @@ from typing import Iterable
 
 from repro.core.analysis import PointsToAnalysis
 from repro.core.env import FuncEnv
-from repro.core.locations import AbsLoc, LocKind
+from repro.core.locations import GLOBAL_KIND, PARAM_KIND, SYMBOLIC_KIND, AbsLoc
 from repro.core.lvalues import l_locations, r_locations_ref
 from repro.core.pointsto import D, PointsToSet
 from repro.simple.ir import (
+    ALLOC_KIND,
+    CALL_KIND,
+    NOP_KIND,
     AddrOf,
-    BasicKind,
     BasicStmt,
     Ref,
     SBlock,
@@ -224,9 +226,9 @@ class HeapConnectionAnalysis:
                         return False
             if not isinstance(stmt, BasicStmt):
                 continue
-            if stmt.kind is BasicKind.ALLOC:
+            if stmt.kind is ALLOC_KIND:
                 return False
-            if stmt.kind is BasicKind.CALL:
+            if stmt.kind is CALL_KIND:
                 if stmt.callee is None:
                     return False  # indirect call: unknown effects
                 if not self._compute_heap_inert(stmt.callee, visiting):
@@ -247,7 +249,7 @@ class HeapConnectionAnalysis:
             incoming = [
                 loc
                 for loc in entry_pts.sources()
-                if loc.kind in (LocKind.PARAM, LocKind.GLOBAL, LocKind.SYMBOLIC)
+                if loc.kind in (PARAM_KIND, GLOBAL_KIND, SYMBOLIC_KIND)
                 and self._points_into_heap(loc, entry_pts)
             ]
             for i, a in enumerate(incoming):
@@ -271,7 +273,7 @@ class HeapConnectionAnalysis:
     def _record(self, stmt: Stmt, state: ConnectionMatrix) -> None:
         existing = self.point_info.get(stmt.stmt_id)
         if existing is None:
-            self.point_info[stmt.stmt_id] = state.copy()
+            self.point_info[stmt.stmt_id] = state  # never changed later
         else:
             self.point_info[stmt.stmt_id] = existing.merge(state)
 
@@ -286,10 +288,19 @@ class HeapConnectionAnalysis:
             flow = _Flow(state)
             current = state
             for child in stmt.stmts:
+                if current is None:
+                    break  # the rest of the block is unreachable
+                if isinstance(child, BasicStmt):
+                    self._record(child, current)
+                    current = self._process_basic(child, current, env)
+                    continue
                 step = self._process(child, current, env)
                 flow.breaks.extend(step.breaks)
                 flow.continues.extend(step.continues)
-                flow.returns = merge_all_matrices([flow.returns, step.returns])
+                if step.returns is not None:
+                    flow.returns = merge_all_matrices(
+                        [flow.returns, step.returns]
+                    )
                 current = step.out
             flow.out = current
             return flow
@@ -390,20 +401,22 @@ class HeapConnectionAnalysis:
         pts = self.pts_at(stmt)
         if pts is None:
             return state
-        out = state.copy()
-
-        if stmt.kind is BasicKind.ALLOC:
+        # Matrices are never changed once a transfer returns them, so a
+        # statement that connects nothing passes its state on as is.
+        kind = stmt.kind
+        if kind is ALLOC_KIND:
+            out = state.copy()
             self._assign_fresh(stmt, out, pts, env)
             return out
-        if stmt.kind is BasicKind.CALL:
+        if kind is CALL_KIND:
+            out = state.copy()
             self._process_call(stmt, out, pts, env)
             return out
-        if stmt.kind in (BasicKind.NOP,):
-            return out
-        if stmt.lhs is None or stmt.lhs_type is None:
-            return out
+        if kind is NOP_KIND or stmt.lhs is None or stmt.lhs_type is None:
+            return state
         if not stmt.lhs_type.involves_pointers():
-            return out
+            return state
+        out = state.copy()
 
         lhs_locs = self._pointer_roots(stmt.lhs, pts, env, write=True)
         strong = (
@@ -479,7 +492,7 @@ class HeapConnectionAnalysis:
                     if self._points_into_heap(loc, pts):
                         touched.append(loc)
             for src in pts.sources():
-                if src.kind is LocKind.GLOBAL and self._points_into_heap(
+                if src.kind is GLOBAL_KIND and self._points_into_heap(
                     src, pts
                 ):
                     touched.append(src)

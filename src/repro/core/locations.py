@@ -47,9 +47,13 @@ class LocKind(enum.Enum):
     # to run with address-space layout — so any set containing a kind
     # (AbsLoc hashes, (loc, kind) pairs) iterates in an irreproducible
     # order, and order-sensitive consumers (the slice-memo key) flake.
-    # A content hash makes iteration order reproducible.
+    # A content hash makes iteration order reproducible.  It is
+    # computed once per member: every interning lookup hashes a kind.
+    def __init__(self, value: str) -> None:
+        self._hash = zlib.crc32(value.encode())
+
     def __hash__(self) -> int:
-        return zlib.crc32(self.value.encode())
+        return self._hash
 
 
 #: The kinds as plain module globals, for the core's hot paths.

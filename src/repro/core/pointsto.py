@@ -558,11 +558,17 @@ def pair_count(rows: Iterable[tuple[int, tuple[int, int]]]) -> int:
 
 def locations_of(sets: Iterable[PointsToSet]) -> set[AbsLoc]:
     """Every location any of ``sets`` names, as source or target: the
-    union of their bitsets, materialized once per table."""
+    union of their bitsets, materialized once per table.  Sets that
+    share one row dict (copy-on-write) are read once."""
     masks: dict[LocTable, int] = {}
+    seen: set[int] = set()
     for pts in sets:
+        rows = pts._src
+        if id(rows) in seen:
+            continue
+        seen.add(id(rows))
         mask = masks.get(pts._table, 0)
-        for sid, (defs, poss) in pts._src.items():
+        for sid, (defs, poss) in rows.items():
             mask |= defs | poss | 1 << sid
         masks[pts._table] = mask
     return {

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.analysis import PointsToAnalysis
-from repro.core.locations import AbsLoc
+from repro.core.locations import FUNCTION_KIND, GLOBAL_KIND, HEAP_KIND, AbsLoc
 from repro.core.lvalues import l_locations
 from repro.core.pointsto import D
-from repro.simple.ir import AddrOf, BasicKind, BasicStmt, Const, Ref, SReturn
+from repro.simple.ir import CALL_KIND, BasicStmt, Ref, SReturn
 
 
 @dataclass
@@ -40,17 +40,22 @@ class ReadWriteSets:
         )
 
 
-def _read_locs(operand, info, env) -> set[AbsLoc]:
-    if isinstance(operand, Const):
-        return set()
-    if isinstance(operand, AddrOf):
-        # Taking an address reads nothing (it evaluates the lvalue).
-        return set()
-    assert isinstance(operand, Ref)
-    locs = {loc for loc, _ in l_locations(operand, info, env) if not loc.is_null}
+def _add_reads(operand, info, env, reads: set[AbsLoc]) -> None:
+    """Add the locations evaluating ``operand`` reads.  Constants read
+    nothing, and neither does taking an address (it evaluates the
+    lvalue)."""
+    if not isinstance(operand, Ref):
+        return
+    if not operand.deref and not operand.path:
+        # A named variable: its own location, never NULL, whatever the
+        # points-to set holds.
+        reads.add(env.var_loc(operand.base))
+        return
+    for loc, _ in l_locations(operand, info, env):
+        if not loc.is_null:
+            reads.add(loc)
     if operand.deref:
-        locs.add(env.var_loc(operand.base))  # the pointer itself is read
-    return locs
+        reads.add(env.var_loc(operand.base))  # the pointer itself is read
 
 
 def statement_read_write(
@@ -70,41 +75,50 @@ def statement_read_write(
     if info is None:
         return None
     env = analysis.env(fn_name)
-    sets = ReadWriteSets(stmt.stmt_id, fn_name)
+    reads: set[AbsLoc] = set()
+    sets = ReadWriteSets(stmt.stmt_id, fn_name, set(), set(), reads)
 
     if isinstance(stmt, SReturn):
-        if isinstance(stmt.value, Ref):
-            sets.reads |= _read_locs(stmt.value, info, env)
+        _add_reads(stmt.value, info, env, reads)
         return sets
     if not isinstance(stmt, BasicStmt):
         return sets
 
-    if stmt.lhs is not None:
-        llocs = l_locations(stmt.lhs, info, env)
-        writable = [(l, d) for l, d in llocs if not l.is_null and not l.is_function]
-        sets.may_write |= {loc for loc, _ in writable}
-        definite = [
-            loc
-            for loc, d in writable
-            if d is D and not loc.represents_multiple()
-        ]
-        if len(definite) == 1 and len(writable) == 1:
-            sets.must_write.add(definite[0])
-        if stmt.lhs.deref:
-            sets.reads.add(env.var_loc(stmt.lhs.base))
+    lhs = stmt.lhs
+    if lhs is not None:
+        if not lhs.deref and not lhs.path:
+            # A named variable is one definite, single location.
+            loc = env.var_loc(lhs.base)
+            if loc.kind is not FUNCTION_KIND:
+                sets.may_write.add(loc)
+                sets.must_write.add(loc)
+        else:
+            llocs = l_locations(lhs, info, env)
+            writable = [
+                (l, d) for l, d in llocs if not l.is_null and not l.is_function
+            ]
+            sets.may_write.update([loc for loc, _ in writable])
+            definite = [
+                loc
+                for loc, d in writable
+                if d is D and not loc.represents_multiple()
+            ]
+            if len(definite) == 1 and len(writable) == 1:
+                sets.must_write.add(definite[0])
+            if lhs.deref:
+                reads.add(env.var_loc(lhs.base))
 
-    operands = []
     if stmt.rvalue is not None:
-        operands.append(stmt.rvalue)
-    operands.extend(stmt.operands)
-    operands.extend(stmt.args)
-    for operand in operands:
-        sets.reads |= _read_locs(operand, info, env)
+        _add_reads(stmt.rvalue, info, env, reads)
+    for operand in stmt.operands:
+        _add_reads(operand, info, env, reads)
+    for operand in stmt.args:
+        _add_reads(operand, info, env, reads)
 
-    if _is_call(stmt):
+    if stmt.kind is CALL_KIND:
         if stmt.callee is None and stmt.callee_ptr is not None:
             # Dispatching through a function pointer reads the pointer.
-            sets.reads.add(env.var_loc(stmt.callee_ptr))
+            reads.add(env.var_loc(stmt.callee_ptr))
         if callee_effects:
             _add_callee_effects(analysis, stmt, sets)
     return sets
@@ -112,7 +126,7 @@ def statement_read_write(
 
 def _add_callee_effects(analysis, stmt, sets: ReadWriteSets) -> None:
     for callee in resolved_callees(analysis, stmt):
-        callee_reads, callee_writes = _visible_effects(analysis, callee)
+        callee_reads, callee_writes = visible_effects(analysis, callee)
         # Callee effects are may-effects from the caller's view (the
         # call may take any path through the callee).
         sets.reads |= callee_reads
@@ -120,7 +134,7 @@ def _add_callee_effects(analysis, stmt, sets: ReadWriteSets) -> None:
 
 
 def _is_call(stmt) -> bool:
-    return isinstance(stmt, BasicStmt) and stmt.kind is BasicKind.CALL
+    return isinstance(stmt, BasicStmt) and stmt.kind is CALL_KIND
 
 
 def resolved_callees(analysis: PointsToAnalysis, stmt) -> list[str]:
@@ -136,45 +150,61 @@ def resolved_callees(analysis: PointsToAnalysis, stmt) -> list[str]:
         return [stmt.callee] if stmt.callee in functions else []
     if stmt.call_site is None:
         return []
-    return list(_effects(analysis).site_callees.get(stmt.call_site, ()))
+    bound = _effects(analysis).site_callees(analysis)
+    return list(bound.get(stmt.call_site, ()))
 
 
 class _Effects:
-    """Per-analysis read/write state, each piece built once:
-    ``site_callees`` (every call site's bound, defined callees, from one
-    walk of the invocation graph), ``own`` (each function's basic
-    statements with their callee-free sets, None when unreachable) and
-    ``visible`` (each function's visible effects)."""
+    """Per-analysis read/write state, each piece built once, on first
+    use: ``site_callees`` (every call site's bound, defined callees,
+    from one walk of the invocation graph; only indirect calls read
+    it), ``own`` (each function's basic statements with their
+    callee-free sets, None when unreachable) and ``visible`` (each
+    function's visible effects).  It holds no reference back to the
+    analysis, which owns it: a finished analysis stays acyclic."""
 
-    def __init__(self, analysis: PointsToAnalysis):
-        bound: dict = {}
-        for node in analysis.ig.root.walk():
-            for site, by_callee in node.children.items():
-                bound.setdefault(site, set()).update(by_callee)
-        functions = analysis.program.functions.keys()
-        self.site_callees = {
-            site: sorted(callees & functions) for site, callees in bound.items()
-        }
+    __slots__ = ("_site_callees", "own", "visible")
+
+    def __init__(self) -> None:
+        self._site_callees: dict[int, list[str]] | None = None
         self.own: dict[str, list] = {}
         self.visible: dict[str, tuple] | None = None
 
+    def site_callees(self, analysis: PointsToAnalysis) -> dict[int, list[str]]:
+        if self._site_callees is None:
+            bound: dict = {}
+            for node in analysis.ig.root.walk():
+                for site, by_callee in node.children.items():
+                    bound.setdefault(site, set()).update(by_callee)
+            functions = analysis.program.functions.keys()
+            self._site_callees = {
+                site: sorted(callees & functions)
+                for site, callees in bound.items()
+            }
+        return self._site_callees
+
 
 def _effects(analysis: PointsToAnalysis) -> _Effects:
-    if not hasattr(analysis, "_readwrite_effects"):
-        analysis._readwrite_effects = _Effects(analysis)
-    return analysis._readwrite_effects
+    effects = getattr(analysis, "_readwrite_effects", None)
+    if effects is None:
+        effects = analysis._readwrite_effects = _Effects()
+    return effects
 
 
 def _own_sets(analysis: PointsToAnalysis, fn_name: str) -> list:
-    """``[(stmt, callee-free sets or None)]`` for the basic statements
-    of ``fn_name``; each statement is evaluated once per analysis."""
+    """``[(callee-free sets or None, resolved callees)]`` for the basic
+    statements of ``fn_name`` (None when unreachable); each statement
+    is evaluated once per analysis."""
     own = _effects(analysis).own
     entries = own.get(fn_name)
     if entries is None:
         entries = [
-            (stmt, statement_read_write(
-                analysis, fn_name, stmt, callee_effects=False
-            ))
+            (
+                statement_read_write(
+                    analysis, fn_name, stmt, callee_effects=False
+                ),
+                resolved_callees(analysis, stmt),
+            )
             for stmt in analysis.program.functions[fn_name].iter_stmts()
             if isinstance(stmt, (BasicStmt, SReturn))
         ]
@@ -182,11 +212,25 @@ def _own_sets(analysis: PointsToAnalysis, fn_name: str) -> list:
     return entries
 
 
-def _is_visible_effect(loc: AbsLoc) -> bool:
-    return loc.is_visible_everywhere and not (loc.is_null or loc.is_function)
+def own_effects(
+    analysis: PointsToAnalysis, fn_name: str
+) -> list[tuple[ReadWriteSets, list[str]]]:
+    """``(callee-free sets, resolved callees)`` for every reachable
+    basic statement of ``fn_name``, in statement order.  Both are the
+    analysis's own memo: read them, never change them.  A statement's
+    full sets add :func:`visible_effects` of each callee to its reads
+    and may-writes."""
+    return [
+        entry for entry in _own_sets(analysis, fn_name) if entry[0] is not None
+    ]
 
 
-def _visible_effects(
+#: The kinds of the locations a caller sees a callee touch: the
+#: visible-everywhere kinds less NULL and the functions.
+_EFFECT_KINDS = (GLOBAL_KIND, HEAP_KIND)
+
+
+def visible_effects(
     analysis: PointsToAnalysis, fn_name: str
 ) -> tuple[frozenset[AbsLoc], frozenset[AbsLoc]]:
     """(reads, may-writes) of ``fn_name`` and everything it can call,
@@ -203,12 +247,15 @@ def _visible_effects(
             reads: set[AbsLoc] = set()
             writes: set[AbsLoc] = set()
             callees: set[str] = set()
-            for stmt, sets in _own_sets(analysis, name):
+            for sets, stmt_callees in _own_sets(analysis, name):
                 if sets is not None:
-                    reads.update(filter(_is_visible_effect, sets.reads))
-                    writes.update(filter(_is_visible_effect, sets.may_write))
-                callees.update(resolved_callees(analysis, stmt))
-            own[name] = (reads, writes)
+                    reads |= sets.reads
+                    writes |= sets.may_write
+                callees.update(stmt_callees)
+            own[name] = (
+                {loc for loc in reads if loc.kind in _EFFECT_KINDS},
+                {loc for loc in writes if loc.kind in _EFFECT_KINDS},
+            )
             calls[name] = sorted(callees)
         effects.visible = _reachable_unions(own, calls)
     return effects.visible[fn_name]
@@ -271,14 +318,14 @@ def function_read_write(
 ) -> list[ReadWriteSets]:
     """Read/write sets for every reachable basic statement of ``fn``."""
     result = []
-    for stmt, own in _own_sets(analysis, fn_name):
-        if own is None:
-            continue
+    for own, callees in own_effects(analysis, fn_name):
         sets = ReadWriteSets(
             own.stmt_id, own.func,
             set(own.must_write), set(own.may_write), set(own.reads),
         )
-        if _is_call(stmt):
-            _add_callee_effects(analysis, stmt, sets)
+        for callee in callees:
+            callee_reads, callee_writes = visible_effects(analysis, callee)
+            sets.reads |= callee_reads
+            sets.may_write |= callee_writes
         result.append(sets)
     return result

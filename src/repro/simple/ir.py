@@ -77,7 +77,9 @@ class Ref:
 
     def __str__(self) -> str:
         text = f"(*{self.base})" if self.deref else self.base
-        return text + "".join(str(s) for s in self.path)
+        if not self.path:
+            return text
+        return text + "".join([str(s) for s in self.path])
 
     def with_field(self, name: str) -> "Ref":
         return Ref(self.base, self.deref, self.path + (FieldSel(name),))
@@ -195,15 +197,16 @@ class BasicStmt(Stmt):
         _init_stmt(self, NO_LOC)
 
     def __str__(self) -> str:
-        if self.kind is BasicKind.NOP:
-            return "nop"
-        if self.kind is BasicKind.CALL or self.kind is BasicKind.ALLOC:
-            target = self.callee if self.callee else f"(*{self.callee_ptr})"
-            call = f"{target}({', '.join(str(a) for a in self.args)})"
-            return f"{self.lhs} = {call}" if self.lhs else call
-        if self.kind in (BasicKind.COPY, BasicKind.ADDR, BasicKind.CONST):
+        kind = self.kind
+        if kind is COPY_KIND or kind is ADDR_KIND or kind is CONST_KIND:
             return f"{self.lhs} = {self.rvalue}"
-        if self.kind is BasicKind.UNOP:
+        if kind is CALL_KIND or kind is ALLOC_KIND:
+            target = self.callee if self.callee else f"(*{self.callee_ptr})"
+            call = f"{target}({', '.join([str(a) for a in self.args])})"
+            return f"{self.lhs} = {call}" if self.lhs else call
+        if kind is NOP_KIND:
+            return "nop"
+        if kind is UNOP_KIND:
             return f"{self.lhs} = {self.op}{self.operands[0]}"
         return f"{self.lhs} = {self.operands[0]} {self.op} {self.operands[1]}"
 
@@ -341,9 +344,6 @@ class SimpleFunction:
         """Every statement in the body, in pre-order."""
         return iter_stmts(self.body)
 
-    def count_basic_stmts(self) -> int:
-        return sum(1 for s in self.iter_stmts() if isinstance(s, BasicStmt))
-
 
 def child_stmts(stmt: Stmt) -> list[Stmt]:
     """The direct sub-statements of ``stmt``, in traversal order."""
@@ -405,6 +405,11 @@ class SimpleProgram:
     scans: dict | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: How many basic statements the functions hold, counted while
+    #: numbering them.
+    _basic_stmts: int = field(
+        default=0, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         next_id = 1
@@ -413,20 +418,24 @@ class SimpleProgram:
             next_id += 1
         self.labels = {}
         self.stmt_ids = {}
+        basic = 0
         for name in sorted(self.functions):
             first = next_id
             for stmt in self.functions[name].iter_stmts():
                 stmt.stmt_id = next_id
                 next_id += 1
+                if isinstance(stmt, BasicStmt):
+                    basic += 1
                 for label in stmt.labels:
                     self.labels[label] = (name, stmt.stmt_id)
             self.stmt_ids[name] = range(first, next_id)
+        self._basic_stmts = basic
 
     def function(self, name: str) -> SimpleFunction:
         return self.functions[name]
 
     def count_basic_stmts(self) -> int:
-        return sum(f.count_basic_stmts() for f in self.functions.values())
+        return self._basic_stmts
 
     def var_type(self, func: str | None, name: str) -> CType | None:
         """Resolve a variable's type: function locals first, then globals."""

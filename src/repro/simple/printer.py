@@ -21,14 +21,19 @@ from repro.simple.ir import (
 
 def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
     pad = "    " * indent
-    prefix = "".join(f"{label}: " for label in stmt.labels)
+    prefix = (
+        "".join([f"{label}: " for label in stmt.labels]) if stmt.labels else ""
+    )
 
     if isinstance(stmt, BasicStmt):
         out.append(f"{pad}{prefix}{stmt};")
         return
     if isinstance(stmt, SBlock):
         for child in stmt.stmts:
-            _format_stmt(child, indent, out)
+            if isinstance(child, BasicStmt) and not child.labels:
+                out.append(f"{pad}{child};")  # the common case, inline
+            else:
+                _format_stmt(child, indent, out)
         return
     if isinstance(stmt, SIf):
         out.append(f"{pad}{prefix}if ({stmt.cond}) {{")

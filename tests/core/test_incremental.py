@@ -145,6 +145,112 @@ class TestFingerprints:
         assert sorted(calls) == sorted(analysis.program.functions)
         assert skeleton(analysis.program) == skeleton(simplify_source(program))
 
+    @pytest.mark.parametrize("name", ["relay", "fanout"])
+    def test_encoding_never_walks_the_ig_for_read_write(
+        self, name, monkeypatch
+    ):
+        # Only indirect calls read the call sites' bound callees, and
+        # these programs make none.  (The "ig" section is written in a
+        # pass of its own, not through ``walk``.)
+        from repro.core import readwrite
+        from repro.core.invocation_graph import IGNode
+        from repro.service.serialize import encode_analysis
+        from repro.simple.ir import CALL_KIND, BasicStmt
+
+        analysis = analyze_source(PERF_BENCHMARKS[name].source)
+        assert not any(
+            isinstance(stmt, BasicStmt) and stmt.kind is CALL_KIND
+            and stmt.callee is None
+            for fn in analysis.program.functions.values()
+            for stmt in fn.iter_stmts()
+        )
+        walks = []
+        real_walk = IGNode.walk
+
+        def counting_walk(node):
+            walks.append(node.func)
+            return real_walk(node)
+
+        monkeypatch.setattr(IGNode, "walk", counting_walk)
+        for func in analysis.program.functions:
+            readwrite.function_read_write(analysis, func)
+        encode_analysis(analysis, name)
+        assert walks == []
+
+    def test_indirect_calls_walk_the_ig_once(self, monkeypatch):
+        from repro.core import readwrite
+        from repro.core.invocation_graph import IGNode
+
+        source = """
+        int g;
+        void f(void) { g = 1; }
+        void h(void) { g = 2; }
+        int main(int k) {
+            void (*fp)(void);
+            fp = f;
+            if (k) { fp = h; }
+            fp();
+            fp();
+            return 0;
+        }
+        """
+        analysis = analyze_source(source)
+        walks = []
+        real_walk = IGNode.walk
+
+        def counting_walk(node):
+            walks.append(node.func)
+            return real_walk(node)
+
+        monkeypatch.setattr(IGNode, "walk", counting_walk)
+        main_sets = readwrite.function_read_write(analysis, "main")
+        for func in analysis.program.functions:
+            readwrite.function_read_write(analysis, func)
+        assert walks == ["main"]
+        assert {"g"} <= {
+            str(loc) for sets in main_sets for loc in sets.may_write
+        }
+
+    @pytest.mark.parametrize("depth", [1, 4, 12])
+    def test_fact_extraction_walks_each_statement_a_bounded_number_of_times(
+        self, depth, monkeypatch
+    ):
+        # ``depth`` nested loops, each allocating through a cast temp:
+        # the extraction expands each compound statement at most twice
+        # (its own walk, plus the heap-connection sweep's search for
+        # the entry statement), however many loops and allocations
+        # the function holds.
+        from repro.checkers import facts as facts_module
+        from repro.simple import ir
+
+        body = "keep = h0;"
+        for level in reversed(range(depth)):
+            body = (
+                f"while (n) {{ h{level} = (int *) malloc(4); {body} }}"
+            )
+        decls = " ".join(f"int *h{level};" for level in range(depth))
+        source = (
+            "int *keep;\n"
+            f"void f(int n) {{ {decls} {body} }}\n"
+            "int main() { f(3); return 0; }\n"
+        )
+        analysis = analyze_source(source)
+        expansions: dict[int, int] = {}
+        real_children = ir.child_stmts
+
+        def counting_children(stmt):
+            expansions[id(stmt)] = expansions.get(id(stmt), 0) + 1
+            return real_children(stmt)
+
+        monkeypatch.setattr(ir, "child_stmts", counting_children)
+        monkeypatch.setattr(facts_module, "child_stmts", counting_children)
+        facts = facts_module.collect_facts(analysis)
+        assert [site.name for site in facts.allocs] == [
+            f"h{level}" for level in range(depth)
+        ]
+        assert len(facts.loops) == depth
+        assert max(expansions.values()) <= 2
+
 
 # --------------------------------------------------------------------------
 # The planner: dirty sets and kill propagation

@@ -68,6 +68,26 @@ class TestCheckVerb:
         assert not cold["cached"] and warm["cached"]
         assert cold["result"] == warm["result"]
 
+    def test_cold_request_extracts_facts_once(self, store, monkeypatch):
+        # The checkers reuse the extraction the encoder made for the
+        # artifact's "checkfacts" section; a warm request reads that
+        # section and extracts nothing.
+        from repro.checkers import facts
+
+        calls = []
+        real_collect = facts.collect_facts
+
+        def counting_collect(analysis, funcs=None):
+            calls.append(funcs)
+            return real_collect(analysis, funcs)
+
+        monkeypatch.setattr(facts, "collect_facts", counting_collect)
+        req = {"cmd": "check", "name": "buggy.c", "source": BUGGY}
+        cold, warm = run_serve([req, dict(req)], store)
+        assert not cold["cached"] and warm["cached"]
+        assert cold["result"] == warm["result"]
+        assert calls == [None]
+
     def test_sarif_format(self, store):
         (resp,) = run_serve(
             [
