@@ -280,11 +280,9 @@ class HeapConnectionAnalysis:
     def _process(self, stmt: Stmt, state, env) -> _Flow:
         if state is None:
             return _Flow(None)
-        if not isinstance(stmt, (SBlock, SBreak, SContinue)):
-            self._record(stmt, state)
-        if isinstance(stmt, BasicStmt):
-            return _Flow(self._process_basic(stmt, state, env))
         if isinstance(stmt, SBlock):
+            # Every basic statement sits in a block: the loop transfers
+            # it in place, without a _Flow of its own.
             flow = _Flow(state)
             current = state
             for child in stmt.stmts:
@@ -304,6 +302,8 @@ class HeapConnectionAnalysis:
                 current = step.out
             flow.out = current
             return flow
+        if not isinstance(stmt, (SBreak, SContinue)):
+            self._record(stmt, state)
         if isinstance(stmt, SIf):
             then_flow = self._process(stmt.then_block, state, env)
             if stmt.else_block is not None:

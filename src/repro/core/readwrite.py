@@ -120,13 +120,15 @@ def statement_read_write(
             # Dispatching through a function pointer reads the pointer.
             reads.add(env.var_loc(stmt.callee_ptr))
         if callee_effects:
-            _add_callee_effects(analysis, stmt, sets)
+            _add_callee_effects(
+                analysis, resolved_callees(analysis, stmt), sets
+            )
     return sets
 
 
-def _add_callee_effects(analysis, stmt, sets: ReadWriteSets) -> None:
-    for callee in resolved_callees(analysis, stmt):
-        callee_reads, callee_writes = visible_effects(analysis, callee)
+def _add_callee_effects(analysis, callees, sets: ReadWriteSets) -> None:
+    for callee in callees:
+        callee_reads, callee_writes = _visible_effects(analysis, callee)
         # Callee effects are may-effects from the caller's view (the
         # call may take any path through the callee).
         sets.reads |= callee_reads
@@ -212,25 +214,12 @@ def _own_sets(analysis: PointsToAnalysis, fn_name: str) -> list:
     return entries
 
 
-def own_effects(
-    analysis: PointsToAnalysis, fn_name: str
-) -> list[tuple[ReadWriteSets, list[str]]]:
-    """``(callee-free sets, resolved callees)`` for every reachable
-    basic statement of ``fn_name``, in statement order.  Both are the
-    analysis's own memo: read them, never change them.  A statement's
-    full sets add :func:`visible_effects` of each callee to its reads
-    and may-writes."""
-    return [
-        entry for entry in _own_sets(analysis, fn_name) if entry[0] is not None
-    ]
-
-
 #: The kinds of the locations a caller sees a callee touch: the
 #: visible-everywhere kinds less NULL and the functions.
 _EFFECT_KINDS = (GLOBAL_KIND, HEAP_KIND)
 
 
-def visible_effects(
+def _visible_effects(
     analysis: PointsToAnalysis, fn_name: str
 ) -> tuple[frozenset[AbsLoc], frozenset[AbsLoc]]:
     """(reads, may-writes) of ``fn_name`` and everything it can call,
@@ -318,14 +307,13 @@ def function_read_write(
 ) -> list[ReadWriteSets]:
     """Read/write sets for every reachable basic statement of ``fn``."""
     result = []
-    for own, callees in own_effects(analysis, fn_name):
+    for own, callees in _own_sets(analysis, fn_name):
+        if own is None:
+            continue
         sets = ReadWriteSets(
             own.stmt_id, own.func,
             set(own.must_write), set(own.may_write), set(own.reads),
         )
-        for callee in callees:
-            callee_reads, callee_writes = visible_effects(analysis, callee)
-            sets.reads |= callee_reads
-            sets.may_write |= callee_writes
+        _add_callee_effects(analysis, callees, sets)
         result.append(sets)
     return result

@@ -415,7 +415,7 @@ class Daemon:
     async def _supervise_workers(self) -> None:
         """Detect dead workers: fail their in-flight jobs with a
         structured error (clients get an answer, never a hang), journal
-        a ``worker_restart`` event, and respawn on the same queue so
+        a ``worker_restart`` event, and respawn it in the same slot so
         the shard keeps its routing."""
         try:
             while not self._draining:
@@ -467,6 +467,12 @@ class Daemon:
         )
         from repro.daemon.worker import worker_main
 
+        # A fresh job queue: a worker killed inside the old queue's
+        # read can leave its lock held, and every job still on it was
+        # failed above.  Nothing reads the old queue again, so exit
+        # must not wait to flush it.
+        self._queues[index].cancel_join_thread()
+        self._queues[index] = ctx.Queue()
         process = ctx.Process(
             target=worker_main,
             args=(

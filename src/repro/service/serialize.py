@@ -33,17 +33,12 @@ from dataclasses import asdict
 from repro.core.analysis import AnalysisOptions, _is_temp_name
 from repro.core.incremental import skeleton
 from repro.core.interproc import MemoStats
-from repro.core.invocation_graph import (
-    APPROXIMATE_NODE,
-    IGNode,
-    IGNodeKind,
-    InvocationGraph,
-)
+from repro.core.invocation_graph import IGNode, IGNodeKind, InvocationGraph
 from repro.core.locations import AbsLoc, LocKind, LocTable
 from repro.core.pointsto import PointsToSet, iter_bits, locations_of
 from repro.checkers.facts import CheckFacts, analysis_facts
 from repro.core.provenance import CLASSIFICATION, Derivation
-from repro.core.readwrite import ReadWriteSets, own_effects, visible_effects
+from repro.core.readwrite import ReadWriteSets, function_read_write
 from repro.service.gcpause import gc_paused
 
 #: Bump whenever the payload layout changes; stale store entries are
@@ -90,9 +85,11 @@ class _LocTable:
 
     def __init__(self, locations: set[AbsLoc]):
         self.locations = sorted(locations, key=_loc_sort_key)
-        #: location -> its index.
-        self.index_of = {loc: i for i, loc in enumerate(self.locations)}
+        self._index = {loc: i for i, loc in enumerate(self.locations)}
         self._encodings: dict[LocTable, tuple[list[int], dict]] = {}
+
+    def index(self, loc: AbsLoc) -> int:
+        return self._index[loc]
 
     def encoding_for(self, table: LocTable) -> tuple[list[int], dict]:
         """Location id of ``table`` -> index here, and the memo of
@@ -100,7 +97,7 @@ class _LocTable:
         of ``table``."""
         encoding = self._encodings.get(table)
         if encoding is None:
-            get = self.index_of.get
+            get = self._index.get
             encoding = ([get(table.loc_of(i)) for i in range(len(table))], {})
             self._encodings[table] = encoding
         return encoding
@@ -113,26 +110,11 @@ class _LocTable:
 
 
 def _collect_locations(analysis, readwrite) -> set[AbsLoc]:
-    """Every location the payload names.  A statement's must-writes
-    lie inside its may-writes, and a call's callee effects are other
-    statements' own reads and may-writes, so the own sets cover the
-    read/write section."""
     locations = locations_of(analysis.point_info.values())
-    for rows in readwrite.values():
-        for own, _ in rows:
-            locations.update(own.may_write)
-            locations.update(own.reads)
+    for sets_list in readwrite.values():
+        for sets in sets_list:
+            locations |= sets.must_write | sets.may_write | sets.reads
     return locations
-
-
-def _targets(index: list[int], mask: int) -> tuple[int, ...]:
-    """The sorted indexes of the ids in ``mask``; most rows hold no
-    target or one of each definiteness."""
-    if not mask:
-        return ()
-    if not mask & (mask - 1):
-        return (index[mask.bit_length() - 1],)
-    return tuple(sorted([index[t] for t in iter_bits(mask)]))
 
 
 def _encode_point_info(point_info: dict, table: _LocTable) -> dict:
@@ -160,14 +142,16 @@ def _encode_point_info(point_info: dict, table: _LocTable) -> dict:
                 if content is None:
                     sid, (defs, poss) = row
                     content = memo[row] = (
-                        index[sid], _targets(index, defs), _targets(index, poss)
+                        index[sid],
+                        tuple(sorted(index[t] for t in iter_bits(defs))),
+                        tuple(sorted(index[t] for t in iter_bits(poss))),
                     )
                 encoded.append(content)
             encoded.sort()  # sources are distinct: by source index
-            members = tuple([
+            members = tuple(
                 row_ids.setdefault(content, len(row_ids))
                 for content in encoded
-            ])
+            )
             set_id = set_ids.setdefault(members, len(set_ids))
             by_rows[id(info.rows)] = set_id
         stmts[str(stmt_id)] = set_id
@@ -178,41 +162,27 @@ def _encode_point_info(point_info: dict, table: _LocTable) -> dict:
     }
 
 
-#: Each node kind's spelling (``.value`` is a Python-level property).
-_IG_KIND_VALUES = {kind: kind.value for kind in IGNodeKind}
-
-
 def _encode_ig(ig) -> list:
-    """The invocation graph as a flat node list, in pre-order.
+    """The invocation graph as a flat node list.
 
     Children are listed in their original insertion order (the order
     the analysis attached them), which is deterministic because the
     analysis is; preserving it makes ``render()``/``to_dot()`` of the
-    decoded graph byte-identical to the original's.  One pass on an
-    explicit stack, in :meth:`IGNode.walk`'s order: a node's entry is
-    written when it is reached, and its parent's edge to it then.
+    decoded graph byte-identical to the original's.
     """
-    encoded: list = []
-    index: dict[int, int] = {}  # id(node) -> its position
-    partners = []
-    stack = [(ig.root, None, None)]
-    while stack:
-        node, parent_edges, site = stack.pop()
-        position = len(encoded)
-        if parent_edges is not None:
-            parent_edges.append([site, position])
-        edges: list = []
-        entry = [node.func, _IG_KIND_VALUES[node.kind], -1, edges]
-        encoded.append(entry)
-        index[id(node)] = position
-        if node.kind is APPROXIMATE_NODE:
-            partners.append((entry, node.rec_partner))
-        for site, by_callee in reversed(node.children.items()):
-            for child in reversed(by_callee.values()):
-                stack.append((child, edges, site))
-    for entry, partner in partners:
-        if partner is not None:
-            entry[2] = index[id(partner)]
+    nodes: list[IGNode] = list(ig.root.walk())
+    index = {id(node): i for i, node in enumerate(nodes)}
+    encoded = []
+    for node in nodes:
+        edges = [
+            [site, index[id(child)]]
+            for site, by_callee in node.children.items()
+            for child in by_callee.values()
+        ]
+        partner = (
+            index[id(node.rec_partner)] if node.rec_partner is not None else -1
+        )
+        encoded.append([node.func, node.kind.value, partner, edges])
     return encoded
 
 
@@ -232,52 +202,24 @@ def _encode_scopes(analysis) -> dict:
     return scopes
 
 
-def _indexes(index: dict, locs) -> list[int]:
-    """The sorted indexes of ``locs``; most own sets hold one
-    location."""
-    if len(locs) == 1:
-        for loc in locs:
-            return [index[loc]]
-    return sorted([index[loc] for loc in locs])
+def _encode_readwrite(readwrite, table: _LocTable) -> dict:
+    index = table._index
 
+    def locs(values) -> list[int]:
+        return sorted([index[loc] for loc in values])
 
-def _encode_readwrite(analysis, readwrite, table: _LocTable) -> dict:
-    """Each function's ``[stmt, must, may, reads]`` rows, as sorted
-    location indexes.  A call's sets are its own plus the visible
-    effects of its callees, whose indexes are computed once per
-    callee."""
-    index = table.index_of
-    callee_ids: dict[str, tuple[set[int], set[int]]] = {}
-    encoded = {}
-    for func, rows in sorted(readwrite.items()):
-        entries = []
-        for own, callees in rows:
-            must = _indexes(index, own.must_write)
-            if not callees:
-                entries.append([
-                    own.stmt_id,
-                    must,
-                    _indexes(index, own.may_write),
-                    _indexes(index, own.reads),
-                ])
-                continue
-            may = {index[loc] for loc in own.may_write}
-            reads = {index[loc] for loc in own.reads}
-            for callee in callees:
-                ids = callee_ids.get(callee)
-                if ids is None:
-                    callee_reads, callee_writes = visible_effects(
-                        analysis, callee
-                    )
-                    ids = callee_ids[callee] = (
-                        {index[loc] for loc in callee_reads},
-                        {index[loc] for loc in callee_writes},
-                    )
-                reads |= ids[0]
-                may |= ids[1]
-            entries.append([own.stmt_id, must, sorted(may), sorted(reads)])
-        encoded[func] = entries
-    return encoded
+    return {
+        func: [
+            [
+                s.stmt_id,
+                locs(s.must_write),
+                locs(s.may_write),
+                locs(s.reads),
+            ]
+            for s in sets_list
+        ]
+        for func, sets_list in sorted(readwrite.items())
+    }
 
 
 def _encode_provenance(log) -> dict:
@@ -298,14 +240,13 @@ def _encode_provenance(log) -> dict:
         locations.add(record.src)
         locations.add(record.tgt)
     table = _LocTable(locations)
-    index = table.index_of
     return {
         "version": PROVENANCE_VERSION,
         "locations": table.encode(),
         "records": [
             [
-                index[record.src],
-                index[record.tgt],
+                table.index(record.src),
+                table.index(record.tgt),
                 1 if record.definite else 0,
                 record.rule,
                 record.stmt_id,
@@ -327,7 +268,8 @@ def encode_analysis(
     """Flatten a live analysis into a JSON-safe, deterministic dict."""
     program = analysis.program
     readwrite = {
-        fn: own_effects(analysis, fn) for fn in sorted(program.functions)
+        fn: function_read_write(analysis, fn)
+        for fn in sorted(program.functions)
     }
     table = _LocTable(_collect_locations(analysis, readwrite))
     payload = {
@@ -350,7 +292,7 @@ def encode_analysis(
         "globals": sorted(program.global_types),
         "functions": sorted(program.functions),
         "externals": sorted(program.externals),
-        "readwrite": _encode_readwrite(analysis, readwrite, table),
+        "readwrite": _encode_readwrite(readwrite, table),
         "checkfacts": analysis_facts(analysis).encode(),
         "warnings": list(analysis.warnings),
         "stats": analysis.stats.as_dict(),

@@ -30,10 +30,7 @@ def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
         return
     if isinstance(stmt, SBlock):
         for child in stmt.stmts:
-            if isinstance(child, BasicStmt) and not child.labels:
-                out.append(f"{pad}{child};")  # the common case, inline
-            else:
-                _format_stmt(child, indent, out)
+            _format_stmt(child, indent, out)
         return
     if isinstance(stmt, SIf):
         out.append(f"{pad}{prefix}if ({stmt.cond}) {{")

@@ -145,15 +145,30 @@ class TestFingerprints:
         assert sorted(calls) == sorted(analysis.program.functions)
         assert skeleton(analysis.program) == skeleton(simplify_source(program))
 
+    @staticmethod
+    def _count_site_callee_builds(monkeypatch) -> list:
+        """Patch the read/write memo so each build of its call-site
+        callee map (one walk of the invocation graph) is recorded."""
+        from repro.core import readwrite
+
+        builds = []
+        real = readwrite._Effects.site_callees
+
+        def counting(effects, analysis):
+            if effects._site_callees is None:
+                builds.append(analysis.program)
+            return real(effects, analysis)
+
+        monkeypatch.setattr(readwrite._Effects, "site_callees", counting)
+        return builds
+
     @pytest.mark.parametrize("name", ["relay", "fanout"])
     def test_encoding_never_walks_the_ig_for_read_write(
         self, name, monkeypatch
     ):
         # Only indirect calls read the call sites' bound callees, and
-        # these programs make none.  (The "ig" section is written in a
-        # pass of its own, not through ``walk``.)
+        # these programs make none.
         from repro.core import readwrite
-        from repro.core.invocation_graph import IGNode
         from repro.service.serialize import encode_analysis
         from repro.simple.ir import CALL_KIND, BasicStmt
 
@@ -164,22 +179,14 @@ class TestFingerprints:
             for fn in analysis.program.functions.values()
             for stmt in fn.iter_stmts()
         )
-        walks = []
-        real_walk = IGNode.walk
-
-        def counting_walk(node):
-            walks.append(node.func)
-            return real_walk(node)
-
-        monkeypatch.setattr(IGNode, "walk", counting_walk)
+        builds = self._count_site_callee_builds(monkeypatch)
         for func in analysis.program.functions:
             readwrite.function_read_write(analysis, func)
         encode_analysis(analysis, name)
-        assert walks == []
+        assert builds == []
 
     def test_indirect_calls_walk_the_ig_once(self, monkeypatch):
         from repro.core import readwrite
-        from repro.core.invocation_graph import IGNode
 
         source = """
         int g;
@@ -195,18 +202,11 @@ class TestFingerprints:
         }
         """
         analysis = analyze_source(source)
-        walks = []
-        real_walk = IGNode.walk
-
-        def counting_walk(node):
-            walks.append(node.func)
-            return real_walk(node)
-
-        monkeypatch.setattr(IGNode, "walk", counting_walk)
+        builds = self._count_site_callee_builds(monkeypatch)
         main_sets = readwrite.function_read_write(analysis, "main")
         for func in analysis.program.functions:
             readwrite.function_read_write(analysis, func)
-        assert walks == ["main"]
+        assert builds == [analysis.program]
         assert {"g"} <= {
             str(loc) for sets in main_sets for loc in sets.may_write
         }

@@ -169,22 +169,22 @@ def test_visible_effects_equal_naive_reachable_union(source):
     analysis = analyze_source(source)
     oracle = analyze_source(source)
     for name in sorted(analysis.program.functions):
-        reads, writes = readwrite.visible_effects(analysis, name)
+        reads, writes = readwrite._visible_effects(analysis, name)
         assert (reads, writes) == naive_visible_effects(oracle, name), name
 
 
 def test_chain_head_sees_the_whole_chain():
     analysis = analyze_source(chain_source(CHAIN_LENGTH))
-    reads, writes = readwrite.visible_effects(analysis, "f0")
+    reads, writes = readwrite._visible_effects(analysis, "f0")
     assert names(writes) == {f"g{i}" for i in range(CHAIN_LENGTH)}
     assert names(reads) == {f"g{i}" for i in range(1, CHAIN_LENGTH)}
-    reads, writes = readwrite.visible_effects(analysis, f"f{CHAIN_LENGTH - 1}")
+    reads, writes = readwrite._visible_effects(analysis, f"f{CHAIN_LENGTH - 1}")
     assert names(writes) == {f"g{CHAIN_LENGTH - 1}"}
 
 
 def test_cycle_members_share_their_effects():
     analysis = analyze_source(CYCLE)
-    effects = {name: readwrite.visible_effects(analysis, name) for name in "abc"}
+    effects = {name: readwrite._visible_effects(analysis, name) for name in "abc"}
     assert effects["a"] == effects["b"] == effects["c"]
     assert names(effects["a"][1]) >= {"ga", "gb", "gc", "depth"}
 

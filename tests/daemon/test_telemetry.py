@@ -305,16 +305,15 @@ def test_worker_death_gives_structured_error_and_restart(daemon_factory):
 
     asker = threading.Thread(target=ask)
     asker.start()
-    # Kill the worker mid-analysis: shortly after the daemon has queued
-    # the job on it, so the worker has taken the job off its queue (a
-    # kill inside the queue read can leave the queue's lock held) but
-    # is far from done.  A fixed delay from the send is not safe: the
-    # whole request can finish in less than half a second.
+    # Kill the worker as soon as the daemon has queued the job on it.
+    # Wherever the kill lands (before the worker takes the job, inside
+    # the queue read, or mid-analysis), the job is failed and the
+    # respawned worker gets a fresh queue.  A fixed delay from the send
+    # is not safe: the whole request can finish in under half a second.
     deadline = time.time() + 30
     while not handle.daemon._jobs:
         assert time.time() < deadline
         time.sleep(0.002)
-    time.sleep(0.1)
     handle.daemon._workers[0].kill()
     asker.join(60)
     response = outcome.get("response")
