@@ -298,21 +298,9 @@ def _resolved_deps(analysis) -> dict[str, set[str]] | None:
     for func, callees in static.items():
         deps.setdefault(func, set()).update(callees)
     ig = getattr(analysis, "ig", None)
-    root = getattr(ig, "root", None)
-    if root is not None:
-        stack, seen = [root], set()
-        seen_add, stack_extend = seen.add, stack.extend
-        while stack:
-            node = stack.pop()
-            nid = id(node)
-            if nid in seen:
-                continue
-            seen_add(nid)
-            bucket = deps.setdefault(node.func, set())
-            for callees in node.children.values():
-                children = callees.values()
-                bucket.update(child.func for child in children)
-                stack_extend(children)
+    if ig is not None:
+        for func, callees in ig.call_graph().items():
+            deps.setdefault(func, set()).update(callees)
     return deps
 
 

@@ -49,10 +49,10 @@ def compare_function_pointer_strategies(
     for fn in program.functions.values():
         for call_site, _ in indirect_call_sites(fn):
             per_site[call_site] = 0
-    for node in precise.ig.nodes():
-        for call_site, children in node.children.items():
+    for _, _, sites in precise.ig.distinct_subtrees():
+        for call_site, callees in sites:
             if call_site in per_site:
-                per_site[call_site] = max(per_site[call_site], len(children))
+                per_site[call_site] = max(per_site[call_site], len(callees))
 
     return StrategyComparison(
         precise_nodes=precise.ig.node_count(),

@@ -334,6 +334,11 @@ class HeapConnectionAnalysis:
     def _process_loop(self, stmt, state, env) -> _Flow:
         result = _Flow(None)
         current = state
+        if isinstance(stmt, SFor):
+            # The initializer runs once, before the loop's fixed point.
+            init = self._process(stmt.init, state, env)
+            result.returns = init.returns
+            current = init.out
         exits: list = []
         for _ in range(self.MAX_ITERATIONS):
             exits = []
@@ -346,8 +351,6 @@ class HeapConnectionAnalysis:
                 if stmt.cond is not None and evald.out is not None:
                     exits.append(evald.out)
             else:
-                if isinstance(stmt, SFor):
-                    pass  # init handled by caller wrapper below
                 evald = self._process(stmt.cond_eval, current, env)
                 after = evald.out
                 if stmt.cond is not None and after is not None:

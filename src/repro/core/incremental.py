@@ -56,7 +56,7 @@ from repro.core.analysis import (
 )
 from repro.core.env import FuncEnv
 from repro.core.interproc import MemoStats, _process_ordinary, _SliceEntry
-from repro.core.invocation_graph import IGNode, IGNodeKind, InvocationGraph
+from repro.core.invocation_graph import IGNodeKind
 from repro.core.locations import (
     AbsLoc,
     LocKind,
@@ -843,7 +843,6 @@ def splice_update(
     old_analysis: PointsToAnalysis,
     parsed: IncrementalParse,
     options: AnalysisOptions,
-    ig_nodes: list | None = None,
 ):
     """Tier A: patch the old analysis in place of a cold re-run.
 
@@ -864,12 +863,12 @@ def splice_update(
     part (recoverable from any fully-covered old row by the K*
     criterion) re-added."""
     try:
-        return _splice_update(old_analysis, parsed, options, ig_nodes)
+        return _splice_update(old_analysis, parsed, options)
     except _Fallback:
         return None
 
 
-def _splice_update(old_analysis, parsed, options, ig_nodes=None):
+def _splice_update(old_analysis, parsed, options):
     if CONFIG.track_provenance:
         raise _Fallback("provenance recording requested")
     if not options.context_sensitive or options.share_subtrees:
@@ -902,11 +901,9 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
     old_oracle = _SummaryOracle(old_program, options)
     new_oracle = _SummaryOracle(new_program, options)
 
-    if ig_nodes is None:
-        ig_nodes = old_analysis.ig.nodes()
     node_kinds: dict[str, set] = {}
-    for node in ig_nodes:
-        node_kinds.setdefault(node.func, set()).add(node.kind)
+    for func, kind, _ in old_analysis.ig.distinct_subtrees():
+        node_kinds.setdefault(func, set()).add(kind)
 
     plans = []
     for func in changed:
@@ -981,15 +978,8 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
     new_capture: dict[str, dict] = {}
     mini = None
     try:
-        # The mini run only ever flows detached per-function subtrees,
-        # so skip the full static invocation-graph build.
-        mini = Analyzer(
-            new_program,
-            options,
-            ig=InvocationGraph(
-                new_program, options.entry_point, build=False
-            ),
-        )
+        # The mini run only ever flows detached per-function subtrees.
+        mini = Analyzer(new_program, options)
         # Seeds can only be consulted for the changed functions'
         # unchanged sub-callees — restrict the bank to exactly those
         # (empty for leaf edits, skipping neutralization entirely).
@@ -1004,8 +994,7 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
              entries, covered_old, k_star) in plans:
             if not entries:
                 continue
-            node = IGNode(func)
-            mini.ig._build(node)
+            node = mini.ig.context_tree(func)
             func_entries: dict = {}
             covered_new = None
             for key, old_entry in entries:
@@ -1093,17 +1082,9 @@ def _splice_update(old_analysis, parsed, options, ig_nodes=None):
         for old_stmt, new_stmt in zip(old_calls, new_calls):
             full_site_map[old_stmt.call_site] = new_stmt.call_site
     ig = old_analysis.ig
-    for node in ig_nodes:
-        if node.children and any(
-            site not in full_site_map for site in node.children
-        ):
-            raise _Fallback("invocation-graph site unmapped")
-    for node in ig_nodes:
-        if node.children:
-            node.children = {
-                full_site_map[site]: callees
-                for site, callees in node.children.items()
-            }
+    if any(site not in full_site_map for site in ig.call_sites()):
+        raise _Fallback("invocation-graph site unmapped")
+    ig.renumber_sites(full_site_map)
     ig.program = new_program
 
     point_info: dict[int, PointsToSet] = {}
@@ -1241,21 +1222,18 @@ def update_analysis(
     # Plan the dirty set, using provenance derivation edges as the
     # dependency graph when the old run recorded them.
     prov_edges = provenance_dependencies(old_analysis)
-    ig_nodes = None
     if parsed is not None:
         # The chunk differ already proved the function sets and global
         # tables identical and named the changed bodies, so skip the
         # whole-program fingerprint sweep; absent provenance, lift
         # dependency edges from the old invocation graph (a caller's
         # facts depend on every callee it actually invoked).
-        ig_nodes = old_analysis.ig.nodes()
         edges = prov_edges
         if edges is None:
             edges = {}
-            for node in ig_nodes:
-                for callees in node.children.values():
-                    for child in callees.values():
-                        edges.setdefault(child.func, set()).add(node.func)
+            for caller, callees in old_analysis.ig.call_graph().items():
+                for callee in callees:
+                    edges.setdefault(callee, set()).add(caller)
         changed = sorted(parsed.changed)
         dirty: set[str] = set()
         worklist = list(changed)
@@ -1286,7 +1264,7 @@ def update_analysis(
 
     fallback = None
     if parsed is not None:
-        spliced = splice_update(old_analysis, parsed, options, ig_nodes)
+        spliced = splice_update(old_analysis, parsed, options)
         if spliced is not None:
             analysis, info = spliced
             report = UpdateReport(

@@ -159,8 +159,8 @@ def resolved_callees(analysis: PointsToAnalysis, stmt) -> list[str]:
 class _Effects:
     """Per-analysis read/write state, each piece built once, on first
     use: ``site_callees`` (every call site's bound, defined callees,
-    from one walk of the invocation graph; only indirect calls read
-    it), ``own`` (each function's basic statements with their
+    from one visit of each distinct invocation subtree; only indirect
+    calls read it), ``own`` (each function's basic statements with their
     callee-free sets, None when unreachable) and ``visible`` (each
     function's visible effects).  It holds no reference back to the
     analysis, which owns it: a finished analysis stays acyclic."""
@@ -174,10 +174,7 @@ class _Effects:
 
     def site_callees(self, analysis: PointsToAnalysis) -> dict[int, list[str]]:
         if self._site_callees is None:
-            bound: dict = {}
-            for node in analysis.ig.root.walk():
-                for site, by_callee in node.children.items():
-                    bound.setdefault(site, set()).update(by_callee)
+            bound = analysis.ig.call_sites()
             functions = analysis.program.functions.keys()
             self._site_callees = {
                 site: sorted(callees & functions)

@@ -179,9 +179,6 @@ class QuerySession:
             f"unknown variable {name!r} in scope {func or '<global>'}"
         )
 
-    def _ig_root(self):
-        return self.analysis.ig.root
-
     # -- incremental update ------------------------------------------------
 
     def update(self, new_source: str, *, store=None):
@@ -390,20 +387,12 @@ class QuerySession:
     def callees_at(self, call_site: int) -> list[str]:
         """Functions the invocation graph binds at ``call_site``."""
         self.stats.record("callees_at")
-        callees: set[str] = set()
-        for node in self._ig_root().walk():
-            callees.update(node.children.get(call_site, ()))
-        return sorted(callees)
+        return sorted(self.analysis.ig.call_sites().get(call_site, ()))
 
     def callers_of(self, func: str) -> list[str]:
         """Functions with an invocation-graph edge into ``func``."""
         self.stats.record("callers_of")
-        callers: set[str] = set()
-        for node in self._ig_root().walk():
-            for by_callee in node.children.values():
-                if func in by_callee:
-                    callers.add(node.func)
-        return sorted(callers)
+        return sorted(self.analysis.ig.callers_of(func))
 
     def read_write(self, func: str) -> dict:
         """Aggregated read/write sets of ``func`` (union over its
@@ -435,10 +424,7 @@ class QuerySession:
     def call_sites(self) -> dict[int, list[str]]:
         """call-site id -> callees bound there (from the graph)."""
         self.stats.record("call_sites")
-        sites: dict[int, set[str]] = {}
-        for node in self._ig_root().walk():
-            for site, by_callee in node.children.items():
-                sites.setdefault(site, set()).update(by_callee)
+        sites = self.analysis.ig.call_sites()
         return {site: sorted(sites[site]) for site in sorted(sites)}
 
     def list_labels(self) -> dict[str, list]:

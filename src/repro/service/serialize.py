@@ -33,7 +33,12 @@ from dataclasses import asdict
 from repro.core.analysis import AnalysisOptions, _is_temp_name
 from repro.core.incremental import skeleton
 from repro.core.interproc import MemoStats
-from repro.core.invocation_graph import IGNode, IGNodeKind, InvocationGraph
+from repro.core.invocation_graph import (
+    GraphQueries,
+    IGNode,
+    root_of_table,
+    subtree_table,
+)
 from repro.core.locations import AbsLoc, LocKind, LocTable
 from repro.core.pointsto import PointsToSet, iter_bits, locations_of
 from repro.checkers.facts import CheckFacts, analysis_facts
@@ -54,10 +59,12 @@ from repro.service.gcpause import gc_paused
 #: v5: "point_info" spells each shared row and set once
 #: (:func:`_encode_point_info`); "stmt_func" is one ``[start, stop]``
 #: id range per function.
-FORMAT_VERSION = 5
+#: v6: "ig" spells each distinct invocation subtree once
+#: (:func:`_encode_ig`) instead of every node.
+FORMAT_VERSION = 6
 
 #: Payload versions :class:`DecodedAnalysis` accepts.
-SUPPORTED_VERSIONS = frozenset({2, 3, 4, 5})
+SUPPORTED_VERSIONS = frozenset({2, 3, 4, 5, 6})
 
 #: Version of the *optional* ``"provenance"`` payload section.  The
 #: section is versioned independently: it only appears when the
@@ -163,27 +170,15 @@ def _encode_point_info(point_info: dict, table: _LocTable) -> dict:
 
 
 def _encode_ig(ig) -> list:
-    """The invocation graph as a flat node list.
+    """The invocation graph as each distinct subtree once
+    (:func:`~repro.core.invocation_graph.subtree_table`).
 
     Children are listed in their original insertion order (the order
     the analysis attached them), which is deterministic because the
     analysis is; preserving it makes ``render()``/``to_dot()`` of the
     decoded graph byte-identical to the original's.
     """
-    nodes: list[IGNode] = list(ig.root.walk())
-    index = {id(node): i for i, node in enumerate(nodes)}
-    encoded = []
-    for node in nodes:
-        edges = [
-            [site, index[id(child)]]
-            for site, by_callee in node.children.items()
-            for child in by_callee.values()
-        ]
-        partner = (
-            index[id(node.rec_partner)] if node.rec_partner is not None else -1
-        )
-        encoded.append([node.func, node.kind.value, partner, edges])
-    return encoded
+    return subtree_table(ig.root)
 
 
 def _encode_scopes(analysis) -> dict:
@@ -346,36 +341,30 @@ def semantic_payload_bytes(
 # ---------------------------------------------------------------------------
 
 
-class DecodedInvocationGraph:
-    """An invocation graph rebuilt from a payload.
-
-    Holds real :class:`~repro.core.invocation_graph.IGNode` objects, so
-    the rendering/counting methods of the live class apply verbatim
-    (they only traverse ``self.root``).
-    """
+class DecodedInvocationGraph(GraphQueries):
+    """An invocation graph rebuilt from a payload: the same lazy
+    :class:`~repro.core.invocation_graph.IGNode` contexts over shared
+    shapes as a live graph, so every query of the live class applies
+    verbatim."""
 
     def __init__(self, root: IGNode, root_func: str):
         self.root = root
         self.root_func = root_func
 
-    render = InvocationGraph.render
-    to_dot = InvocationGraph.to_dot
-    nodes = InvocationGraph.nodes
-    node_count = InvocationGraph.node_count
-    count_kind = InvocationGraph.count_kind
-    functions_called = InvocationGraph.functions_called
 
-
-def _decode_ig(encoded: list) -> DecodedInvocationGraph:
-    nodes = [
-        IGNode(func, IGNodeKind(kind)) for func, kind, _, _ in encoded
-    ]
-    for node, (_, _, partner, edges) in zip(nodes, encoded):
-        if partner >= 0:
-            node.rec_partner = nodes[partner]
-        for site, child_index in edges:
-            node.add_child(site, nodes[child_index])
-    return DecodedInvocationGraph(nodes[0], nodes[0].func)
+def _decode_ig(encoded: list, version: int) -> DecodedInvocationGraph:
+    if version < 6:
+        # One flat node per context: ``[func, kind, partner, edges]``,
+        # each node its own table entry (partners are implied).
+        entries = []
+        for func, kind, _, edges in encoded:
+            sites: dict[int, list[int]] = {}
+            for site, child in edges:
+                sites.setdefault(site, []).append(child)
+            entries.append([func, kind, list(sites.items())])
+        encoded = entries
+    root = root_of_table(encoded)
+    return DecodedInvocationGraph(root, root.func)
 
 
 class DecodedProvenance:
@@ -495,7 +484,7 @@ class DecodedAnalysis:
                         table, locs, rows, sets[set_id], ids, decoded
                     )
                 self.point_info[int(stmt_id)] = pts.copy()
-        self.ig = _decode_ig(payload["ig"])
+        self.ig = _decode_ig(payload["ig"], version)
         self.scopes: dict[str, dict] = payload["scopes"]
         self.globals: list[str] = payload["globals"]
         self.functions: list[str] = payload["functions"]

@@ -41,6 +41,128 @@ int main() {
 """
 
 
+TABLE_INITIALIZED_GLOBALLY = """
+int g; int *gp;
+void set_g(void) { gp = &g; }
+void clear_g(void) { gp = 0; }
+void (*ops[2])(void) = { set_g, clear_g };
+int main() {
+    void (*f)(void);
+    f = ops[0];
+    f();
+    OUT: return 0;
+}
+"""
+
+
+UNKNOWN_TABLE_INDEX = """
+int sel;
+int g; int *gp;
+void set_g(void) { gp = &g; }
+void clear_g(void) { gp = 0; }
+void (*ops[2])(void) = { set_g, clear_g };
+int main() {
+    void (*f)(void);
+    f = ops[sel];
+    f();
+    OUT: return 0;
+}
+"""
+
+
+STRUCT_FIELD_POINTER = """
+int g; int *gp;
+void set_g(void) { gp = &g; }
+struct driver { void (*init)(void); };
+int main() {
+    struct driver d;
+    void (*f)(void);
+    d.init = set_g;
+    f = d.init;
+    f();
+    OUT: return 0;
+}
+"""
+
+
+POINTER_ARGUMENT = """
+int g; int *gp;
+void set_g(void) { gp = &g; }
+void apply(void (*f)(void)) { f(); }
+int main() { apply(set_g); OUT: return 0; }
+"""
+
+
+MULTI_LEVEL_POINTER = """
+int g; int *gp;
+void set_g(void) { gp = &g; }
+int main() {
+    void (*f)(void);
+    void (**pf)(void);
+    void (*f2)(void);
+    f = set_g;
+    pf = &f;
+    f2 = *pf;
+    f2();
+    OUT: return 0;
+}
+"""
+
+
+SELF_CALL_VIA_POINTER = """
+int depth;
+void f(void);
+void (*fp)(void);
+void f(void) { if (depth > 0) { depth--; fp(); } }
+int main() { fp = f; fp(); OUT: return 0; }
+"""
+
+
+ALTERNATING_POINTERS = """
+int n; int g; int *gp;
+void f(void); void h(void);
+void (*fp)(void);
+void f(void) { gp = &g; if (n > 0) { n--; fp = h; fp(); } }
+void h(void) { if (n > 0) { n--; fp = f; fp(); } }
+int main() { fp = f; fp(); OUT: return 0; }
+"""
+
+
+NULL_ONLY_POINTER = """
+int main() { void (*f)(void); f = 0; f(); OUT: return 0; }
+"""
+
+
+STRATEGY_CHOICE = """
+int g; int *gp;
+void used(void) { gp = &g; }
+void unused_but_taken(void) { gp = 0; }
+void never_taken(void) { }
+void (*keep)(void);
+int main() {
+    void (*f)(void);
+    keep = unused_but_taken;
+    f = used;
+    f();
+    OUT: return 0;
+}
+"""
+
+#: The function-pointer and recursion programs above, by name.
+PROGRAMS = {
+    "paper_figure6": PAPER_FIGURE6,
+    "table_initialized_globally": TABLE_INITIALIZED_GLOBALLY,
+    "unknown_table_index": UNKNOWN_TABLE_INDEX,
+    "struct_field_pointer": STRUCT_FIELD_POINTER,
+    "pointer_argument": POINTER_ARGUMENT,
+    "multi_level_pointer": MULTI_LEVEL_POINTER,
+    "self_call_via_pointer": SELF_CALL_VIA_POINTER,
+    "alternating_pointers": ALTERNATING_POINTERS,
+    "null_only_pointer": NULL_ONLY_POINTER,
+    "strategy_choice": STRATEGY_CHOICE,
+}
+
+
 class TestPaperFigure6:
     """The paper's worked example, checked point for point."""
 
@@ -100,104 +222,38 @@ class TestPaperFigure6:
 
 class TestDispatchTables:
     def test_table_initialized_globally(self):
-        source = """
-        int g; int *gp;
-        void set_g(void) { gp = &g; }
-        void clear_g(void) { gp = 0; }
-        void (*ops[2])(void) = { set_g, clear_g };
-        int main() {
-            void (*f)(void);
-            f = ops[0];
-            f();
-            OUT: return 0;
-        }
-        """
+        source = TABLE_INITIALIZED_GLOBALLY
         triples = at(source, "OUT")
         # ops[0] is definitely set_g (head location, strong init)
         assert ("gp", "g", "D") in triples
 
     def test_unknown_table_index_merges_all_entries(self):
-        source = """
-        int sel;
-        int g; int *gp;
-        void set_g(void) { gp = &g; }
-        void clear_g(void) { gp = 0; }
-        void (*ops[2])(void) = { set_g, clear_g };
-        int main() {
-            void (*f)(void);
-            f = ops[sel];
-            f();
-            OUT: return 0;
-        }
-        """
+        source = UNKNOWN_TABLE_INDEX
         triples = at(source, "OUT")
         assert ("gp", "g", "P") in triples
 
     def test_function_pointer_in_struct_field(self):
-        source = """
-        int g; int *gp;
-        void set_g(void) { gp = &g; }
-        struct driver { void (*init)(void); };
-        int main() {
-            struct driver d;
-            void (*f)(void);
-            d.init = set_g;
-            f = d.init;
-            f();
-            OUT: return 0;
-        }
-        """
+        source = STRUCT_FIELD_POINTER
         assert ("gp", "g", "D") in at(source, "OUT")
 
     def test_function_pointer_passed_as_argument(self):
-        source = """
-        int g; int *gp;
-        void set_g(void) { gp = &g; }
-        void apply(void (*f)(void)) { f(); }
-        int main() { apply(set_g); OUT: return 0; }
-        """
+        source = POINTER_ARGUMENT
         assert ("gp", "g", "D") in at(source, "OUT")
 
     def test_multi_level_function_pointer(self):
-        source = """
-        int g; int *gp;
-        void set_g(void) { gp = &g; }
-        int main() {
-            void (*f)(void);
-            void (**pf)(void);
-            void (*f2)(void);
-            f = set_g;
-            pf = &f;
-            f2 = *pf;
-            f2();
-            OUT: return 0;
-        }
-        """
+        source = MULTI_LEVEL_POINTER
         assert ("gp", "g", "D") in at(source, "OUT")
 
 
 class TestRecursionThroughFunctionPointers:
     def test_self_call_via_pointer_marks_recursion(self):
-        source = """
-        int depth;
-        void f(void);
-        void (*fp)(void);
-        void f(void) { if (depth > 0) { depth--; fp(); } }
-        int main() { fp = f; fp(); OUT: return 0; }
-        """
+        source = SELF_CALL_VIA_POINTER
         result = analyze_source(source)
         assert result.ig.count_kind(IGNodeKind.RECURSIVE) >= 1
         assert result.ig.count_kind(IGNodeKind.APPROXIMATE) >= 1
 
     def test_alternating_pointers_converge(self):
-        source = """
-        int n; int g; int *gp;
-        void f(void); void h(void);
-        void (*fp)(void);
-        void f(void) { gp = &g; if (n > 0) { n--; fp = h; fp(); } }
-        void h(void) { if (n > 0) { n--; fp = f; fp(); } }
-        int main() { fp = f; fp(); OUT: return 0; }
-        """
+        source = ALTERNATING_POINTERS
         triples = at(source, "OUT")
         # gp = &g is the first statement of f on every path, so the
         # relationship is in fact definite here.
@@ -206,20 +262,7 @@ class TestRecursionThroughFunctionPointers:
 
 
 class TestStrategies:
-    SOURCE = """
-    int g; int *gp;
-    void used(void) { gp = &g; }
-    void unused_but_taken(void) { gp = 0; }
-    void never_taken(void) { }
-    void (*keep)(void);
-    int main() {
-        void (*f)(void);
-        keep = unused_but_taken;
-        f = used;
-        f();
-        OUT: return 0;
-    }
-    """
+    SOURCE = STRATEGY_CHOICE
 
     def test_address_taken_set(self):
         program = simplify_source(self.SOURCE)
@@ -256,8 +299,6 @@ class TestStrategies:
         )
 
     def test_null_only_function_pointer_warns(self):
-        source = """
-        int main() { void (*f)(void); f = 0; f(); OUT: return 0; }
-        """
+        source = NULL_ONLY_POINTER
         result = analyze_source(source)
         assert any("no known" in w for w in result.warnings)

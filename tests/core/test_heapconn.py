@@ -6,6 +6,7 @@ from repro.core.heapconn import (
     analyze_heap_connections,
 )
 from repro.core.locations import AbsLoc, LocKind
+from repro.simple.ir import SFor
 
 
 def L(name):
@@ -172,6 +173,32 @@ class TestTransferFunctions:
         }
         """)
         assert heap.connected_at("HERE", "head", "p")
+
+    def test_for_initializer_runs_before_the_loop(self):
+        analysis = analyze_source("""
+        int main() {
+            int *p, *q;
+            int i;
+            q = (int *) malloc(4);
+            i = 0;
+            for (p = (int *) malloc(4); i < 3; i++) {
+                BODY: q = q;
+            }
+            return 0;
+        }
+        """)
+        heap = analyze_heap_connections(analysis)
+        main = analysis.program.functions["main"]
+        loop = next(s for s in main.iter_stmts() if isinstance(s, SFor))
+        alloc, copy = loop.init.stmts
+        assert alloc.stmt_id in heap.point_info
+        assert copy.stmt_id in heap.point_info
+        # The loop starts from the matrix the initializer leaves: its
+        # condition and body already hold p's fresh structure.
+        (test,) = loop.cond_eval.stmts
+        assert L("p") in heap.point_info[test.stmt_id].members()
+        assert heap.connected_at("BODY", "p", "p")
+        assert not heap.connected_at("BODY", "p", "q")
 
 
 class TestCalls:

@@ -8,12 +8,12 @@ sha256 digests:
 * ``payload``: the *v3 view* of
   :func:`repro.service.serialize.semantic_payload_bytes` — the encoded
   artifact minus the run-shape counters, expanded from the v5 row and
-  set dictionary to the v4 layout (:func:`v4_payload`), stamped
-  ``format_version: 3`` and carrying the Tables 2-6 ``summaries``
-  section that v3 artifacts shipped, now derived from the live analysis
-  on demand.  The digests were frozen from v3 artifacts; the view pins
-  every byte of the v5 artifact *and* the on-demand tables against
-  them;
+  set dictionary and the v6 subtree table to the v4 layout
+  (:func:`v4_payload`), stamped ``format_version: 3`` and carrying the
+  Tables 2-6 ``summaries`` section that v3 artifacts shipped, now
+  derived from the live analysis on demand.  The digests were frozen
+  from v3 artifacts; the view pins every byte of the v6 artifact *and*
+  the on-demand tables against them;
 * ``answers``: the query answers ``list_labels``, ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
 
@@ -81,10 +81,40 @@ TABLES = {
 }
 
 
+def flat_ig(entries: list) -> list:
+    """A v6 ``ig`` table (each distinct subtree once) as the v5 flat
+    node list: every context in pre-order as ``[func, kind, partner
+    index, [[site, child index], ...]]``, an approximate node's partner
+    being its nearest ancestor with the same function."""
+    nodes: list = []
+    parents: list[int] = []
+    stack = [(0, -1, None)]
+    while stack:
+        entry, parent, site = stack.pop()
+        func, kind, sites = entries[entry]
+        index = len(nodes)
+        partner = -1
+        if kind == "approximate":
+            partner = parent
+            while nodes[partner][0] != func:
+                partner = parents[partner]
+        nodes.append([func, kind, partner, []])
+        parents.append(parent)
+        if parent >= 0:
+            nodes[parent][3].append([site, index])
+        stack.extend(
+            (child, index, child_site)
+            for child_site, children in reversed(sites)
+            for child in reversed(children)
+        )
+    return nodes
+
+
 def v4_payload(payload: dict) -> dict:
-    """A v5 payload in the v4 layout: ``point_info`` spelled out as
-    each statement's sorted ``[src, tgt, "D"|"P"]`` triples and
-    ``stmt_func`` as one entry per statement id."""
+    """A v6 payload in the v4 layout: ``point_info`` spelled out as
+    each statement's sorted ``[src, tgt, "D"|"P"]`` triples,
+    ``stmt_func`` as one entry per statement id and ``ig`` as one flat
+    node per context (:func:`flat_ig`)."""
     info = payload["point_info"]
     rows = [
         sorted([[src, t, "D"] for t in defs] + [[src, t, "P"] for t in poss])
@@ -93,6 +123,7 @@ def v4_payload(payload: dict) -> dict:
     return dict(
         payload,
         format_version=4,
+        ig=flat_ig(payload["ig"]),
         point_info={
             stmt_id: [
                 triple for r in info["sets"][set_id] for triple in rows[r]

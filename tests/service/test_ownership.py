@@ -21,8 +21,10 @@ import weakref
 
 import pytest
 
+from repro.benchsuite import PERF_BENCHMARKS
 from repro.core import locations
 from repro.core.analysis import analyze_source
+from repro.core.invocation_graph import IGNode, IGNodeKind, IGShape
 from repro.frontend import ctypes
 from repro.service.commands import SessionCache, handle_request
 from repro.service.gcpause import gc_paused
@@ -122,6 +124,53 @@ def test_a_dropped_analysis_is_freed_without_the_collector():
         assert partner() is None
         assert env() is None
         assert result() is None
+
+
+def _live(cls) -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+def test_invocation_shapes_are_acyclic():
+    """A shape refers only to its call sites' callee shapes: nothing
+    reachable from one leads back to it, or to a node or a graph."""
+    for source in (RECURSIVE, PERF_BENCHMARKS["relay"].source):
+        for graph in (
+            analyze_source(source).ig,
+            decode_analysis(encode_analysis_bytes(analyze_source(source))).ig,
+        ):
+            root = graph.root._shape
+            assert root is not None
+            state: dict[int, str] = {}
+            stack = [(root, False)]
+            while stack:
+                obj, leaving = stack.pop()
+                if leaving:
+                    state[id(obj)] = "done"
+                    continue
+                if state.get(id(obj)) == "done":
+                    continue
+                assert state.get(id(obj)) != "open", "a shape cycle"
+                assert obj is None or isinstance(obj, (IGShape, tuple, str, int))
+                state[id(obj)] = "open"
+                stack.append((obj, True))
+                stack.extend(
+                    (child, False)
+                    for child in gc.get_referents(obj)
+                    if not isinstance(child, (type, IGNodeKind))
+                )
+
+
+def test_a_dropped_lazy_graph_dies_without_the_collector():
+    with gc_paused():
+        before = _live(IGShape), _live(IGNode)
+        analysis = analyze_source(PERF_BENCHMARKS["relay"].source)
+        decoded = decode_analysis(encode_analysis_bytes(analysis))
+        # Contexts the analysis never entered, made on both graphs.
+        for graph in (analysis.ig, decoded.ig):
+            graph.nodes()
+        assert _live(IGShape) > before[0] and _live(IGNode) > before[1]
+        del analysis, decoded, graph
+        assert (_live(IGShape), _live(IGNode)) == before
 
 
 def test_decoding_leaves_the_fallback_table_alone():

@@ -122,7 +122,7 @@ class TestRoundTrip:
         # and the tables derive on demand from the analysis.
         analysis, decoded = roundtrip(SAMPLE)
         payload = encode_analysis(analysis, name="t", source=SAMPLE)
-        assert payload["format_version"] == FORMAT_VERSION == 5
+        assert payload["format_version"] == FORMAT_VERSION == 6
         assert "summaries" not in payload
         assert not hasattr(decoded, "summaries")
 
@@ -179,7 +179,7 @@ def _answers(session: QuerySession, queries: list[str]) -> list:
 
 class TestOlderVersions:
     def test_supported_versions(self):
-        assert SUPPORTED_VERSIONS == {2, 3, 4, 5}
+        assert SUPPORTED_VERSIONS == {2, 3, 4, 5, 6}
 
     def test_v3_payload_with_summaries_answers_every_query_kind(self):
         with perf.configured(track_provenance=True):
