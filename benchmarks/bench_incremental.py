@@ -15,6 +15,14 @@ Medians over ``--repeats`` runs; the full mode enforces the >=10x
 warm-over-cold floor on every program.  ``--smoke`` runs one repeat
 and skips the floor (CI).
 
+It then times the whole ladder against cold over the edit-fuzz sweep
+(``tests/interp/test_edit_fuzz.py``: every suite benchmark and fuzz
+corpus program, one edit per mutation family; ``--smoke`` takes the
+tier-1 programs only) and records it as the section's ``sweep``: per
+pair the best of ``--repeats`` runs (at most 3), update and cold in
+alternating order, summed overall and per tier the ladder took.  Every
+update is checked byte-identical to cold on the first repeat.
+
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_incremental.py [--smoke] [--out PATH]
@@ -28,17 +36,22 @@ import statistics
 import sys
 import time
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT))
 
+from repro.benchsuite.edits import propose_edits  # noqa: E402
 from repro.benchsuite.perfsuite import PERF_BENCHMARKS  # noqa: E402
 from repro.core.analysis import analyze_source  # noqa: E402
 from repro.core.incremental import update_analysis  # noqa: E402
 from repro.service.serialize import semantic_payload_bytes  # noqa: E402
 from report import merge_section  # noqa: E402
+from tests.interp.test_edit_fuzz import (  # noqa: E402
+    PROGRAMS,
+    TIER1_PROGRAMS,
+    _source_for,
+)
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
 SPEEDUP_FLOOR = 10.0
@@ -107,6 +120,62 @@ def bench_program(name: str, repeats: int) -> dict:
     return section
 
 
+def bench_sweep(programs: list, repeats: int) -> dict:
+    """Ladder vs cold over every (program, edit) pair of ``programs``."""
+    pairs = []
+    for test_id, (kind, name, seed) in programs:
+        source = _source_for(kind, name, seed)
+        for edit in propose_edits(source, seed=seed, per_kind=1):
+            pairs.append((f"{test_id}-{edit.kind}", source, edit.source))
+    best: dict[str, list[float]] = {}
+    tiers: dict[str, str] = {}
+    for repeat in range(repeats):
+        for pair_id, old_source, new_source in pairs:
+            # The splice reuses (and renumbers) the base analysis, so
+            # every update gets a fresh one.
+            base = analyze_source(old_source)
+            samples = [0.0, 0.0]
+            for which in ((0, 1) if repeat % 2 == 0 else (1, 0)):
+                started = time.perf_counter()
+                if which == 0:
+                    updated, report = update_analysis(
+                        base, old_source, new_source
+                    )
+                else:
+                    cold = analyze_source(new_source)
+                samples[which] = time.perf_counter() - started
+            if repeat == 0:
+                assert semantic_payload_bytes(updated, pair_id) == (
+                    semantic_payload_bytes(cold, pair_id)
+                ), f"{pair_id}: update diverges from cold"
+            tiers[pair_id] = report.mode
+            previous = best.setdefault(pair_id, samples)
+            best[pair_id] = [min(a, b) for a, b in zip(previous, samples)]
+
+    def totals(ids) -> dict:
+        return {
+            "pairs": len(ids),
+            "ladder_s": round(sum(best[i][0] for i in ids), 4),
+            "cold_s": round(sum(best[i][1] for i in ids), 4),
+        }
+
+    by_tier = {
+        tier: totals([i for i in best if tiers[i] == tier])
+        for tier in sorted(set(tiers.values()))
+    }
+    sweep = dict(totals(list(best)), repeats=repeats, tiers=by_tier)
+    print(
+        f"  sweep: {sweep['pairs']} pairs, ladder {sweep['ladder_s']:.3f}s"
+        f" vs cold {sweep['cold_s']:.3f}s; "
+        + ", ".join(
+            f"{tier} {entry['pairs']} ({entry['ladder_s']:.3f}s vs "
+            f"{entry['cold_s']:.3f}s)"
+            for tier, entry in by_tier.items()
+        )
+    )
+    return sweep
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -128,11 +197,15 @@ def main(argv: list[str] | None = None) -> int:
     floor_ok = all(
         entry["speedup"] >= SPEEDUP_FLOOR for entry in programs.values()
     )
+    sweep = bench_sweep(
+        TIER1_PROGRAMS if args.smoke else PROGRAMS, min(repeats, 3)
+    )
     section = {
         "mode": mode,
         "repeats": repeats,
         "speedup_floor": SPEEDUP_FLOOR,
         "programs": programs,
+        "sweep": sweep,
     }
 
     merge_section(args.out, "incremental", section)

@@ -583,39 +583,6 @@ def _classify(
     return statuses, absent
 
 
-def _ig_call_profile(ig) -> dict[str, Counter]:
-    """caller -> multiset of ``(call_site, callee)`` invocations,
-    aggregated over every invocation context of the caller.  Two
-    analyses invoke a function with the same input merge exactly when
-    the relevant profiles agree, so comparing profiles detects every
-    call-behavior change — including indirect call-sites re-bound by a
-    facts change in a function whose own text never moved."""
-    profile: dict[str, Counter] = {}
-    for node in ig.root.walk():
-        counts = profile.setdefault(node.func, Counter())
-        for site, children in node.children.items():
-            for child in children.values():
-                counts[(site, child.func)] += 1
-    return profile
-
-
-def _callee_closure(
-    seeds: set[str], *profiles: dict[str, Counter]
-) -> set[str]:
-    """``seeds`` plus everything transitively callable from them
-    through any of the given call profiles."""
-    closure = set(seeds)
-    worklist = list(seeds)
-    while worklist:
-        func = worklist.pop()
-        for profile in profiles:
-            for _, callee in profile.get(func, ()):
-                if callee not in closure:
-                    closure.add(callee)
-                    worklist.append(callee)
-    return closure
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -631,7 +598,7 @@ class DiffCheckReport:
     statuses: list[str] = field(default_factory=list)
     #: Baseline findings no longer reported ("fixed"), as dicts.
     absent: list[dict] = field(default_factory=list)
-    #: Analysis-reuse tier ("unchanged"/"splice"/"seeded"/"cold"/...).
+    #: Analysis-reuse tier ("unchanged"/"splice"/"cold"/"cached").
     mode: str = "cold"
     dirty_functions: list[str] = field(default_factory=list)
     clean_functions: list[str] = field(default_factory=list)
@@ -686,9 +653,8 @@ def check_diff(
     :func:`build_baseline` of ``old_source`` (analyzing it if
     ``old_analysis`` was not given).  Runs provenance-off: the splice
     tier of the update ladder requires it, and witnesses would defeat
-    replay.  With ``persist`` and a store, the new text's baseline
-    (and, on a live base analysis, its function summaries) are written
-    back so the next diff starts warm.
+    replay.  With ``persist`` and a store, the new text's artifact and
+    baseline are written back so the next diff starts warm.
     """
     from repro.core import perf
     from repro.core.analysis import AnalysisOptions, analyze_source
@@ -728,14 +694,6 @@ def check_diff(
                     old_analysis, _ = store.load_or_analyze(
                         old_source, options, name=filename
                     )
-                    if (
-                        persist
-                        and getattr(old_analysis, "program", None)
-                        is not None
-                    ):
-                        store.put_function_summaries(
-                            old_analysis, old_source, options
-                        )
                 else:
                     old_analysis = analyze_source(
                         old_source, options, filename=filename
@@ -756,7 +714,7 @@ def check_diff(
         if old_analysis is not None and old_source is not None:
             analysis, update = update_analysis(
                 old_analysis, old_source, new_source, options,
-                filename=filename, store=store,
+                filename=filename,
             )
             mode = update.mode
             if (
@@ -764,8 +722,8 @@ def check_diff(
                 and persist
                 and getattr(analysis, "program", None) is not None
             ):
-                # Persist the updated artifact + summaries so the next
-                # check of this text starts from the store, not cold.
+                # Persist the updated artifact so the next check of
+                # this text starts from the store, not cold.
                 from repro.service.serialize import encode_analysis
 
                 new_key = store.key_for(new_source, options)
@@ -776,9 +734,6 @@ def check_diff(
                             analysis, name=filename, source=new_source
                         ),
                     )
-                store.put_function_summaries(
-                    analysis, new_source, options
-                )
         elif store is not None:
             analysis, hit = store.load_or_analyze(
                 new_source, options, name=filename
@@ -791,44 +746,16 @@ def check_diff(
             mode = "cold"
 
         rows_unchanged = None
-        if (
-            update is not None
-            and update.mode in ("unchanged", "splice", "seeded")
-            and getattr(analysis, "program", None) is not None
-            and getattr(old_analysis, "ig", None) is not None
-        ):
+        if update is not None and update.mode in ("unchanged", "splice"):
             # The update ladder's equivalence guarantee: outside the
             # planner's dirty set, points-to rows are byte-identical
             # to the old analysis — and the baseline records exactly
-            # those (it is keyed by / built from the old text).
-            # Per-stmt rows merge facts over *invocation contexts*, so
-            # a function can change rows without re-analysis when an
-            # ancestor's call behavior changes — a retargeted function
-            # pointer drops the old target's context, say.
+            # those (it is keyed by / built from the old text).  Both
+            # tiers keep the old invocation graph, so no function's
+            # contexts change behind an unchanged body.
             suspect = set(update.dirty_functions or ())
             suspect |= set(update.changed or ())
             suspect |= set(update.reanalyzed or ())
-            if analysis.ig is not old_analysis.ig:
-                # The IG was rebuilt (seeded tier), so its shape may
-                # differ.  Behavior changes show up as per-function
-                # call-profile differences between the two invocation
-                # graphs (the root never enters the memo counters, so
-                # ``reanalyzed`` alone misses it); every victim is
-                # then a transitive callee of a seed.  When the update
-                # reused the old IG in place (unchanged/splice tiers),
-                # every context multiset is unchanged by construction
-                # and profiles would compare an IG against itself —
-                # skip the walks.
-                old_profile = _ig_call_profile(old_analysis.ig)
-                new_profile = _ig_call_profile(analysis.ig)
-                seeds = set(update.changed or ())
-                seeds |= set(update.reanalyzed or ())
-                for func in set(old_profile) | set(new_profile):
-                    if old_profile.get(func) != new_profile.get(func):
-                        seeds.add(func)
-                suspect |= _callee_closure(
-                    seeds, old_profile, new_profile
-                )
             rows_unchanged = set(analysis.program.functions) - suspect
         state = _program_state(
             analysis, new_source,

@@ -255,7 +255,6 @@ def cmd_update(args: argparse.Namespace) -> int:
         old_result, _ = store.load_or_analyze(
             old_source, options, name=args.old
         )
-        store.put_function_summaries(old_result, old_source, options)
     else:
         old_result = analyze_source(
             old_source, options, filename=args.old
@@ -266,7 +265,6 @@ def cmd_update(args: argparse.Namespace) -> int:
         new_source,
         options,
         filename=args.new,
-        store=store,
     )
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     for expr in args.queries:

@@ -305,10 +305,9 @@ class Analyzer:
         #: {("slice", key_rows): interproc._SliceEntry}, LRU-bounded.
         self._slice_memo: dict[str, dict] = {}
         #: Optional incremental seed bank (repro.core.incremental
-        #: .SeedBank): consulted on slice-memo misses so a re-run can
-        #: replay summaries captured by a prior run.
+        #: .SeedBank): consulted on slice-memo misses so a splice's mini
+        #: run can replay summaries captured by the prior run.
         self.seed_bank = None
-        self.seed_hits = 0
 
     def bump_call_state(self) -> None:
         """Note a mutation of the interprocedural call state (memo /

@@ -2,19 +2,20 @@
 
 The store keys whole artifacts on ``sha256(source, options)``, so a
 one-line edit used to throw away every summary and re-run the full
-interprocedural fixpoint.  This module splits that monolith into
-per-function *summary records* (the slice-keyed memo entries a run
-captured, in a table-independent neutral form) plus an
+interprocedural fixpoint.  This module reuses a live run's *slice
+capture* (the slice-keyed memo entries it recorded per function) and an
 *invocation-graph skeleton* (per-function body fingerprints and the
 static direct-call dependency graph), computes the **dirty set** of an
 edit — the changed functions plus everything reachable through
 dependency edges, with kills propagated transitively — and re-analyzes
-only that subtree.
+only that subtree.  :func:`capture_records` and
+:func:`bank_from_records` convert a capture to and from a
+table-independent neutral form, the per-function summary records of
+the store's record layer; no update tier reads them.
 
-Three update tiers, each proven equivalent to a cold run and each
-falling back to the next on any condition it cannot verify:
+Two update tiers, each proven equivalent to a cold run:
 
-**Tier A — splice** (:func:`splice_update`).  When the edit is a pure
+**Splice** (:func:`splice_update`).  When the edit is a pure
 body edit that provably preserves the changed function's observable
 summary (same slice keys, same caller-visible outputs, same warnings,
 same sub-callee records), the old analysis is *spliced*: the changed
@@ -22,13 +23,8 @@ function's program-point rows are recomputed by a mini fixpoint over
 just its captured slice inputs, every other row, warning, environment
 and invocation-graph node is reused, and statement and call-site ids
 are renumbered to the cold numbering.  This never re-flows ``main``
-and is the milliseconds path.
-
-**Tier B — seeded re-run** (:func:`seeded_analyze`).  A full fixpoint
-over the new program whose slice-keyed memo is pre-seeded with every
-summary whose *transitive direct-call closure* is fingerprint-clean.
-Byte-equivalence holds by the memo contract: a seed hit replays
-exactly what a cold miss would have recorded.
+and is the milliseconds path.  Any condition it cannot verify falls
+straight to cold.
 
 **Cold** — plain :func:`repro.core.analysis.analyze`.
 
@@ -515,7 +511,8 @@ class SeedEntry:
 
 
 class SeedBank:
-    """Per-function slice-memo seeds a re-run may consult on a miss.
+    """Per-function slice-memo seeds a splice's mini run may consult
+    on a miss.
 
     Entries are keyed on the slice key's triples (the memo's key rows,
     table-free); :meth:`materialize` rebuilds a live
@@ -566,21 +563,20 @@ def bank_from_capture(
     old_analysis,
     new_program: SimpleProgram,
     options: AnalysisOptions,
-    only: set[str] | None = None,
+    only: set[str],
 ) -> SeedBank:
-    """Build a seed bank from a live prior run's slice capture.
+    """Build a seed bank for the functions named in ``only`` from a
+    live prior run's slice capture.
 
     A function's entries are seedable only when its entire transitive
     direct-call closure is fingerprint-identical between the old and
     new programs (and the global tables match): the memo contract makes
     a non-opaque function's analysis a pure function of (closure
-    bodies, globals, slice input).
-
-    ``only`` restricts the bank to the named functions (None keeps
-    every captured function); passing exactly the set a consumer can
-    miss on keeps small updates from neutralizing the whole capture."""
+    bodies, globals, slice input).  Naming exactly the functions a
+    consumer can miss on keeps small updates from neutralizing the
+    whole capture."""
     bank = SeedBank()
-    if only is not None and not only:
+    if not only:
         return bank
     capture = getattr(old_analysis, "slice_capture", None)
     old_program = getattr(old_analysis, "program", None)
@@ -593,9 +589,7 @@ def bank_from_capture(
     new_structs = _struct_tags(new_program)
 
     for func, table in capture.items():
-        if only is not None and func not in only:
-            continue
-        if func not in new_program.functions:
+        if func not in only or func not in new_program.functions:
             continue
         if new_oracle.summary(func).opaque:
             continue
@@ -760,29 +754,6 @@ def bank_from_records(
     return bank
 
 
-# --------------------------------------------------------------------------
-# Tier B: seeded full re-run
-# --------------------------------------------------------------------------
-
-
-def seeded_analyze(
-    program: SimpleProgram,
-    options: AnalysisOptions,
-    bank: SeedBank,
-) -> tuple[PointsToAnalysis, Analyzer]:
-    """Full fixpoint with the slice memo pre-seeded from ``bank``.
-
-    Semantic-byte-identical to a cold run: a seed hit replays exactly
-    the record/warning stream a cold miss would have produced (the
-    slice-memo contract), and the only divergence — hit/miss counters —
-    lives in the ``stats`` section that
-    :func:`repro.service.serialize.semantic_payload_bytes` strips."""
-    analyzer = Analyzer(program, options)
-    analyzer.seed_bank = bank
-    result = analyzer.run()
-    return result, analyzer
-
-
 def _reanalyzed_functions(stats: MemoStats) -> list[str]:
     """Functions whose bodies were actually re-flowed (at least one
     slice/memo miss); seed and within-run hits replay instead."""
@@ -794,12 +765,12 @@ def _reanalyzed_functions(stats: MemoStats) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Tier A: splice
+# Splice
 # --------------------------------------------------------------------------
 
 
 class _Fallback(Exception):
-    """Internal: a splice condition failed; fall to the next tier."""
+    """Internal: a splice condition failed; fall back to cold."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -844,10 +815,10 @@ def splice_update(
     parsed: IncrementalParse,
     options: AnalysisOptions,
 ):
-    """Tier A: patch the old analysis in place of a cold re-run.
+    """Patch the old analysis in place of a cold re-run.
 
     Returns ``(analysis, info)`` on success, None when any condition
-    fails (the caller falls to Tier B).  ``info`` carries
+    fails (the caller falls back to cold).  ``info`` carries
     ``reanalyzed`` (functions re-flowed by the mini run) and
     ``reused_summaries``.
 
@@ -1152,7 +1123,7 @@ def _splice_update(old_analysis, parsed, options):
 class UpdateReport:
     """What an update did, and how much it reused."""
 
-    mode: str  # "unchanged" | "splice" | "seeded" | "cold"
+    mode: str  # "unchanged" | "splice" | "cold"
     changed: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
     dirty_functions: list[str] = field(default_factory=list)
@@ -1181,19 +1152,14 @@ def update_analysis(
     options: AnalysisOptions | None = None,
     *,
     filename: str = "<source>",
-    store=None,
 ) -> tuple[PointsToAnalysis, UpdateReport]:
-    """Re-analyze ``new_source`` reusing as much of ``old_analysis`` as
-    each tier can prove safe: splice, then seeded re-run, then cold.
+    """Re-analyze ``new_source``: splice ``old_analysis`` when that is
+    provably safe, else run cold.
 
     ``old_analysis`` may be a live :class:`PointsToAnalysis` (warm
     session) or any object exposing ``options`` and optionally an
-    ``incremental`` skeleton dict (a decoded artifact); ``store`` is an
-    optional :class:`~repro.service.store.ResultStore` whose
-    per-function summary records back the seeded tier when no live
-    capture exists.  The seed bank must be revived against the exact
-    program object this call analyzes (statement identity), which is
-    why a store handle is taken rather than a prebuilt bank.
+    ``incremental`` skeleton dict (a decoded artifact), which only plans
+    the dirty set: splicing needs a live slice capture.
     """
     options = options if options is not None else old_analysis.options
     old_program = getattr(old_analysis, "program", None)
@@ -1262,8 +1228,12 @@ def update_analysis(
             old_deps = skel.get("deps", {})
         plan = plan_update(old_fps, old_deps, new_fps, new_deps, prov_edges)
 
-    fallback = None
-    if parsed is not None:
+    if parsed is None:
+        fallback = (
+            "no incremental parse of the edit" if live
+            else "no live base analysis"
+        )
+    else:
         spliced = splice_update(old_analysis, parsed, options)
         if spliced is not None:
             analysis, info = spliced
@@ -1280,27 +1250,6 @@ def update_analysis(
             return analysis, report
         fallback = "splice conditions not met"
 
-    bank = SeedBank()
-    if live and getattr(old_analysis, "slice_capture", None):
-        bank = bank_from_capture(old_analysis, new_program, options)
-    if not bank and store is not None:
-        bank = store.load_summary_bank(new_program, options)
-    if bank:
-        analysis, analyzer = seeded_analyze(new_program, options, bank)
-        mode = "seeded" if analyzer.seed_hits else "cold"
-        report = UpdateReport(
-            mode=mode,
-            changed=plan.changed + plan.added,
-            removed=plan.removed,
-            dirty_functions=plan.dirty,
-            kill_propagations=plan.kill_propagations,
-            reused_summaries=analyzer.seed_hits,
-            reanalyzed=_reanalyzed_functions(analysis.stats),
-            fallback=fallback,
-        )
-        _emit_counters(report)
-        return analysis, report
-
     analysis = analyze(new_program, options)
     report = UpdateReport(
         mode="cold",
@@ -1310,7 +1259,7 @@ def update_analysis(
         kill_propagations=plan.kill_propagations,
         reused_summaries=0,
         reanalyzed=_reanalyzed_functions(analysis.stats),
-        fallback=fallback or "no reusable summaries",
+        fallback=fallback,
     )
     _emit_counters(report)
     return analysis, report

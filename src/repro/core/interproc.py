@@ -412,7 +412,6 @@ def _process_ordinary_sliced(
                 # hit: the bank only holds entries whose producing
                 # closure is fingerprint-identical, and the entry
                 # replays exactly what a cold miss would record.
-                analyzer.seed_hits += 1
                 table[key] = entry
                 while len(table) > MEMO_CAPACITY:
                     table.pop(next(iter(table)))

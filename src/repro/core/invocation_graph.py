@@ -787,14 +787,58 @@ class InvocationGraph(GraphQueries):
 
     def renumber_sites(self, site_map: dict[int, int]) -> None:
         """Rename every call site through ``site_map`` (an incremental
-        splice moves statement ids).  Creates every context."""
-        nodes = self.nodes()
-        for node in nodes:
-            node._shape = None
-            node._children = {
-                site_map[site]: callees
-                for site, callees in node.children.items()
-            }
+        splice moves statement ids).  Each distinct shape is remapped
+        once and every existing context keeps its (remapped) shape, so
+        no context is created."""
+        remapped: dict[int, IGShape] = {}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node._shape is not None:
+                node._shape = _remap_shape(node._shape, site_map, remapped)
+            children = node._children
+            if children is not None:
+                node._children = {
+                    site_map[site]: by_callee
+                    for site, by_callee in children.items()
+                }
+                for by_callee in children.values():
+                    stack.extend(by_callee.values())
+
+
+def _remap_shape(
+    shape: IGShape, site_map: dict[int, int], remapped: dict[int, IGShape]
+) -> IGShape:
+    """``shape`` with its call sites renamed through ``site_map``,
+    memoized by shape identity in ``remapped`` and built bottom-up on an
+    explicit stack."""
+    stack = [shape]
+    while stack:
+        top = stack[-1]
+        if id(top) in remapped:
+            stack.pop()
+            continue
+        pending = [
+            callee
+            for _, callees in top.sites
+            for callee in callees
+            if id(callee) not in remapped
+        ]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        copy = IGShape(
+            top.func,
+            top.kind,
+            tuple(
+                (site_map[site], tuple(remapped[id(c)] for c in callees))
+                for site, callees in top.sites
+            ),
+        )
+        copy._totals = top._totals
+        remapped[id(top)] = copy
+    return remapped[id(shape)]
 
 
 def direct_call_sites(fn: SimpleFunction) -> list[tuple[int, str]]:

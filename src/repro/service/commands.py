@@ -314,14 +314,14 @@ def _cmd_update(request, store, sessions) -> dict:
             session.source = base_source
         if session is None and base_key is not None:
             # No warm predecessor in this process: fall back to its
-            # stored artifact (plans from the payload skeleton, seeds
-            # from per-function summary records).
+            # stored artifact (it plans the dirty set from the payload
+            # skeleton; without a live capture the update runs cold).
             decoded = store.get(base_key)
             if decoded is not None:
                 session = QuerySession(decoded, base_source)
         try:
             if session is not None:
-                report = session.update(source, store=store).as_dict()
+                report = session.update(source).as_dict()
                 if base_key is not None:
                     sessions.pop(base_key, None)
             else:
@@ -390,10 +390,6 @@ def _cmd_watch(request, store, sessions) -> dict:
                     result, hit = store.load_or_analyze(
                         source, options, name=name
                     )
-                    if getattr(result, "program", None) is not None:
-                        store.put_function_summaries(
-                            result, source, options
-                        )
                     baseline = build_baseline(
                         result, source,
                         checkers=checkers, unused_suppressions=unused,
@@ -485,7 +481,7 @@ def _cmd_watch(request, store, sessions) -> dict:
 
 def _record_update_tier(mode, new_key: str) -> None:
     """Per-tier outcome counters + a journal event for every update:
-    which rung of the splice/seeded/cold ladder actually served the
+    which rung of the splice/cold ladder actually served the
     request (docs/INCREMENTAL.md) — the warm-path effectiveness signal
     ``repro-pta top`` and the Prometheus exposition surface."""
     tier = mode if isinstance(mode, str) and mode else "unknown"

@@ -181,7 +181,7 @@ class QuerySession:
 
     # -- incremental update ------------------------------------------------
 
-    def update(self, new_source: str, *, store=None):
+    def update(self, new_source: str):
         """Re-analyze an edited source *in place*, reusing as much of
         the session's current result as the incremental tiers can
         prove safe (see :mod:`repro.core.incremental`).
@@ -190,9 +190,7 @@ class QuerySession:
         (a cached session becomes live), ``self.source`` tracks the
         new text, and the returned
         :class:`~repro.core.incremental.UpdateReport` says which tier
-        ran and what it reused.  ``store`` optionally supplies
-        per-function summary records for cached sessions with no live
-        capture."""
+        ran and what it reused."""
         from repro.core.incremental import update_analysis
 
         self.stats.record("update")
@@ -201,7 +199,6 @@ class QuerySession:
             self.source,
             new_source,
             getattr(self.analysis, "options", None),
-            store=store,
         )
         self.analysis = analysis
         self.source = new_source

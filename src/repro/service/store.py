@@ -297,6 +297,12 @@ class ResultStore:
         return record
 
     # -- per-function summary records --------------------------------------
+    #
+    # No request path writes or reads these records: the update ladder
+    # is splice or cold, and the splice seeds its mini run from the
+    # live capture.  The layer stays for the backend conformance tests
+    # and because perfbench's layer map binds two of its methods by
+    # name (docs/INCREMENTAL.md, "Per-function summaries in the store").
 
     def put_function_summaries(
         self,

@@ -159,6 +159,20 @@ class TestInterprocedural:
         """)
         assert cp.point_info  # terminated with results
 
+    def test_recursive_bodies_claim_no_outer_arguments(self):
+        """Suite fact counts (benchmarks/out/constprop.txt).  A
+        recursive activation's points hold only what holds on every
+        entry, not the outer call's argument values: flowing the cut-off
+        bodies with the outer values instead would report 132, 349 and
+        251, every extra fact inside a recursive function's body."""
+        counts = {
+            name: propagate_constants(
+                analyze_source(BENCHMARKS[name].source)
+            ).known_constant_count()
+            for name in ("config", "stanford", "toplev")
+        }
+        assert counts == {"config": 116, "stanford": 49, "toplev": 183}
+
     def test_function_pointer_callees_merged(self):
         cp = run("""
         int one(void) { return 1; }

@@ -12,6 +12,8 @@ run over the whole corpus lives in
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import obs
@@ -26,6 +28,7 @@ from repro.core.incremental import (
     static_deps,
     update_analysis,
 )
+from repro.core.invocation_graph import IGNode
 from repro.simple.patching import ChunkError, split_chunks
 from repro.simple.simplify import simplify_source
 from repro.service.serialize import semantic_payload_bytes
@@ -353,7 +356,7 @@ class TestUpdateAnalysis:
             "void flip(void) { p = &h; }", ""
         ).replace("set(); flip();", "set();")
         result, report = _update(SMALL, removed)
-        assert report.mode in ("seeded", "cold")
+        assert report.mode == "cold"
         cold = analyze_source(removed)
         assert semantic_payload_bytes(result, "t") == (
             semantic_payload_bytes(cold, "t")
@@ -427,6 +430,36 @@ class TestUntouchedSubtrees:
         result, report = _update(source, edited)
         assert report.mode == "splice"
         assert report.changed == ["ping"]
+        cold = analyze_source(edited)
+        assert semantic_payload_bytes(result, "t") == (
+            semantic_payload_bytes(cold, "t")
+        )
+
+    def test_relay_splice_keeps_the_graph_lazy(self):
+        """Renumbering call sites remaps each distinct subtree shape
+        once: the splice creates no calling context."""
+        source = PERF_BENCHMARKS["relay"].source
+        edited = source.replace(
+            "void ping(void) {\n    int v;\n    v = *cursor;",
+            "void ping(void) {\n    int v;\n    int extra;\n"
+            "    extra = 0;\n    v = *cursor;\n    v = v + extra;\n"
+            "    extra = v;",
+        )
+
+        def live_nodes() -> int:
+            gc.collect()
+            return sum(
+                1 for obj in gc.get_objects() if type(obj) is IGNode
+            )
+
+        old = analyze_source(source)
+        nodes_before = live_nodes()
+        subtrees_before = len(list(old.ig.distinct_subtrees()))
+        assert nodes_before < old.ig.node_count()
+        result, report = update_analysis(old, source, edited)
+        assert report.mode == "splice"
+        assert live_nodes() == nodes_before
+        assert len(list(result.ig.distinct_subtrees())) == subtrees_before
         cold = analyze_source(edited)
         assert semantic_payload_bytes(result, "t") == (
             semantic_payload_bytes(cold, "t")

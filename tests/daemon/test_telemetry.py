@@ -218,7 +218,7 @@ def test_journal_records_lifecycle_and_worker_events(daemon_factory):
     tier_events = [e for e in events if e["kind"] == "update_tier"]
     assert tier_events
     assert tier_events[0]["source"] == "worker-0"
-    assert tier_events[0]["tier"] in ("splice", "seeded", "cold", "unchanged")
+    assert tier_events[0]["tier"] in ("splice", "cold", "unchanged")
     seqs = [event["seq"] for event in events]
     assert seqs == sorted(seqs)
 

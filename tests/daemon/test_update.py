@@ -100,7 +100,7 @@ def test_warm_update_rekeys_session(daemon_factory):
                      "source": EDITED_SOURCE})
         update = client.recv()
         assert update["ok"], update
-        assert update["result"]["mode"] in ("splice", "seeded", "cold")
+        assert update["result"]["mode"] in ("splice", "cold")
         client.send({"source": EDITED_SOURCE, "query": "points_to:p@L"})
         follow = client.recv()
         assert follow["ok"], follow

@@ -184,7 +184,7 @@ class TestDiff:
         assert result["fixed"] == []
         # main's untouched null-deref replays as unchanged.
         assert result["unchanged"] >= 1
-        assert result["mode"] in ("splice", "seeded", "cold")
+        assert result["mode"] in ("splice", "cold")
         # The watch re-keyed the warm session onto the new text.
         assert store.key_for(BUG_SOURCE, None) in sessions
         assert store.key_for(WATCH_SOURCE, None) not in sessions
@@ -201,7 +201,7 @@ class TestDiff:
         result = response["result"]
         assert result["new"] == []
         assert [f["checker"] for f in result["fixed"]] == ["null-deref"]
-        assert result["mode"] in ("splice", "seeded", "cold")
+        assert result["mode"] in ("splice", "cold")
 
     def test_identical_text_is_all_unchanged(self, tmp_path):
         store = ResultStore(f"file:{tmp_path}/store")

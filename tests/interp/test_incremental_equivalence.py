@@ -8,13 +8,13 @@ payload (the encoded artifact minus ``stats``) byte-identical, both
 raw and as the golden digests' v3 view with the Tables 2-6 derived
 from each, and a :class:`~repro.service.queries.QuerySession`
 over each giving the same answers.  This is the correctness proof for
-the whole update ladder — whichever tier the update takes (splice,
-seeded, or cold fallback), the result may not differ.
+the whole update ladder — whichever tier the update takes (splice or
+cold fallback), the result may not differ.
 
 Like the soundness-fuzz campaign, the first seed of every generator
 configuration stays in tier-1 and the full sweep is marked ``slow``
 (nightly CI).  Tier-1 also carries edit *chains* — updates applied to
-an already-updated analysis — that pin known defects of the ladder.
+an already-updated analysis, including splices on top of splices.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import pytest
 from repro.benchsuite import BENCHMARKS
 from repro.benchsuite.edits import propose_edits
 from repro.benchsuite.generator import generate_program
+from repro.benchsuite.perfsuite import PERF_BENCHMARKS
 from repro.core.analysis import analyze_source
 from repro.core.incremental import update_analysis
 from repro.service.queries import QuerySession
@@ -53,8 +54,9 @@ def _fuzz_chains(config_name: str, seed: int) -> list:
 
 
 def _stanford_chain() -> list:
-    """Drop ``j = hi;`` (seeded tier), then rename ``swap_ints``' local
-    ``t`` (splice tier): the second update loses ``sortlist[head]`` and
+    """Drop ``j = hi;``, then rename ``swap_ints``' local ``t``.  When
+    the first step still had a seeded tier, the second splice trusted a
+    capture that tier left short and lost ``sortlist[head]`` and
     ``sortlist[tail]`` from ``permute``'s may-write sets."""
     original = BENCHMARKS["stanford"].source
     without_j = original.replace("    j = hi;\n", "", 1)
@@ -68,14 +70,56 @@ def _stanford_chain() -> list:
     return [("stanford-chain", [original, without_j, renamed])]
 
 
-def _check(chains: list) -> None:
-    """Every update along every chain must equal a cold analysis."""
+def _fanout_chain() -> list:
+    """Edit ``work0``, then make the same edit to ``work1``: the second
+    splice starts from a spliced analysis."""
+    work0 = (
+        "void work0(int n) { int i; int *p; p = &d0; "
+        "for (i = 0; i < n; i = i + 1) { w0 = p; *p = i; } }\n",
+        "void work0(int n) { int i; int j; int *p; p = &d0; "
+        "for (i = 0; i < n; i = i + 1) "
+        "{ j = i; w0 = p; *p = j; } }\n",
+    )
+    work1 = tuple(
+        text.replace("work0", "work1").replace("d0", "d1").replace(
+            "w0", "w1"
+        )
+        for text in work0
+    )
+    original = PERF_BENCHMARKS["fanout"].source
+    first = original.replace(*work0)
+    second = first.replace(*work1)
+    assert original != first != second
+    return [("fanout-chain", [original, first, second])]
+
+
+def _relay_chain() -> list:
+    """Add a local to ``ping``, then one more assignment to it."""
+    original = PERF_BENCHMARKS["relay"].source
+    first = original.replace(
+        "void ping(void) {\n    int v;\n    v = *cursor;",
+        "void ping(void) {\n    int v;\n    int extra;\n"
+        "    extra = 0;\n    v = *cursor;\n    v = v + extra;\n"
+        "    extra = v;",
+    )
+    second = first.replace(
+        "    extra = v;\n", "    extra = v;\n    extra = extra + 1;\n", 1
+    )
+    assert original != first != second
+    return [("relay-chain", [original, first, second])]
+
+
+def _check(chains: list) -> list[str]:
+    """Every update along every chain must equal a cold analysis.
+    Returns the tier of each update, in order."""
+    modes = []
     for name, texts in chains:
         analysis = analyze_source(texts[0])
         for old_source, new_source in zip(texts, texts[1:]):
             analysis, report = update_analysis(
                 analysis, old_source, new_source
             )
+            modes.append(report.mode)
             cold = analyze_source(new_source)
             assert v3_view(analysis, name) == v3_view(cold, name), (
                 f"update (mode={report.mode}, fallback={report.fallback}) "
@@ -92,29 +136,29 @@ def _check(chains: list) -> None:
             assert _answers(analysis) == _answers(cold), (
                 f"query answers diverge for {name}"
             )
+    return modes
 
 
 @pytest.mark.parametrize(
-    "chains",
+    "chains,modes",
     [
-        pytest.param(functools.partial(_fuzz_chains, config, seed), id=test_id)
+        pytest.param(
+            functools.partial(_fuzz_chains, config, seed), None, id=test_id
+        )
         for test_id, config, seed in TIER1
     ]
     + [
-        pytest.param(
-            _stanford_chain,
-            id="stanford-chain",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="known defect: a splice update on top of a "
-                "seeded one drops may-write locations",
-            ),
-        )
+        pytest.param(_stanford_chain, None, id="stanford-chain"),
+        pytest.param(_fanout_chain, ["splice", "splice"], id="fanout-chain"),
+        pytest.param(_relay_chain, ["splice", "splice"], id="relay-chain"),
     ],
 )
-def test_update_equals_cold(chains):
-    """Tier-1: every edit kind on one seed per idiom family."""
-    _check(chains())
+def test_update_equals_cold(chains, modes):
+    """Tier-1: every edit kind on one seed per idiom family, plus edit
+    chains; where ``modes`` is given, the tier of each step."""
+    taken = _check(chains())
+    if modes is not None:
+        assert taken == modes
 
 
 @pytest.mark.slow

@@ -5,8 +5,8 @@ composition) must satisfy the same :class:`StoreBackend` contract:
 byte-identical put/get round trips, correct key listing and deletion
 (including prefix scans), atomicity under concurrent writers, and
 (through :class:`ResultStore`) corrupt-object dropping.  The
-per-function summary key scheme (``fn-``/``skel-`` objects backing
-incremental updates) is conformance-tested over every backend too:
+per-function summary key scheme (``fn-``/``skel-`` objects; no request
+path writes them) is conformance-tested over every backend too:
 partial writes are dropped, stale summaries are evicted on address
 mismatch, and orphaned summaries are garbage-collected.  LRU eviction
 bounds are the memory backend's own obligation and are tested
