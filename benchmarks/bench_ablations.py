@@ -82,33 +82,29 @@ def test_definite_information_share(benchmark, suite_analyses, artifact_dir):
     assert share > 10.0
 
 
-def test_subtree_sharing_hit_rate(benchmark, artifact_dir):
+def test_subtree_sharing_hit_rate(benchmark, suite_analyses, artifact_dir):
     """The optimization Section 6 plans: how often do invocation-graph
-    sub-trees share identical contexts on this suite?"""
-    from repro.core.analysis import Analyzer
-    from repro.simple import simplify_source
+    sub-trees share identical contexts on this suite?  The slice-keyed
+    call memo is that sharing: one table per function, so a hit replays
+    an analysis made under any sub-tree."""
 
     def run():
         lines = ["Sub-tree sharing (Section 6's planned optimization):"]
-        total_hits = total_misses = 0
-        for name in sorted(BENCHMARKS):
-            program = simplify_source(BENCHMARKS[name].source)
-            analyzer = Analyzer(
-                program, AnalysisOptions(share_subtrees=True)
-            )
-            base = analyze_source(BENCHMARKS[name].source)
-            shared = analyzer.run()
-            for label in base.program.labels:
-                assert base.triples_at(label) == shared.triples_at(label)
-            hits, misses = (
-                analyzer.subtree_cache_hits,
-                analyzer.subtree_cache_misses,
-            )
+        total_hits = total_lookups = 0
+        for name, result in sorted(suite_analyses.items()):
+            hits = result.stats.slice_hits
+            lookups = result.stats.slice_lookups
             total_hits += hits
-            total_misses += misses
-            lines.append(f"  {name:10s} hits={hits:3d} misses={misses:3d}")
-        rate = 100.0 * total_hits / max(1, total_hits + total_misses)
-        lines.append(f"  overall hit rate: {rate:.1f}% (results unchanged)")
+            total_lookups += lookups
+            lines.append(
+                f"  {name:10s} slice_hits={hits:3d} "
+                f"slice_lookups={lookups:3d}"
+            )
+        rate = 100.0 * total_hits / max(1, total_lookups)
+        lines.append(
+            f"  overall: {total_hits} of {total_lookups} slice-memo "
+            f"lookups hit ({rate:.1f}%)"
+        )
         return "\n".join(lines), total_hits
 
     text, hits = benchmark.pedantic(run, rounds=1, iterations=1)

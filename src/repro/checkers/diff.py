@@ -58,6 +58,7 @@ from repro.checkers.runner import (
     run_checkers,
     select_checkers,
 )
+from repro.core.slices import closure_members
 
 #: Schema version of baseline records; participates in the ``base-``
 #: key derivation, so a schema change is a clean miss.
@@ -304,17 +305,6 @@ def _resolved_deps(analysis) -> dict[str, set[str]] | None:
     return deps
 
 
-def _closure(deps: dict[str, set[str]], func: str) -> list[str]:
-    members = {func}
-    stack = [func]
-    while stack:
-        for callee in deps.get(stack.pop(), ()):
-            if callee not in members:
-                members.add(callee)
-                stack.append(callee)
-    return sorted(members)
-
-
 def _program_state(
     analysis,
     source: str,
@@ -345,7 +335,7 @@ def _program_state(
     chunks = _chunk_map(source)
     deps = _resolved_deps(analysis)
     closures = {
-        func: _closure(deps, func) if deps is not None else None
+        func: None if deps is None else sorted(closure_members(deps, func))
         for func in functions
     }
     base_funcs = (baseline or {}).get("functions", {})

@@ -46,6 +46,7 @@ from repro.core.locations import HEAP, NULL, LocTable, install_table
 from repro.core.lvalues import l_locations
 from repro.core.perf import CONFIG
 from repro.core.pointsto import P, PointsToSet, merge_all
+from repro.core.slices import ClosureSummaries
 
 
 @dataclass
@@ -60,17 +61,16 @@ class AnalysisOptions:
     * ``context_sensitive``: when False, every call to a function uses
       a single shared invocation-graph node per function (an ablation
       baseline, not part of the paper's algorithm).
-    * ``share_subtrees``: the optimization Section 6 plans for large
-      programs — a global per-function memo table keyed on the mapped
-      input set, so identical invocation contexts share one analysis
-      even when they sit in different sub-trees of the invocation
-      graph.  Results are unchanged; only work is saved.
+
+    The sharing Section 6 plans for large programs — one analysis for
+    identical contexts in different invocation-graph sub-trees — needs
+    no option: the slice-keyed call memo is global per function (see
+    :mod:`repro.core.slices`).
     """
 
     function_pointer_strategy: str = "precise"
     unknown_external_policy: str = "ignore"
     context_sensitive: bool = True
-    share_subtrees: bool = False
     entry_point: str = "main"
 
 
@@ -102,7 +102,7 @@ class PointsToAnalysis:
         #: ``perf.CONFIG.track_provenance`` was off.
         self.provenance = None
         #: Slice-keyed memo capture of the producing run (func ->
-        #: {("slice", key_rows): interproc._SliceEntry}), retained so
+        #: {key_rows: interproc._SliceEntry}), retained so
         #: incremental updates can reuse per-function summaries; None
         #: on decoded or hand-built results.
         self.slice_capture = None
@@ -269,10 +269,6 @@ class Analyzer:
         self._envs: dict[str | None, FuncEnv] = {}
         self._address_taken: set[str] | None = None
         self._shared_nodes: dict[str, IGNode] = {}
-        #: share_subtrees memo: (func, canonical input) -> output set.
-        self._subtree_cache: dict[tuple, PointsToSet | None] = {}
-        self.subtree_cache_hits = 0
-        self.subtree_cache_misses = 0
         #: Per-node memo table counters (see interproc.MemoStats).
         self.memo_stats = MemoStats()
         #: Monotone counter over the interprocedural state (memo
@@ -298,11 +294,11 @@ class Analyzer:
         # bound method stored on every environment would make each run
         # a reference cycle that only the cyclic collector frees.
         self._note_symbolic = _symbolic_observer(self._symbolic_frames)
-        #: Lazily-built per-function closure summaries for slice-keyed
-        #: call memoization (see repro.core.slices).
-        self._summaries: dict | None = None
+        #: Per-function closure summaries for slice-keyed call
+        #: memoization, each made on first use.
+        self.summaries = ClosureSummaries(program, options)
         #: Slice-keyed call memo, global per function: func ->
-        #: {("slice", key_rows): interproc._SliceEntry}, LRU-bounded.
+        #: {key_rows: interproc._SliceEntry}, LRU-bounded.
         self._slice_memo: dict[str, dict] = {}
         #: Optional incremental seed bank (repro.core.incremental
         #: .SeedBank): consulted on slice-memo misses so a splice's mini
@@ -336,14 +332,6 @@ class Analyzer:
                 )
             cached = has_calls[stmt.stmt_id]
         return cached
-
-    def function_summary(self, func: str):
-        """The static closure summary used for slice-keyed memoization."""
-        if self._summaries is None:
-            from repro.core.slices import summarize_program
-
-            self._summaries = summarize_program(self.program, self.options)
-        return self._summaries[func]
 
     def replay_capture(self, records, warnings) -> None:
         """Append a recorded (stmt_id, set) / warning stream to every
@@ -389,29 +377,6 @@ class Analyzer:
             pass  # merging an equal set is the identity; skip the copy
         else:
             self.point_info[stmt_id] = existing.merge(input_set)
-
-    # -- sub-tree sharing (the optimization planned in Section 6) ---------
-
-    def subtree_cache_lookup(
-        self, func: str, input_set: PointsToSet
-    ) -> tuple[bool, PointsToSet | None]:
-        if not self.options.share_subtrees:
-            return False, None
-        key = (func, input_set.fingerprint())
-        if key in self._subtree_cache:
-            self.subtree_cache_hits += 1
-            return True, self._subtree_cache[key]
-        self.subtree_cache_misses += 1
-        return False, None
-
-    def subtree_cache_store(
-        self, func: str, input_set: PointsToSet, output: PointsToSet | None
-    ) -> None:
-        if not self.options.share_subtrees:
-            return
-        key = (func, input_set.fingerprint())
-        self._subtree_cache[key] = output
-        self.bump_call_state()
 
     # -- body analysis -------------------------------------------------------
 

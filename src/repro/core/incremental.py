@@ -61,7 +61,7 @@ from repro.core.locations import (
     install_table,
 )
 from repro.core.pointsto import Definiteness, PointsToSet, row_triples
-from repro.core.slices import FunctionSummary, scan_program, summarize_program
+from repro.core.slices import ClosureSummaries, scan_program
 from repro.core.perf import CONFIG
 from repro.simple.ir import SimpleProgram
 from repro.simple.patching import (
@@ -124,82 +124,6 @@ def static_deps(program: SimpleProgram) -> dict[str, list[str]]:
     dependency edges (callers depend on callees)."""
     scans = scan_program(program)
     return {name: sorted(scans[name].callees) for name in program.functions}
-
-
-def closure_members(deps: dict[str, list[str]], func: str) -> set[str]:
-    """Transitive direct-call closure of ``func`` (inclusive)."""
-    closure: set[str] = set()
-    stack = [func]
-    while stack:
-        member = stack.pop()
-        if member in closure:
-            continue
-        closure.add(member)
-        stack.extend(deps.get(member, ()))
-    return closure
-
-
-class _SummaryOracle:
-    """Per-function closures, fingerprints and summaries for one
-    program, computed lazily and cached — the update path only ever
-    needs them for the edited functions' neighborhoods, so eagerly
-    summarizing the whole program would dominate small updates.  The
-    scans they start from are the program's own
-    (:func:`slices.scan_program`)."""
-
-    def __init__(self, program: SimpleProgram, options: AnalysisOptions):
-        self.program = program
-        self.options = options
-        self._closures: dict[str, set[str]] = {}
-        self._fps: dict[str, str] = {}
-
-    def scan(self, func: str):
-        return scan_program(self.program)[func]
-
-    def closure(self, func: str) -> set[str]:
-        closure = self._closures.get(func)
-        if closure is None:
-            closure = set()
-            stack = [func]
-            while stack:
-                member = stack.pop()
-                if member in closure:
-                    continue
-                closure.add(member)
-                stack.extend(self.scan(member).callees)
-            self._closures[func] = closure
-        return closure
-
-    def fingerprint(self, func: str) -> str:
-        fp = self._fps.get(func)
-        if fp is None:
-            fp = function_fingerprint(self.program.functions[func])
-            self._fps[func] = fp
-        return fp
-
-    def summary(self, func: str) -> FunctionSummary:
-        """Same opacity rules as :func:`slices.summarize_program`,
-        restricted to one function's closure."""
-        referenced: set[str] = set()
-        reason = None
-        havoc = self.options.unknown_external_policy == "havoc"
-        for member in self.closure(func):
-            scan = self.scan(member)
-            referenced |= scan.globals_referenced
-            if reason is None and scan.has_indirect:
-                reason = f"indirect call site in '{member}'"
-            if reason is None and havoc and scan.unmodeled_externals:
-                reason = (
-                    f"unmodeled external under havoc policy in '{member}'"
-                )
-        if reason is None and any(
-            func in self.closure(callee)
-            for callee in self.scan(func).callees
-        ):
-            reason = "participates in a call cycle"
-        return FunctionSummary(
-            frozenset(referenced), reason is not None, reason
-        )
 
 
 def skeleton(program: SimpleProgram) -> dict:
@@ -584,22 +508,27 @@ def bank_from_capture(
         return bank
     if globals_fingerprint(old_program) != globals_fingerprint(new_program):
         return bank
-    old_oracle = _SummaryOracle(old_program, options)
-    new_oracle = _SummaryOracle(new_program, options)
+    summaries = ClosureSummaries(new_program, options)
     new_structs = _struct_tags(new_program)
+    unchanged: dict[str, bool] = {}
+
+    def same_body(member: str) -> bool:
+        same = unchanged.get(member)
+        if same is None:
+            same = unchanged[member] = (
+                member in old_program.functions
+                and function_fingerprint(old_program.functions[member])
+                == function_fingerprint(new_program.functions[member])
+            )
+        return same
 
     for func, table in capture.items():
         if func not in only or func not in new_program.functions:
             continue
-        if new_oracle.summary(func).opaque:
+        if summaries.summary(func).opaque:
             continue
-        closure = new_oracle.closure(func)
-        if any(
-            member not in old_program.functions
-            or old_oracle.fingerprint(member)
-            != new_oracle.fingerprint(member)
-            for member in closure
-        ):
+        closure = summaries.closure(func)
+        if not all(same_body(member) for member in closure):
             continue
         old_ids = {member: old_program.stmt_ids[member] for member in closure}
         new_ids = {member: new_program.stmt_ids[member] for member in closure}
@@ -622,7 +551,7 @@ def bank_from_capture(
                 continue
             bank.put(
                 func,
-                _slice_triples(key[1], rows_table),
+                _slice_triples(key, rows_table),
                 SeedEntry(
                     output=tuple(entry.output.triples()),
                     passthrough=_slice_triples(entry.passthrough, rows_table),
@@ -651,14 +580,13 @@ def capture_records(
     if not capture or program is None:
         return {}
     fps = function_fingerprints(program)
-    deps = static_deps(program)
     gfp = globals_fingerprint(program)
-    summaries = summarize_program(program, options)
+    summaries = ClosureSummaries(program, options)
     records: dict[str, dict] = {}
     for func, table in capture.items():
-        if func not in program.functions or summaries[func].opaque:
+        if func not in program.functions or summaries.summary(func).opaque:
             continue
-        closure = closure_members(deps, func)
+        closure = summaries.closure(func)
         entries = []
         usable = True
         for key, entry in table.items():
@@ -681,7 +609,7 @@ def capture_records(
             entries.append(
                 {
                     "key": _neutral_triples(
-                        _slice_triples(key[1], rows_table)
+                        _slice_triples(key, rows_table)
                     ),
                     "output": _neutral_triples(entry.output.triples()),
                     "passthrough": _neutral_triples(
@@ -842,7 +770,7 @@ def splice_update(
 def _splice_update(old_analysis, parsed, options):
     if CONFIG.track_provenance:
         raise _Fallback("provenance recording requested")
-    if not options.context_sensitive or options.share_subtrees:
+    if not options.context_sensitive:
         raise _Fallback("options outside the sliced protocol")
     capture = getattr(old_analysis, "slice_capture", None)
     if capture is None:
@@ -869,8 +797,8 @@ def _splice_update(old_analysis, parsed, options):
         shift = parsed.stmt_shift.get(func)
         return 0 if shift is None else stmt_id + shift
 
-    old_oracle = _SummaryOracle(old_program, options)
-    new_oracle = _SummaryOracle(new_program, options)
+    old_summaries = ClosureSummaries(old_program, options)
+    new_summaries = ClosureSummaries(new_program, options)
 
     node_kinds: dict[str, set] = {}
     for func, kind, _ in old_analysis.ig.distinct_subtrees():
@@ -880,8 +808,8 @@ def _splice_update(old_analysis, parsed, options):
     for func in changed:
         if func == options.entry_point:
             raise _Fallback("entry point edited")
-        old_summary = old_oracle.summary(func)
-        if old_summary.opaque or new_oracle.summary(func).opaque:
+        old_summary = old_summaries.summary(func)
+        if old_summary.opaque or new_summaries.summary(func).opaque:
             raise _Fallback(f"'{func}' is opaque")
         if node_kinds.get(func, set()) - {IGNodeKind.ORDINARY}:
             raise _Fallback(f"'{func}' has non-ordinary IG nodes")
@@ -914,7 +842,7 @@ def _splice_update(old_analysis, parsed, options):
         k_star = None
         covered_old = None
         for key, entry in entries:
-            key_triples = _slice_triples(key[1], entry.output.table)
+            key_triples = _slice_triples(key, entry.output.table)
             roots = {src.root() for src, _, _ in key_triples} | {
                 tgt.root() for _, tgt, _ in key_triples
             }
@@ -951,12 +879,13 @@ def _splice_update(old_analysis, parsed, options):
     try:
         # The mini run only ever flows detached per-function subtrees.
         mini = Analyzer(new_program, options)
+        mini.summaries = new_summaries
         # Seeds can only be consulted for the changed functions'
         # unchanged sub-callees — restrict the bank to exactly those
         # (empty for leaf edits, skipping neutralization entirely).
         seed_only: set[str] = set()
         for func in changed:
-            seed_only |= new_oracle.closure(func)
+            seed_only |= new_summaries.closure(func)
         seed_only -= set(changed)
         mini.seed_bank = bank_from_capture(
             old_analysis, new_program, options, only=seed_only
@@ -970,13 +899,13 @@ def _splice_update(old_analysis, parsed, options):
             covered_new = None
             for key, old_entry in entries:
                 old_table = old_entry.output.table
-                key_triples = _slice_triples(key[1], old_table)
+                key_triples = _slice_triples(key, old_table)
                 passthrough = _slice_triples(old_entry.passthrough, old_table)
                 func_input = PointsToSet.from_triples(
                     key_triples + passthrough
                 )
                 _process_ordinary(mini, node, func_input)
-                key = ("slice", _slice_rows(key_triples))
+                key = _slice_rows(key_triples)
                 new_entry = mini._slice_memo.get(func, {}).get(key)
                 if new_entry is None:
                     raise _Fallback(f"'{func}' slice key not reproduced")

@@ -7,7 +7,12 @@
   (Figure 4 stores a single pair; the table generalizes it so nodes
   re-entered with alternating inputs, e.g. from a surrounding loop
   fixed point, stop re-analyzing their bodies).  A hit skips the body
-  entirely.
+  entirely.  Calls to a function whose closure the slice summaries can
+  bound (:mod:`repro.core.slices`) use one table per *function*
+  instead, keyed on the input's reachable slice, so identical contexts
+  in different invocation-graph sub-trees share one analysis (the
+  sharing Section 6 plans); the per-node table serves opaque callees,
+  provenance-recording runs and the context-insensitive ablation.
 * **Approximate** nodes never analyze the body: if the current input
   is covered by their recursive partner's stored input they reuse the
   partner's stored output, otherwise they add the input to the
@@ -122,10 +127,7 @@ def _memo_lookup(analyzer, child: IGNode, func_input: PointsToSet):
 
     ``key`` is the input's fingerprint, to store a later result under.
     *Bottom* outputs (None — the call never returns) are never
-    memoized.  A hit on an entry other than the most recent one still
-    performs a sub-tree cache lookup, purely so the sharing statistics
-    match Figure 4's single-pair protocol (which would have served
-    exactly those calls from that cache).
+    memoized.
     """
     stats = analyzer.memo_stats
     key = func_input.fingerprint()
@@ -139,7 +141,6 @@ def _memo_lookup(analyzer, child: IGNode, func_input: PointsToSet):
     if newest != key:
         memo.pop(key)
         memo[key] = output  # refresh recency
-        analyzer.subtree_cache_lookup(child.func, func_input)
     stats.hits += 1
     stats.note(child.func, True)
     return key, True, output
@@ -262,9 +263,9 @@ def _process_call_node(
             return None
     elif child.in_progress:
         # Re-entry of a node whose body is being analyzed: only
-        # possible through a *shared* node (context-insensitive
-        # ablation / sub-tree sharing); the node acts as its own
-        # recursive partner, exactly like the approximate case.
+        # possible through a *shared* node (the context-insensitive
+        # ablation); the node acts as its own recursive partner,
+        # exactly like the approximate case.
         if (
             child.stored_input is not None
             and func_input.is_subset_of(child.stored_input)
@@ -293,13 +294,12 @@ def _process_call_node(
 def _refresh_stored(
     analyzer, child: IGNode, func_input: PointsToSet, output
 ) -> None:
-    """Refresh ``stored_input``/``stored_output`` from a memo or
-    sub-tree cache hit.  Bumps the call-state version only when the
-    *content* actually changes — a loop fixed point re-hitting the same
-    entry must not invalidate the caller's transfer cache, or the
-    worklist would never converge to skips.  Output comparison is by
-    content: a slice-keyed hit reconstructs a fresh (but equal) output
-    object every time."""
+    """Refresh ``stored_input``/``stored_output`` from a memo hit.
+    Bumps the call-state version only when the *content* actually
+    changes — a loop fixed point re-hitting the same entry must not
+    invalidate the caller's transfer cache, or the worklist would never
+    converge to skips.  Output comparison is by content: a slice-keyed
+    hit reconstructs a fresh (but equal) output object every time."""
     same_output = child.stored_output is output or (
         child.stored_output is not None
         and output is not None
@@ -343,10 +343,9 @@ def _slice_context(analyzer, child: IGNode, func_input: PointsToSet):
     invocation-graph mode whose nodes re-enter)."""
     if provenance.CURRENT.enabled:
         return None
-    options = analyzer.options
-    if options.share_subtrees or not options.context_sensitive:
+    if not analyzer.options.context_sensitive:
         return None
-    summary = analyzer.function_summary(child.func)
+    summary = analyzer.summaries.summary(child.func)
     if summary.opaque:
         return None
     return split_input(
@@ -386,14 +385,10 @@ def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
 def _process_ordinary_sliced(
     analyzer, child: IGNode, func_input: PointsToSet, slice_ctx
 ) -> PointsToSet | None:
-    key_rows, passthrough, slice_root_count = slice_ctx
-    # Tagged so a slice key can never collide with a whole-input
-    # fingerprint in a node's mirror table (provenance-recording
-    # passes of the same run use whole-input keys).
-    key = ("slice", key_rows)
+    key, passthrough, slice_root_count = slice_ctx
     stats = analyzer.memo_stats
     stats.slice_lookups += 1
-    stats.slice_key_pairs += pair_count(key_rows)
+    stats.slice_key_pairs += pair_count(key)
     stats.slice_passthrough_pairs += pair_count(passthrough)
     obs.gauge("analysis.slice_roots", slice_root_count)
     # The table is global per function, not per node: a non-opaque
@@ -406,7 +401,7 @@ def _process_ordinary_sliced(
     if entry is None:
         bank = getattr(analyzer, "seed_bank", None)
         if bank is not None:
-            entry = bank.materialize(child.func, key_rows, func_input.table)
+            entry = bank.materialize(child.func, key, func_input.table)
             if entry is not None:
                 # A seed hit is indistinguishable from a within-run
                 # hit: the bank only holds entries whose producing
@@ -421,8 +416,6 @@ def _process_ordinary_sliced(
         if next(reversed(table)) != key:
             table.pop(key)
             table[key] = entry  # refresh recency
-        child.memo.pop(key, None)
-        child.memo[key] = entry  # mirror for per-node introspection
         stats.hits += 1
         stats.slice_hits += 1
         stats.note(child.func, True)
@@ -484,12 +477,6 @@ def _process_ordinary_sliced(
         while len(table) > MEMO_CAPACITY:
             table.pop(next(iter(table)))  # least recently used
             stats.evictions += 1
-        # Mirror into the node's own table (introspection parity with
-        # the whole-input protocol; same bound, evictions counted once).
-        child.memo.pop(key, None)
-        child.memo[key] = entry
-        while len(child.memo) > MEMO_CAPACITY:
-            child.memo.pop(next(iter(child.memo)))
     analyzer.bump_call_state()
     return func_output
 
@@ -504,14 +491,6 @@ def _process_ordinary(
     if memo_hit:
         _refresh_stored(analyzer, child, func_input, memo_output)
         return memo_output
-    hit, cached = analyzer.subtree_cache_lookup(child.func, func_input)
-    if hit:
-        # Sub-tree sharing (Section 6's planned optimization): another
-        # invocation-graph node already analyzed this function with an
-        # identical input; reuse its output.
-        _refresh_stored(analyzer, child, func_input, cached)
-        _memo_store(analyzer, child, key, cached)
-        return cached
     child.in_progress = True
     analyzer.bump_call_state()
     try:
@@ -526,7 +505,6 @@ def _process_ordinary(
     child.stored_input = func_input
     child.stored_output = func_output
     _memo_store(analyzer, child, key, func_output)
-    analyzer.subtree_cache_store(child.func, func_input, func_output)
     return func_output
 
 

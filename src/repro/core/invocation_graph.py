@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import weakref
 import zlib
+from functools import cached_property
 from typing import Iterator
 
 from repro.core.pointsto import PointsToSet
@@ -167,7 +168,8 @@ class IGNode:
         self.stored_output: PointsToSet | None = None
         #: Ordinary-node memo table: input fingerprint -> output set.  A
         #: bounded generalization of Figure 4's single stored pair
-        #: (insertion order is recency order; see repro.core.interproc).
+        #: (insertion order is recency order), for calls the slice memo
+        #: does not serve (see repro.core.interproc).
         self.memo: dict[frozenset, PointsToSet] = {}
         self.pending_inputs: list[PointsToSet] = []
         #: True while the recursive fixed point for this node is running.
@@ -741,7 +743,13 @@ class InvocationGraph(GraphQueries):
         if root_func not in program.functions:
             raise ValueError(f"program has no '{root_func}' function")
         self._builder: _ShapeBuilder | None = None
-        self.root = self.context_tree(root_func)
+
+    @cached_property
+    def root(self) -> IGNode:
+        """The context of the entry function, made on first read (an
+        incremental splice's mini run only needs detached
+        :meth:`context_tree` contexts)."""
+        return self.context_tree(self.root_func)
 
     def _shapes(self) -> _ShapeBuilder:
         # An incremental splice swaps in a new program: its shapes

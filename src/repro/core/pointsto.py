@@ -118,39 +118,6 @@ class PointsToSet:
         return result
 
     @classmethod
-    def from_indexed_triples(
-        cls,
-        table: LocTable,
-        locs: Sequence[AbsLoc],
-        triples: Iterable[tuple[int, int, str]],
-        ids: list[int],
-    ) -> "PointsToSet":
-        """:meth:`from_triples` over ``table`` of ``(locs[si],
-        locs[ti], Definiteness(d))`` for each ``(si, ti, d)``: the same
-        rows, row order and table ids.  ``ids[i]`` caches the table id
-        of ``locs[i]`` (-1 until needed); passing one list to every set
-        built from ``locs`` looks each location up once."""
-        result = cls(table)
-        rows = result._src
-        id_of = table.id_of
-        definite = D.value
-        for si, ti, d in triples:
-            sid = ids[si]
-            if sid < 0:
-                sid = ids[si] = id_of(locs[si])
-            tid = ids[ti]
-            if tid < 0:
-                tid = ids[ti] = id_of(locs[ti])
-            bit = 1 << tid
-            defs, poss = rows.get(sid, (0, 0))
-            # As add(): D upgrades P, P never weakens D.
-            if d == definite:
-                rows[sid] = (defs | bit, poss & ~bit)
-            elif not (defs | poss) & bit:
-                rows[sid] = (defs, poss | bit)
-        return result
-
-    @classmethod
     def from_indexed_rows(
         cls,
         table: LocTable,
@@ -162,9 +129,12 @@ class PointsToSet:
     ) -> "PointsToSet":
         """The set of rows ``rows[r]`` for ``r`` in ``members``, each
         ``(si, [D targets], [P targets])`` of indexes into ``locs``:
-        what :meth:`from_indexed_triples` makes of their sorted triples.
-        ``decoded[r]`` caches row ``r`` (None until needed), so the
-        sets built with one list share their rows."""
+        what :meth:`from_triples` over ``table`` makes of their sorted
+        triples (the same rows, row order and table ids).  ``ids[i]``
+        caches the table id of ``locs[i]`` (-1 until needed) and
+        ``decoded[r]`` row ``r`` (None until needed), so the sets built
+        with one pair of lists look each location up once and share
+        their rows."""
         result = cls(table)
         for r in members:
             row = decoded[r]

@@ -98,8 +98,6 @@ class FunctionSummary:
     referenced_globals: frozenset[str]
     #: Whether slice keying must be disabled for this function.
     opaque: bool
-    #: Why (first reason found), for diagnostics.
-    opaque_reason: str | None = None
 
 
 @dataclass
@@ -171,56 +169,66 @@ def scan_program(program: SimpleProgram) -> dict[str, _Scan]:
     return program.scans
 
 
-def summarize_program(
-    program: SimpleProgram, options
-) -> dict[str, FunctionSummary]:
-    """Per-function closure summaries for slice keying."""
-    scans = scan_program(program)
-    summaries: dict[str, FunctionSummary] = {}
-    havoc = options.unknown_external_policy == "havoc"
-    for name in program.functions:
-        # Transitive closure over direct callees, including the
-        # function itself (its own statements count).
-        closure: set[str] = set()
-        stack = [name]
-        while stack:
-            member = stack.pop()
-            if member in closure:
-                continue
-            closure.add(member)
-            stack.extend(scans[member].callees)
-        referenced: set[str] = set()
-        reason = None
-        for member in closure:
-            scan = scans[member]
-            referenced |= scan.globals_referenced
-            if reason is None and scan.has_indirect:
-                reason = f"indirect call site in '{member}'"
-            if reason is None and havoc and scan.unmodeled_externals:
-                reason = (
-                    f"unmodeled external under havoc policy in '{member}'"
-                )
-        if reason is None and any(
-            name in _reachable(scans, callee)
-            for callee in scans[name].callees
-        ):
-            reason = "participates in a call cycle"
-        summaries[name] = FunctionSummary(
-            frozenset(referenced), reason is not None, reason
-        )
-    return summaries
-
-
-def _reachable(scans: dict[str, _Scan], start: str) -> set[str]:
-    seen: set[str] = set()
-    stack = [start]
+def closure_members(deps, *funcs: str) -> set[str]:
+    """``funcs`` and every function reachable from them over ``deps``,
+    a mapping from a function to the functions it calls."""
+    closure: set[str] = set()
+    stack = list(funcs)
     while stack:
         member = stack.pop()
-        if member in seen:
-            continue
-        seen.add(member)
-        stack.extend(scans[member].callees)
-    return seen
+        if member not in closure:
+            closure.add(member)
+            stack.extend(deps.get(member, ()))
+    return closure
+
+
+class ClosureSummaries:
+    """Per-function direct-call closures and closure summaries of one
+    program.  A summary is made on first request (a run or an update
+    only asks for the functions it calls or edits) and kept; a closure
+    is walked again on each request, so a deep call chain does not keep
+    one set per function alive."""
+
+    def __init__(self, program: SimpleProgram, options):
+        self.program = program
+        self._havoc = options.unknown_external_policy == "havoc"
+        self._deps: dict[str, frozenset[str]] | None = None
+        self._summaries: dict[str, FunctionSummary] = {}
+
+    def _callees(self) -> dict[str, frozenset[str]]:
+        if self._deps is None:
+            self._deps = {
+                name: scan.callees
+                for name, scan in scan_program(self.program).items()
+            }
+        return self._deps
+
+    def closure(self, func: str) -> set[str]:
+        """``func`` and every function it reaches by direct calls."""
+        return closure_members(self._callees(), func)
+
+    def summary(self, func: str) -> FunctionSummary:
+        found = self._summaries.get(func)
+        if found is not None:
+            return found
+        scans = scan_program(self.program)
+        callees = self._callees()
+        reach = closure_members(callees, *callees[func])
+        # A function its own callees reach is on a call cycle: its node
+        # re-enters.
+        opaque = func in reach
+        reach.add(func)
+        referenced: set[str] = set()
+        for member in reach:
+            scan = scans[member]
+            referenced |= scan.globals_referenced
+            opaque = opaque or scan.has_indirect or (
+                self._havoc and bool(scan.unmodeled_externals)
+            )
+        found = self._summaries[func] = FunctionSummary(
+            frozenset(referenced), opaque
+        )
+        return found
 
 
 def split_input(

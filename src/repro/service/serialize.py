@@ -52,19 +52,20 @@ from repro.service.gcpause import gc_paused
 #: call read/write sets folded over resolved callees.
 #: v3: "incremental" section (per-function body fingerprints, the
 #: static dependency graph, and the globals fingerprint) feeding the
-#: incremental update planner.  v2 payloads still decode (they simply
-#: plan cold).
+#: incremental update planner.
 #: v4: Tables 2-6/perf "summaries" section dropped; derive on demand.
-#: v2/v3 payloads still decode (their "summaries" is ignored).
 #: v5: "point_info" spells each shared row and set once
 #: (:func:`_encode_point_info`); "stmt_func" is one ``[start, stop]``
 #: id range per function.
 #: v6: "ig" spells each distinct invocation subtree once
 #: (:func:`_encode_ig`) instead of every node.
-FORMAT_VERSION = 6
+#: v7: "options" drops the sub-tree sharing switch (the slice memo is
+#: the one cross-context memo).  Only v7 decodes: every older payload
+#: sits under an older store key, so the store never hands one back.
+FORMAT_VERSION = 7
 
 #: Payload versions :class:`DecodedAnalysis` accepts.
-SUPPORTED_VERSIONS = frozenset({2, 3, 4, 5, 6})
+SUPPORTED_VERSIONS = frozenset({7})
 
 #: Version of the *optional* ``"provenance"`` payload section.  The
 #: section is versioned independently: it only appears when the
@@ -352,21 +353,6 @@ class DecodedInvocationGraph(GraphQueries):
         self.root_func = root_func
 
 
-def _decode_ig(encoded: list, version: int) -> DecodedInvocationGraph:
-    if version < 6:
-        # One flat node per context: ``[func, kind, partner, edges]``,
-        # each node its own table entry (partners are implied).
-        entries = []
-        for func, kind, _, edges in encoded:
-            sites: dict[int, list[int]] = {}
-            for site, child in edges:
-                sites.setdefault(site, []).append(child)
-            entries.append([func, kind, list(sites.items())])
-        encoded = entries
-    root = root_of_table(encoded)
-    return DecodedInvocationGraph(root, root.func)
-
-
 class DecodedProvenance:
     """A derivation log rebuilt from the ``"provenance"`` section.
 
@@ -464,36 +450,28 @@ class DecodedAnalysis:
         stmt_func, point_info = payload["stmt_func"], payload["point_info"]
         # Each decoded artifact gets its own table, as each run does.
         locs, table, ids = self._locs, LocTable(), [-1] * len(self._locs)
-        if version < 5:
-            self._stmt_func = {int(i): f for i, f in stmt_func.items()}
-            self.point_info: dict[int, PointsToSet] = {
-                int(i): PointsToSet.from_indexed_triples(table, locs, t, ids)
-                for i, t in point_info.items()
-            }
-        else:
-            self._stmt_func = {
-                i: f for f, span in stmt_func.items() for i in range(*span)
-            }
-            self.point_info = {}
-            rows, sets = point_info["rows"], point_info["sets"]
-            decoded, built = [None] * len(rows), {}
-            for stmt_id, set_id in point_info["stmts"].items():
-                pts = built.get(set_id)
-                if pts is None:
-                    pts = built[set_id] = PointsToSet.from_indexed_rows(
-                        table, locs, rows, sets[set_id], ids, decoded
-                    )
-                self.point_info[int(stmt_id)] = pts.copy()
-        self.ig = _decode_ig(payload["ig"], version)
+        self._stmt_func = {
+            i: f for f, span in stmt_func.items() for i in range(*span)
+        }
+        self.point_info: dict[int, PointsToSet] = {}
+        rows, sets = point_info["rows"], point_info["sets"]
+        decoded, built = [None] * len(rows), {}
+        for stmt_id, set_id in point_info["stmts"].items():
+            pts = built.get(set_id)
+            if pts is None:
+                pts = built[set_id] = PointsToSet.from_indexed_rows(
+                    table, locs, rows, sets[set_id], ids, decoded
+                )
+            self.point_info[int(stmt_id)] = pts.copy()
+        root = root_of_table(payload["ig"])
+        self.ig = DecodedInvocationGraph(root, root.func)
         self.scopes: dict[str, dict] = payload["scopes"]
         self.globals: list[str] = payload["globals"]
         self.functions: list[str] = payload["functions"]
         self.externals: list[str] = payload["externals"]
         self.warnings: list[str] = list(payload["warnings"])
         stats = payload["stats"]
-        # ``.get`` on the newer fields: payloads encoded before the
-        # slice-keyed memo decode to zeroed counters.
-        slice_stats = stats.get("slice", {})
+        slice_stats = stats["slice"]
         self.stats = MemoStats(
             hits=stats["hits"],
             misses=stats["misses"],
@@ -502,14 +480,12 @@ class DecodedAnalysis:
             truncated_functions=list(stats["truncated_functions"]),
             per_function={
                 func: list(counters)
-                for func, counters in stats.get("per_function", {}).items()
+                for func, counters in stats["per_function"].items()
             },
-            slice_hits=slice_stats.get("hits", 0),
-            slice_lookups=slice_stats.get("lookups", 0),
-            slice_key_pairs=slice_stats.get("key_pairs", 0),
-            slice_passthrough_pairs=slice_stats.get(
-                "passthrough_pairs", 0
-            ),
+            slice_hits=slice_stats["hits"],
+            slice_lookups=slice_stats["lookups"],
+            slice_key_pairs=slice_stats["key_pairs"],
+            slice_passthrough_pairs=slice_stats["passthrough_pairs"],
         )
         #: Program-shape facts for the checker framework (the same
         #: statement ids as ``point_info``).
@@ -522,9 +498,8 @@ class DecodedAnalysis:
             if "provenance" in payload
             else None
         )
-        #: The v3 incremental skeleton (fingerprints / deps / globals),
-        #: or None for v2 payloads — updates against those plan cold.
-        self.incremental: dict | None = payload.get("incremental")
+        #: The incremental skeleton (fingerprints / deps / globals).
+        self.incremental: dict = payload["incremental"]
         self._readwrite: dict[str, list[ReadWriteSets]] | None = None
 
     # -- the PointsToAnalysis query surface ------------------------------

@@ -30,12 +30,12 @@ from repro.core.incremental import (
     SeedBank,
     bank_from_records,
     capture_records,
-    closure_members,
     function_fingerprints,
     globals_fingerprint,
     skeleton,
     static_deps,
 )
+from repro.core.slices import closure_members
 from repro.service.backends import (
     FileBackend,
     StoreBackend,

@@ -20,7 +20,6 @@ from repro import obs
 from repro.benchsuite.perfsuite import PERF_BENCHMARKS
 from repro.core.analysis import AnalysisOptions, analyze_source
 from repro.core.incremental import (
-    closure_members,
     function_fingerprints,
     globals_fingerprint,
     plan_update,
@@ -29,6 +28,7 @@ from repro.core.incremental import (
     update_analysis,
 )
 from repro.core.invocation_graph import IGNode
+from repro.core.slices import closure_members
 from repro.simple.patching import ChunkError, split_chunks
 from repro.simple.simplify import simplify_source
 from repro.service.serialize import semantic_payload_bytes

@@ -498,6 +498,19 @@ def test_relay_creates_only_the_contexts_it_enters():
         assert decoded.ig.node_count() == 5301
 
 
+def test_a_graph_builds_no_shape_until_its_root_is_read():
+    """A detached ``context_tree`` (what an incremental splice's mini
+    run flows) interns only its own function's shapes, not ``main``'s
+    whole tree."""
+    graph = InvocationGraph(simplify_source(PERF_BENCHMARKS["relay"].source))
+    assert graph._builder is None
+    graph.context_tree("ping")
+    assert {func for func, _ in graph._builder._shapes} == {"ping"}
+    root = graph.root
+    assert root is graph.root and root.func == "main"
+    assert graph.node_count() == 5301
+
+
 # ---------------------------------------------------------------------------
 # Deep and wide shapes
 # ---------------------------------------------------------------------------

@@ -48,15 +48,16 @@ class TestMemoTable:
     def test_node_retains_one_entry_per_distinct_input(self):
         result = analyze_source(LOOP_SOURCE)
         (node,) = [n for n in result.ig.nodes() if n.func == "touch"]
-        assert len(node.memo) == 2
+        table = result.slice_capture["touch"]
+        assert len(table) == 2
         assert result.stats.misses == 2
         # Entries are keyed on the reachable slice of the input (the
         # callee touches ``p``, so both loop inputs differ inside the
-        # slice); the newest entry is the stored pair's output.
+        # slice); the newest entry is the stored pair's output.  The
+        # node's own table stays empty: the slice memo serves it.
         assert node.stored_output is not None
-        tag, key_pairs = next(reversed(node.memo))
-        assert tag == "slice"
-        newest = node.memo[("slice", key_pairs)]
+        assert not node.memo
+        newest = table[next(reversed(table))]
         assert newest.output == node.stored_output
 
     def test_reentry_with_identical_input_hits(self):
@@ -68,8 +69,7 @@ class TestMemoTable:
         monkeypatch.setattr(interproc, "MEMO_CAPACITY", 1)
         result = analyze_source(LOOP_SOURCE)
         monkeypatch.undo()
-        (node,) = [n for n in result.ig.nodes() if n.func == "touch"]
-        assert len(node.memo) == 1
+        assert len(result.slice_capture["touch"]) == 1
         assert result.stats.evictions >= 1
         assert result.triples_at("OUT") == analyze_source(LOOP_SOURCE).triples_at("OUT")
 

@@ -1,24 +1,22 @@
 """Sub-tree sharing (Section 6's planned optimization) and the
-shared-node re-entry protocol."""
+shared-node re-entry protocol.
+
+The sharing needs no option: the slice-keyed call memo keeps one table
+per function, so identical contexts in different invocation-graph
+sub-trees share one analysis."""
 
 import pytest
 
 from repro.benchsuite import BENCHMARKS
-from repro.core.analysis import AnalysisOptions, Analyzer, analyze_source
-from repro.simple import simplify_source
-
-
-def run_shared(source):
-    program = simplify_source(source)
-    analyzer = Analyzer(program, AnalysisOptions(share_subtrees=True))
-    return analyzer, analyzer.run()
+from repro.core import interproc
+from repro.core.analysis import AnalysisOptions, analyze_source
 
 
 class TestSubtreeSharing:
     def test_identical_contexts_hit_the_cache(self):
         # probe is reached through two different invocation-graph
         # sub-trees (wrapper_a's and wrapper_b's) with identical mapped
-        # inputs: the second analysis is shared.
+        # inputs: the second call replays the first one's analysis.
         source = """
         int *probe(int *x) { return x; }
         void wrapper_a(int *v) { int *l; l = probe(v); }
@@ -30,8 +28,12 @@ class TestSubtreeSharing:
             OUT: return 0;
         }
         """
-        analyzer, result = run_shared(source)
-        assert analyzer.subtree_cache_hits >= 1
+        result = analyze_source(source)
+        probes = [n for n in result.ig.nodes() if n.func == "probe"]
+        assert [n.parent.func for n in probes] == ["wrapper_a", "wrapper_b"]
+        assert result.stats.per_function["probe"] == [1, 1]
+        assert result.stats.slice_hits >= 1
+        assert len(result.slice_capture["probe"]) == 1
 
     def test_different_contexts_miss(self):
         source = """
@@ -43,20 +45,25 @@ class TestSubtreeSharing:
             OUT: return 0;
         }
         """
-        analyzer, result = run_shared(source)
+        result = analyze_source(source)
         triples = result.triples_at("OUT")
         assert ("p", "a", "D") in triples
         assert ("r", "b", "D") in triples
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    def test_results_identical_with_and_without_sharing(self, name):
+    def test_results_identical_with_and_without_sharing(
+        self, name, monkeypatch
+    ):
+        # Without the slice memo every call falls back to its own
+        # node's whole-input table: nothing is shared across sub-trees.
         source = BENCHMARKS[name].source
-        base = analyze_source(source)
-        program = simplify_source(source)
-        analyzer = Analyzer(program, AnalysisOptions(share_subtrees=True))
-        shared = analyzer.run()
-        for label in base.program.labels:
-            assert base.triples_at(label) == shared.triples_at(label), (
+        shared = analyze_source(source)
+        monkeypatch.setattr(interproc, "_slice_context", lambda *args: None)
+        unshared = analyze_source(source)
+        assert unshared.stats.slice_lookups == 0
+        assert shared.warnings == unshared.warnings
+        for label in shared.program.labels:
+            assert shared.triples_at(label) == unshared.triples_at(label), (
                 name,
                 label,
             )

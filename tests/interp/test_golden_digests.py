@@ -11,9 +11,10 @@ sha256 digests:
   set dictionary and the v6 subtree table to the v4 layout
   (:func:`v4_payload`), stamped ``format_version: 3`` and carrying the
   Tables 2-6 ``summaries`` section that v3 artifacts shipped, now
-  derived from the live analysis on demand.  The digests were frozen
-  from v3 artifacts; the view pins every byte of the v6 artifact *and*
-  the on-demand tables against them;
+  derived from the live analysis on demand, and the
+  ``share_subtrees: false`` option they recorded.  The digests were
+  frozen from v3 artifacts; the view pins every byte of the v7
+  artifact *and* the on-demand tables against them;
 * ``answers``: the query answers ``list_labels``, ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
 
@@ -111,7 +112,7 @@ def flat_ig(entries: list) -> list:
 
 
 def v4_payload(payload: dict) -> dict:
-    """A v6 payload in the v4 layout: ``point_info`` spelled out as
+    """A v7 payload in the v4 layout: ``point_info`` spelled out as
     each statement's sorted ``[src, tgt, "D"|"P"]`` triples,
     ``stmt_func`` as one entry per statement id and ``ig`` as one flat
     node per context (:func:`flat_ig`)."""
@@ -140,10 +141,12 @@ def v4_payload(payload: dict) -> dict:
 
 def v3_view(analysis, name: str) -> bytes:
     """The semantic payload as a v3 artifact encoded it: the v4 view of
-    the v5 bytes plus the Tables 2-6 ``summaries`` section, under
-    version 3."""
+    the v7 bytes plus the Tables 2-6 ``summaries`` section and the
+    constant ``share_subtrees: false`` option (v7 dropped the option),
+    under version 3."""
     payload = v4_payload(json.loads(semantic_payload_bytes(analysis, name)))
     payload["format_version"] = 3
+    payload["options"] = dict(payload["options"], share_subtrees=False)
     payload["summaries"] = {
         key: asdict(collect(analysis, name)) for key, collect in TABLES.items()
     }

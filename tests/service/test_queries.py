@@ -179,6 +179,22 @@ class TestEvaluate:
         assert fresh.summary()["cached"] is False
         assert cached.summary()["cached"] is True
 
+    def test_removed_sharing_option_is_a_bad_option(self, tmp_path):
+        # Sub-tree sharing is the slice memo's default behaviour; the
+        # option that selected a second cache no longer exists.
+        response = handle_request(
+            {
+                "source": SAMPLE,
+                "query": "labels",
+                "options": {"share_subtrees": True},
+            },
+            ResultStore(tmp_path / "store"),
+            SessionCache(),
+        )
+        assert response["ok"] is False
+        assert response["error"].startswith("bad options: ")
+        assert "share_subtrees" in response["error"]
+
 
 class TestStableStatementIds:
     def test_labels_agree_on_miss_hit_and_reparse(self, tmp_path):
