@@ -20,7 +20,7 @@ a generous regression backstop; see docs/PROVENANCE.md).
 
 A fourth section reports the call memo's effectiveness (hit rate,
 slice-keyed hits) over the classic workload plus the two
-worklist-stressing programs from ``repro.benchsuite.perfsuite``, with
+call-memo stress programs from ``repro.benchsuite.perfsuite``, with
 a hit-rate floor in full mode.
 
 Run with::
@@ -226,7 +226,7 @@ def provenance_section(
 
 
 def stress_workload() -> list[tuple[str, str]]:
-    """The worklist-stressing programs from
+    """The call-memo stress programs from
     :mod:`repro.benchsuite.perfsuite`, pre-simplified.  They are kept
     out of the classic workload above so the tracing/provenance
     sections keep their historical baselines (provenance recording

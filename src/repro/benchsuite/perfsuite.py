@@ -1,4 +1,4 @@
-"""Worklist/slice-memo stress programs (not part of the paper's 17).
+"""Call-memo stress programs (not part of the paper's 17).
 
 Two programs whose call structure defeats whole-input call
 memoization but collapses under reachable-slice keying (DESIGN.md,

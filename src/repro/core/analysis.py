@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.frontend.errors import CFrontendError
-from repro.simple.ir import (
-    ALLOC_KIND,
-    CALL_KIND,
-    BasicStmt,
-    SimpleProgram,
-    Stmt,
-    child_stmts,
-    iter_stmts,
-)
+from repro.simple.ir import ALLOC_KIND, BasicStmt, SimpleProgram
 from repro.frontend.parser import parse
 from repro.simple.simplify import simplify_program
 from repro.core import provenance
@@ -35,12 +27,7 @@ from repro.core.env import FuncEnv
 from repro.core.externals import model_external
 from repro.core.funcptr import address_taken_functions, process_call_indirect
 from repro.core.interproc import MemoStats, process_call_node
-from repro.core.intra import (
-    FlowOut,
-    IntraAnalyzer,
-    apply_assignment,
-    null_initialized,
-)
+from repro.core.intra import IntraAnalyzer, apply_assignment, null_initialized
 from repro.core.invocation_graph import IGNode, InvocationGraph
 from repro.core.locations import HEAP, NULL, LocTable, install_table
 from repro.core.lvalues import l_locations
@@ -152,91 +139,6 @@ class PointsToAnalysis:
         return sorted(result)
 
 
-class _TransferCache:
-    """Change-driven worklist: per-(invocation-graph node, compound
-    statement) transfer memo.
-
-    A compound statement's flow is a deterministic function of its
-    input set and of the interprocedural state its calls consult (memo
-    tables, recursion fixed-point state, pending inputs).  The
-    analyzer maintains a *call-state version* that every mutation of
-    that state bumps; an entry recorded at version ``v`` whose subtree
-    contains call statements is valid exactly while the version is
-    still ``v``, and an entry for a call-free subtree is valid forever
-    (for its input).  Re-flowing a statement with an unchanged input
-    under a valid entry returns copies of the recorded flow instead of
-    re-evaluating the subtree — this is what collapses
-    ``analysis.body_passes`` under loop and recursion fixed points.
-
-    Skipping a re-evaluation is behavior-preserving because an equal
-    re-run is a no-op on every observable: ``record`` merges are
-    idempotent, ``warn`` deduplicates, and function-pointer discovery
-    already attached its invocation-graph children on the recorded
-    run.  Captured record/warning streams are replayed into any
-    active capture frames so the slice-keyed call memo composes with
-    the worklist.
-    """
-
-    __slots__ = ("analyzer", "node_key", "func")
-
-    def __init__(self, analyzer: "Analyzer", node: IGNode):
-        self.analyzer = analyzer
-        # Keyed by identity: nodes live as long as the run does.
-        self.node_key = id(node)
-        self.func = node.func
-
-    def lookup(self, stmt: Stmt, input_set: PointsToSet) -> FlowOut | None:
-        analyzer = self.analyzer
-        obs.count("analysis.worklist_visits")
-        entry = analyzer._transfer_entries.get((self.node_key, stmt.stmt_id))
-        if entry is None:
-            return None
-        fp, version, out, breaks, continues, returns, records, warnings = entry
-        if fp != input_set.fingerprint():
-            return None
-        if version is not None and version != analyzer.call_state_version:
-            return None
-        obs.count("analysis.worklist_skips")
-        analyzer.replay_capture(records, warnings)
-        return FlowOut(
-            out.copy() if out is not None else None,
-            breaks=[s.copy() for s in breaks],
-            continues=[s.copy() for s in continues],
-            returns=returns.copy() if returns is not None else None,
-        )
-
-    def begin(self, stmt: Stmt, input_set: PointsToSet):
-        analyzer = self.analyzer
-        records: list = []
-        warnings: list = []
-        analyzer._record_frames.append(records)
-        analyzer._warn_frames.append(warnings)
-        return (stmt, input_set.fingerprint(), records, warnings)
-
-    def end(self, token, flow: FlowOut | None) -> None:
-        analyzer = self.analyzer
-        stmt, fp, records, warnings = token
-        analyzer._record_frames.pop()
-        analyzer._warn_frames.pop()
-        if flow is None:
-            return
-        version = (
-            analyzer.call_state_version
-            if analyzer.stmt_has_calls(self.func, stmt)
-            else None
-        )
-        analyzer._transfer_entries[(self.node_key, stmt.stmt_id)] = (
-            fp,
-            version,
-            flow.out.copy() if flow.out is not None else None,
-            tuple(s.copy() for s in flow.breaks),
-            tuple(s.copy() for s in flow.continues),
-            flow.returns.copy() if flow.returns is not None else None,
-            records,
-            warnings,
-        )
-
-
 def _symbolic_observer(frames: list[list]):
     """A ``FuncEnv.on_symbolic`` hook appending each registration to
     every open capture frame."""
@@ -271,18 +173,9 @@ class Analyzer:
         self._shared_nodes: dict[str, IGNode] = {}
         #: Per-node memo table counters (see interproc.MemoStats).
         self.memo_stats = MemoStats()
-        #: Monotone counter over the interprocedural state (memo
-        #: tables, fixed-point stored inputs/outputs, pending lists,
-        #: in-progress brackets).  Transfer-cache entries for subtrees
-        #: containing calls are keyed on it; see :class:`_TransferCache`.
-        self.call_state_version = 0
-        #: (id(node), stmt_id) -> recorded transfer entry.
-        self._transfer_entries: dict[tuple[int, int], tuple] = {}
-        #: stmt_id -> whether the statement's subtree contains a call.
-        self._has_calls: dict[int, bool] = {}
         #: Active capture frames: every ``record``/``warn`` during a
-        #: framed evaluation is appended to all open frames so cached
-        #: transfers (and memoized call bodies) can replay them later.
+        #: memoized call body's run is appended to all open frames so a
+        #: slice-memo hit can replay them later.
         self._record_frames: list[list] = []
         self._warn_frames: list[list] = []
         #: Symbolic-introduction capture frames (parallel to
@@ -304,43 +197,6 @@ class Analyzer:
         #: .SeedBank): consulted on slice-memo misses so a splice's mini
         #: run can replay summaries captured by the prior run.
         self.seed_bank = None
-
-    def bump_call_state(self) -> None:
-        """Note a mutation of the interprocedural call state (memo /
-        fixed-point / pending state), invalidating call-dependent
-        transfer-cache entries."""
-        self.call_state_version += 1
-
-    def stmt_has_calls(self, func: str, stmt: Stmt) -> bool:
-        """Whether ``stmt``'s subtree contains a call that consults
-        mutable interprocedural state (any CALL to an analyzed or
-        indirect target; ALLOC and direct external calls are pure
-        functions of the input set).  The first query for ``func``
-        answers for all of its statements in one bottom-up pass."""
-        cached = self._has_calls.get(stmt.stmt_id)
-        if cached is None:
-            functions = self.program.functions
-            has_calls = self._has_calls
-            # Reversed pre-order reaches a statement after all of its
-            # descendants.
-            for s in reversed(list(iter_stmts(functions[func].body))):
-                has_calls[s.stmt_id] = (
-                    s.kind is CALL_KIND
-                    and (s.callee_ptr is not None or s.callee in functions)
-                    if isinstance(s, BasicStmt)
-                    else any(has_calls[c.stmt_id] for c in child_stmts(s))
-                )
-            cached = has_calls[stmt.stmt_id]
-        return cached
-
-    def replay_capture(self, records, warnings) -> None:
-        """Append a recorded (stmt_id, set) / warning stream to every
-        open capture frame (a skipped subtree still contributes to any
-        enclosing capture)."""
-        for frame in self._record_frames:
-            frame.extend(records)
-        for frame in self._warn_frames:
-            frame.extend(warnings)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -389,14 +245,12 @@ class Analyzer:
         locals_null = null_initialized(env, fn.local_types.items())
         for src, tgt, definiteness in locals_null.triples():
             entry.add(src, tgt, definiteness)
-        use_worklist = not provenance.CURRENT.enabled
         intra = IntraAnalyzer(
             env,
             call_handler=lambda stmt, inp: self.handle_call_stmt(
                 node, env, stmt, inp
             ),
             recorder=self.record,
-            transfer_cache=_TransferCache(self, node) if use_worklist else None,
         )
         flow = intra.process_root(fn.body, entry)
         return merge_all([flow.out, flow.returns])
@@ -433,13 +287,11 @@ class Analyzer:
             if shared is None:
                 shared = IGNode(callee)
                 self._shared_nodes[callee] = shared
-                self.bump_call_state()
             return shared
         assert stmt.call_site is not None
         child = node.child(stmt.call_site, callee)
         if child is None:
             child = self.ig.attach_call(node, stmt.call_site, callee)
-            self.bump_call_state()
         return child
 
     def _handle_alloc(
@@ -522,10 +374,8 @@ class Analyzer:
             with obs.timed("core.analysis", entry=self.options.entry_point):
                 result = self._run()
         finally:
-            # The transfer cache only serves one run; free the
-            # recorded flows (the result object keeps us alive through
-            # its env hook).
-            self._transfer_entries.clear()
+            # The result object keeps us alive through its env hook;
+            # free the capture frames and the memo.
             self._record_frames.clear()
             self._warn_frames.clear()
             self._slice_memo.clear()

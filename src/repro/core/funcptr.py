@@ -107,10 +107,6 @@ def process_call_indirect(
                 },
             )
         if name in analyzer.program.functions:
-            if node.child(stmt.call_site, name) is None:
-                # New invocation-graph structure (possibly flipping an
-                # ancestor to RECURSIVE): call-state change.
-                analyzer.bump_call_state()
             child = analyzer.ig.attach_call(node, stmt.call_site, name)
             outputs.append(
                 process_call_node(analyzer, env, child, stmt, node_input)

@@ -157,7 +157,6 @@ def _memo_store(
     while len(memo) > MEMO_CAPACITY:
         memo.pop(next(iter(memo)))  # least recently used
         analyzer.memo_stats.evictions += 1
-    analyzer.bump_call_state()
 
 
 def process_call_node(
@@ -259,7 +258,6 @@ def _process_call_node(
             func_output = partner.stored_output
         else:
             partner.pending_inputs.append(func_input)
-            analyzer.bump_call_state()
             return None
     elif child.in_progress:
         # Re-entry of a node whose body is being analyzed: only
@@ -275,7 +273,6 @@ def _process_call_node(
             func_output = child.stored_output
         else:
             child.pending_inputs.append(func_input)
-            analyzer.bump_call_state()
             return None
     elif child.kind is RECURSIVE_NODE:
         func_output = _process_recursive(analyzer, child, func_input)
@@ -289,30 +286,6 @@ def _process_call_node(
     return _unmap_and_assign(
         analyzer, caller_env, callee_fn, stmt, input_set, func_output, map_info
     )
-
-
-def _refresh_stored(
-    analyzer, child: IGNode, func_input: PointsToSet, output
-) -> None:
-    """Refresh ``stored_input``/``stored_output`` from a memo hit.
-    Bumps the call-state version only when the *content* actually
-    changes — a loop fixed point re-hitting the same entry must not
-    invalidate the caller's transfer cache, or the worklist would never
-    converge to skips.  Output comparison is by content: a slice-keyed
-    hit reconstructs a fresh (but equal) output object every time."""
-    same_output = child.stored_output is output or (
-        child.stored_output is not None
-        and output is not None
-        and child.stored_output == output
-    )
-    if (
-        not same_output
-        or child.stored_input is None
-        or child.stored_input != func_input
-    ):
-        analyzer.bump_call_state()
-    child.stored_input = func_input
-    child.stored_output = output
 
 
 @dataclass
@@ -422,12 +395,12 @@ def _process_ordinary_sliced(
         obs.count("analysis.slice_memo_hits")
         output = _reconstruct_output(entry, passthrough)
         _replay_body(analyzer, entry, passthrough)
-        _refresh_stored(analyzer, child, func_input, output)
+        child.stored_input = func_input
+        child.stored_output = output
         return output
     stats.misses += 1
     stats.note(child.func, False)
     child.in_progress = True
-    analyzer.bump_call_state()
     records: list = []
     warnings: list = []
     symbolics: list = []
@@ -441,7 +414,6 @@ def _process_ordinary_sliced(
         analyzer._warn_frames.pop()
         analyzer._symbolic_frames.pop()
         child.in_progress = False
-        analyzer.bump_call_state()
     if child.kind is RECURSIVE_NODE or child.pending_inputs:
         # Defensive: non-opaque closures contain no indirect call
         # sites, so ordinary nodes cannot be discovered recursive
@@ -477,7 +449,6 @@ def _process_ordinary_sliced(
         while len(table) > MEMO_CAPACITY:
             table.pop(next(iter(table)))  # least recently used
             stats.evictions += 1
-    analyzer.bump_call_state()
     return func_output
 
 
@@ -489,15 +460,14 @@ def _process_ordinary(
         return _process_ordinary_sliced(analyzer, child, func_input, slice_ctx)
     key, memo_hit, memo_output = _memo_lookup(analyzer, child, func_input)
     if memo_hit:
-        _refresh_stored(analyzer, child, func_input, memo_output)
+        child.stored_input = func_input
+        child.stored_output = memo_output
         return memo_output
     child.in_progress = True
-    analyzer.bump_call_state()
     try:
         func_output = analyzer.analyze_body(child, func_input)
     finally:
         child.in_progress = False
-        analyzer.bump_call_state()
     if child.kind is RECURSIVE_NODE or child.pending_inputs:
         # The body analysis discovered (via a function pointer) that
         # this node is recursive: switch to the fixed-point protocol.
@@ -523,7 +493,6 @@ def _process_recursive(
     child.stored_input = func_input
     child.stored_output = None
     child.pending_inputs = []
-    analyzer.bump_call_state()
     iterations = 0
     fixpoint_context = obs.span("analysis.fixed_point", func=child.func)
     fixpoint_span = fixpoint_context.__enter__()
@@ -551,7 +520,6 @@ def _process_recursive(
                 child.stored_input = merged
                 child.pending_inputs = []
                 child.stored_output = None
-                analyzer.bump_call_state()
                 continue
             if func_output is None:
                 # Every path recursed without resolution: no base case
@@ -564,10 +532,8 @@ def _process_recursive(
             child.stored_output = merge_all(
                 [child.stored_output, func_output]
             )
-            analyzer.bump_call_state()
     finally:
         child.in_progress = False
-        analyzer.bump_call_state()
         if obs.active():
             obs.count("analysis.fixpoint_rounds")
             obs.count("analysis.fixpoint_iterations", iterations)
@@ -577,7 +543,6 @@ def _process_recursive(
     # Reset the stored input to this call's input for future
     # memoization (the last line of Figure 4's recursive case).
     child.stored_input = func_input
-    analyzer.bump_call_state()
     return child.stored_output
 
 

@@ -8,6 +8,9 @@ rules (as the paper's complete rules in Emami's thesis do) with
 record carrying the pending jump sets alongside the normal fall-through
 set.  ``None`` plays the role of the paper's *Bottom* (unreachable /
 not yet computed — returned by approximate invocation-graph nodes).
+
+Every pass walks the whole body; nothing below a call is memoized.
+The memoized unit is the call (:mod:`repro.core.interproc`).
 """
 
 from __future__ import annotations
@@ -48,12 +51,6 @@ from repro.simple.ir import (
 
 #: Safety valve for pathological loop fixed points.
 MAX_LOOP_ITERATIONS = 200
-
-#: Compound statements whose transfer (input -> FlowOut) is cached by
-#: the change-driven worklist (``analysis._TransferCache``).  Basic
-#: statements are cheap enough that caching them costs more than it
-#: saves; loops and blocks are where fixed points burn their time.
-CACHED_STMTS = (SBlock, SIf, SWhile, SDoWhile, SFor, SSwitch)
 
 
 @dataclass
@@ -111,66 +108,29 @@ class IntraAnalyzer:
     ``call_handler(stmt, input_set)`` is supplied by the
     interprocedural driver; it returns the output set of a call
     statement (or None when an approximate node defers the call).
-
-    ``transfer_cache`` (optional) is the change-driven worklist hook
-    (:class:`repro.core.analysis._TransferCache`): compound statements
-    re-flowed with an unchanged input while the interprocedural state
-    is also unchanged are answered from the cache instead of being
-    re-evaluated, so loop and recursion fixed points only re-run the
-    statements a change can actually reach.
     """
 
-    def __init__(self, env: FuncEnv, call_handler, recorder=None,
-                 transfer_cache=None):
+    def __init__(self, env: FuncEnv, call_handler, recorder=None):
         self.env = env
         self.call_handler = call_handler
         self.recorder = recorder
-        self.transfer_cache = transfer_cache
 
     # -- dispatch --------------------------------------------------------
 
     def process_stmt(self, stmt: Stmt, input_set: PointsToSet | None) -> FlowOut:
         if input_set is None:
             return FlowOut(None)
-        cache = self.transfer_cache
-        if cache is not None and isinstance(stmt, CACHED_STMTS):
-            return self._process_cached(stmt, input_set, cache)
         return self._dispatch(stmt, input_set)
 
     def process_root(
         self, stmt: Stmt, input_set: PointsToSet | None
     ) -> FlowOut:
-        """Process a function body's root statement.
-
-        ``analysis.body_passes`` counts *actual* body evaluations: a
-        whole-body transfer-cache hit skips the pass entirely and is
-        not counted (it shows up as ``analysis.worklist_skips``).
-        """
+        """Process a function body's root statement, counted as one
+        ``analysis.body_passes``."""
         if input_set is None:
             return FlowOut(None)
-        cache = self.transfer_cache
-        if cache is not None and isinstance(stmt, CACHED_STMTS):
-            return self._process_cached(
-                stmt, input_set, cache, counter="analysis.body_passes"
-            )
         obs.count("analysis.body_passes")
         return self._dispatch(stmt, input_set)
-
-    def _process_cached(
-        self, stmt: Stmt, input_set: PointsToSet, cache, counter=None
-    ) -> FlowOut:
-        flow = cache.lookup(stmt, input_set)
-        if flow is not None:
-            return flow
-        if counter is not None:
-            obs.count(counter)
-        token = cache.begin(stmt, input_set)
-        completed: FlowOut | None = None
-        try:
-            completed = self._dispatch(stmt, input_set)
-        finally:
-            cache.end(token, completed)
-        return completed
 
     def _dispatch(self, stmt: Stmt, input_set: PointsToSet) -> FlowOut:
         if not isinstance(stmt, (SBlock, SBreak, SContinue)):
@@ -187,6 +147,14 @@ class IntraAnalyzer:
                 self.recorder(stmt, input_set)
         if isinstance(stmt, BasicStmt):
             return FlowOut(self.process_basic(stmt, input_set))
+        if isinstance(stmt, SBreak):
+            return FlowOut(None, breaks=[input_set])
+        if isinstance(stmt, SContinue):
+            return FlowOut(None, continues=[input_set])
+        if isinstance(stmt, SReturn):
+            return self.process_return(stmt, input_set)
+        # One evaluation of a compound statement.
+        obs.count("analysis.worklist_visits")
         if isinstance(stmt, SBlock):
             return self.process_block(stmt, input_set)
         if isinstance(stmt, SIf):
@@ -199,12 +167,6 @@ class IntraAnalyzer:
             return self.process_for(stmt, input_set)
         if isinstance(stmt, SSwitch):
             return self.process_switch(stmt, input_set)
-        if isinstance(stmt, SBreak):
-            return FlowOut(None, breaks=[input_set])
-        if isinstance(stmt, SContinue):
-            return FlowOut(None, continues=[input_set])
-        if isinstance(stmt, SReturn):
-            return self.process_return(stmt, input_set)
         raise TypeError(f"unknown SIMPLE statement {type(stmt).__name__}")
 
     # -- basic statements ------------------------------------------------

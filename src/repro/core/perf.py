@@ -1,8 +1,8 @@
 """Runtime configuration for the analysis core.
 
 The core has one representation — interned locations, copy-on-write
-bitset points-to sets, a change-driven worklist and slice-keyed call
-memoization — and no switches to emulate others.  What remains
+bitset points-to sets and slice-keyed call memoization — and no
+switches to emulate others.  What remains
 configurable is *additive*: it never changes what the analysis
 computes, only what extra metadata a run captures.
 

@@ -4,9 +4,9 @@ the recursion limits.
 The count tests monkeypatch-count the work of each statement or
 expression walk instead of timing it: parsing binary expressions,
 typing a long sum, the side-effect and may-trap probes of a nested
-``&&`` chain, the has-calls pass over deeply nested ``if``s, the
-invocation graph's call-site scans, and the location lookups and
-single-pair adds of the call boundary on ``fanout`` and ``relay``.
+``&&`` chain, the invocation graph's call-site scans, and the location
+lookups and single-pair adds of the call boundary on ``fanout`` and
+``relay``.
 Each count is linear in the input, where the old walks were quadratic
 or worse.
 
@@ -159,25 +159,6 @@ def test_logical_chain_probes_each_operand_once(monkeypatch):
     assert ("p", "x", "D") in result.triples_at("END")
 
 
-def test_has_calls_touches_each_statement_once(monkeypatch):
-    program = simplify_source(nested_program(100))
-    statements = sum(1 for _ in program.functions["main"].iter_stmts())
-    assert statements > 200
-    walked: Counter = Counter()
-    original = analysis.iter_stmts
-
-    def counting_iter(stmt):
-        walked["walks"] += 1
-        for item in original(stmt):
-            walked["stmts"] += 1
-            yield item
-
-    monkeypatch.setattr(analysis, "iter_stmts", counting_iter)
-    result = analysis.analyze(program)
-    assert ("p", "a", "D") in result.triples_at("INNER")
-    assert walked == {"walks": 1, "stmts": statements}
-
-
 def test_call_sites_listed_once_per_function(monkeypatch):
     calls = counting(
         monkeypatch,
@@ -237,8 +218,8 @@ def test_deep_parentheses_are_served(tmp_path):
 # ---------------------------------------------------------------------------
 
 TOO_DEEP = [
-    ("chain75", chain_program(75), "analyze"),
-    ("nested130", nested_program(130), "analyze"),
+    ("chain90", chain_program(90), "analyze"),
+    ("nested175", nested_program(175), "analyze"),
     ("sum500", sum_program(500), "simplify"),
     ("parens400", parens_program(400), "parse"),
 ]
@@ -257,6 +238,17 @@ def test_too_deep_is_a_structured_error(tmp_path, source, phase):
     # The process keeps serving: the next request succeeds.
     response = handle_request(
         {"source": nested_program(10), "query": "labels"}, store, sessions
+    )
+    assert response["ok"] and set(response["result"]) == {"END", "INNER"}
+
+
+def test_deep_nesting_is_served(tmp_path):
+    """140 nested ``if``s analyze: each compound statement costs the
+    body walk a few stack frames (about 155 levels fit under pytest)."""
+    response = handle_request(
+        {"source": nested_program(140), "query": "labels"},
+        ResultStore(tmp_path),
+        SessionCache(),
     )
     assert response["ok"] and set(response["result"]) == {"END", "INNER"}
 

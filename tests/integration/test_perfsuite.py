@@ -1,4 +1,4 @@
-"""The worklist-stressing perfsuite programs are analyzed correctly.
+"""The call-memo stress programs of the perfsuite are analyzed correctly.
 
 The two programs in :mod:`repro.benchsuite.perfsuite` exist to stress
 the points-to core: deep call trees re-dispatched under global
