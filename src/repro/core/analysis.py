@@ -26,13 +26,17 @@ from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.externals import model_external
 from repro.core.funcptr import address_taken_functions, process_call_indirect
-from repro.core.interproc import MemoStats, process_call_node
+from repro.core.interproc import (
+    MemoStats,
+    process_call_node,
+    replayed_records,
+)
 from repro.core.intra import IntraAnalyzer, apply_assignment, null_initialized
 from repro.core.invocation_graph import IGNode, InvocationGraph
 from repro.core.locations import HEAP, NULL, LocTable, install_table
 from repro.core.lvalues import l_locations
 from repro.core.perf import CONFIG
-from repro.core.pointsto import P, PointsToSet, merge_all
+from repro.core.pointsto import P, PointsToSet, merge_all, merge_rows
 from repro.core.slices import ClosureSummaries
 
 
@@ -173,11 +177,20 @@ class Analyzer:
         self._shared_nodes: dict[str, IGNode] = {}
         #: Per-node memo table counters (see interproc.MemoStats).
         self.memo_stats = MemoStats()
-        #: Active capture frames: every ``record``/``warn`` during a
-        #: memoized call body's run is appended to all open frames so a
-        #: slice-memo hit can replay them later.
+        #: Active capture frames, one per open slice-memo miss: a
+        #: ``record`` or a hit goes to the innermost frame only, and a
+        #: closing frame hands its merged stream to the one enclosing
+        #: it (see ``interproc.merge_frame``).  Every ``warn`` goes to
+        #: all open warning frames.
         self._record_frames: list[list] = []
         self._warn_frames: list[list] = []
+        #: Slice-memo hits of this run: id(entry) -> (entry, the Merge
+        #: of the hits' passthrough rows), replayed into ``point_info``
+        #: once per entry by :meth:`flush_replays`.
+        self._replays: dict[int, tuple] = {}
+        #: Work counters, emitted as obs counters by :meth:`run`.
+        self.record_frame_appends = 0
+        self.replayed_entries = 0
         #: Symbolic-introduction capture frames (parallel to
         #: ``_record_frames``): every symbolic registration during a
         #: memoized body run is appended so a seed hit in a later run
@@ -219,11 +232,47 @@ class Analyzer:
         return self._address_taken
 
     def record(self, stmt: BasicStmt, input_set: PointsToSet) -> None:
-        if self._record_frames:
-            captured = input_set.copy()
-            for frame in self._record_frames:
-                frame.append((stmt.stmt_id, captured))
+        frames = self._record_frames
+        if frames:
+            frames[-1].append((stmt.stmt_id, input_set.copy()))
+            self.record_frame_appends += 1
         self.record_by_id(stmt.stmt_id, input_set)
+
+    def replay(self, entry, passthrough: tuple) -> None:
+        """Account a slice-memo hit on ``entry`` under ``passthrough``:
+        in the innermost capture frame, and in the entry's passthrough
+        Merge that :meth:`flush_replays` replays."""
+        frames = self._record_frames
+        if frames:
+            frames[-1].append((None, (entry, passthrough)))
+            self.record_frame_appends += 1
+        pending = self._replays.get(id(entry))
+        if pending is not None:
+            passthrough = merge_rows(pending[1], passthrough)
+        self._replays[id(entry)] = (entry, passthrough)
+
+    def capture(self, records) -> None:
+        """Hand a closed frame's merged ``(stmt_id, set)`` stream to the
+        innermost open frame, if any."""
+        frames = self._record_frames
+        if frames:
+            frames[-1].extend(records)
+            self.record_frame_appends += len(records)
+
+    def flush_replays(self) -> None:
+        """Merge every entry that hit since the last flush into
+        ``point_info``, once, under the Merge of its hits' passthrough
+        rows.  Exact because nothing reads ``point_info`` during a run
+        and the fold into it is commutative, associative and
+        idempotent.  An entry replays even when its rows are its own: a
+        seed-bank entry never ran as a miss in this run.  Called after
+        ``main``'s body, and after each call re-processed with
+        provenance recording suppressed."""
+        for entry, passthrough in self._replays.values():
+            for stmt_id, recorded in replayed_records(entry, passthrough):
+                self.record_by_id(stmt_id, recorded)
+        self.replayed_entries += len(self._replays)
+        self._replays.clear()
 
     def record_by_id(self, stmt_id: int, input_set: PointsToSet) -> None:
         existing = self.point_info.get(stmt_id)
@@ -378,6 +427,7 @@ class Analyzer:
             # free the capture frames and the memo.
             self._record_frames.clear()
             self._warn_frames.clear()
+            self._replays.clear()
             self._slice_memo.clear()
             install_table(previous_table)
             if log is not None:
@@ -391,6 +441,10 @@ class Analyzer:
             obs.count("analysis.memo_evictions", stats.evictions)
             obs.count(
                 "analysis.recursion_truncations", stats.recursion_truncations
+            )
+            obs.count("analysis.replayed_entries", self.replayed_entries)
+            obs.count(
+                "analysis.record_frame_appends", self.record_frame_appends
             )
             obs.gauge("analysis.ig_nodes", self.ig.node_count())
             obs.gauge("analysis.program_points", len(self.point_info))
@@ -425,6 +479,7 @@ class Analyzer:
 
         with obs.span("analysis.entry_body", func=self.options.entry_point):
             self.analyze_body(self.ig.root, main_input)
+        self.flush_replays()
 
         result = PointsToAnalysis(
             self.program,

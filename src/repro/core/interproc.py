@@ -38,7 +38,7 @@ from repro.core.intra import apply_assignment
 from repro.core.invocation_graph import APPROXIMATE_NODE, RECURSIVE_NODE, IGNode
 from repro.core.lvalues import LocSet, l_locations
 from repro.core.mapping import map_call, unmap_call
-from repro.core.pointsto import PointsToSet, merge_all, pair_count
+from repro.core.pointsto import PointsToSet, merge_all, merge_rows, pair_count
 from repro.core.slices import split_input
 from repro.simple.ir import BasicStmt
 
@@ -205,6 +205,12 @@ def process_call_node(
                 analyzer, caller_env, callee_env, callee_fn, child, stmt,
                 input_set,
             )
+            # The slice memo serves only such unrecorded runs: merge
+            # their hits before recording resumes, so every recorded
+            # merge meets the point sets it would have met had each
+            # hit merged on the spot, and no flush records a weakening
+            # outside its statement.
+            analyzer.flush_replays()
         finally:
             provenance.install(previous)
         if (output.fingerprint() if output is not None else None) == expected:
@@ -335,18 +341,59 @@ def _reconstruct_output(entry: _SliceEntry, passthrough: tuple) -> PointsToSet:
     return entry.output.swapped(entry.passthrough, passthrough)
 
 
+def replayed_records(entry: _SliceEntry, passthrough: tuple) -> list:
+    """The entry's per-statement sets as a body run under
+    ``passthrough`` would have recorded them: the stored passthrough
+    rows masked out and ``passthrough`` written in."""
+    if entry.passthrough == passthrough:
+        return entry.records
+    stored = entry.passthrough
+    return [
+        (stmt_id, recorded.swapped(stored, passthrough))
+        for stmt_id, recorded in entry.records
+    ]
+
+
+def merge_frame(frame: list) -> dict[int, PointsToSet]:
+    """A closed capture frame merged per statement, in order of first
+    appearance.  The frame holds ``(stmt_id, set)`` records and
+    ``(None, (entry, passthrough))`` slice-memo hits; the hits of one
+    entry replay once, where the first of them sits, under the Merge of
+    their passthrough rows.  That equals merging each hit's own replay:
+    a passthrough row's source never has a key or body row, so the
+    Merge of the swapped sets is the swap of the merged rows."""
+    joined: dict[int, tuple] = {}
+    for stmt_id, item in frame:
+        if stmt_id is None:
+            entry, passthrough = item
+            prev = joined.get(id(entry))
+            if prev is not None:
+                passthrough = merge_rows(prev, passthrough)
+            joined[id(entry)] = passthrough
+    merged: dict[int, PointsToSet] = {}
+    for stmt_id, item in frame:
+        if stmt_id is None:
+            entry = item[0]
+            passthrough = joined.pop(id(entry), None)
+            if passthrough is None:
+                continue  # this entry already replayed
+            records = replayed_records(entry, passthrough)
+        else:
+            records = ((stmt_id, item),)
+        for sid, recorded in records:
+            prev = merged.get(sid)
+            merged[sid] = recorded if prev is None else prev.merge(recorded)
+    return merged
+
+
 def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
-    """Re-merge the stored body run's program-point records (with the
-    stored passthrough swapped for the current one) and re-emit its
-    warnings — exactly what a fresh body run under this input would
-    have contributed to ``point_info`` and the warning list."""
-    changed = entry.passthrough != passthrough
-    for stmt_id, recorded in entry.records:
-        if changed:
-            recorded = recorded.swapped(entry.passthrough, passthrough)
-        for frame in analyzer._record_frames:
-            frame.append((stmt_id, recorded))
-        analyzer.record_by_id(stmt_id, recorded)
+    """Account a hit for the stored body run: its records go to the
+    innermost capture frame and to the run's per-entry passthrough
+    join, which ``Analyzer.flush_replays`` merges into ``point_info``
+    once per entry; its symbolic registrations and warnings are
+    re-emitted now.  Together that is exactly what a fresh body run
+    under this input would have contributed."""
+    analyzer.replay(entry, passthrough)
     for func, name, ctype in entry.symbolics:
         # Re-registration propagates into any open symbolic frames via
         # the env observer, so enclosing captures stay complete.
@@ -414,6 +461,16 @@ def _process_ordinary_sliced(
         analyzer._warn_frames.pop()
         analyzer._symbolic_frames.pop()
         child.in_progress = False
+    # Pre-merge the record stream per statement: replaying the merged
+    # set is equivalent (the record fold into point_info is associative
+    # — D survives only when definite in every operand) and caps the
+    # stream at one record per statement instead of one per (statement,
+    # context) of the whole sub-tree, which is what a hit pays to
+    # replay.  The enclosing frame, which saw none of this body's
+    # records, takes the merged stream: it sits wholly between that
+    # frame's own records, so first appearances keep their order.
+    merged = merge_frame(records)
+    analyzer.capture(merged.items())
     if child.kind is RECURSIVE_NODE or child.pending_inputs:
         # Defensive: non-opaque closures contain no indirect call
         # sites, so ordinary nodes cannot be discovered recursive
@@ -422,18 +479,6 @@ def _process_ordinary_sliced(
     child.stored_input = func_input
     child.stored_output = func_output
     if func_output is not None:
-        # Pre-merge the record stream per statement: replaying the
-        # merged set is equivalent (the record fold into point_info is
-        # associative — D survives only when definite in every
-        # operand) and caps the stream at one record per statement
-        # instead of one per (statement, context) of the whole
-        # sub-tree, which is what a hit pays to replay.
-        merged: dict[int, PointsToSet] = {}
-        for stmt_id, recorded in records:
-            prev = merged.get(stmt_id)
-            merged[stmt_id] = (
-                recorded if prev is None else prev.merge(recorded)
-            )
         seen: set = set()
         intro = tuple(
             item

@@ -378,6 +378,9 @@ class GraphQueries:
     ``render`` and ``to_dot`` walk (and so create) every one."""
 
     root: IGNode
+    #: ``(call site -> callees, callee -> callers)``, made on first use
+    #: and dropped whenever the graph changes (see :meth:`_call_maps`).
+    _calls: tuple | None = None
 
     def nodes(self) -> list[IGNode]:
         return list(self.root.walk())
@@ -435,21 +438,31 @@ class GraphQueries:
         next(subtrees)  # the root is called only if it recurs below
         return {func for func, _, _ in subtrees}
 
+    def _call_maps(self) -> tuple[dict[int, set[str]], dict[str, set[str]]]:
+        """``(call site -> callees bound there, callee -> callers)`` over
+        every context, from one visit of the distinct subtrees.  Kept
+        until the graph next changes: ``attach_call`` binding a new
+        callee, or ``renumber_sites``."""
+        maps = self._calls
+        if maps is None:
+            bound: dict[int, set[str]] = {}
+            callers: dict[str, set[str]] = {}
+            for caller, _, sites in self.distinct_subtrees():
+                for site, callees in sites:
+                    bound.setdefault(site, set()).update(callees)
+                    for callee in callees:
+                        callers.setdefault(callee, set()).add(caller)
+            maps = self._calls = (bound, callers)
+        return maps
+
     def call_sites(self) -> dict[int, set[str]]:
-        """call-site id -> every callee bound there in some context."""
-        bound: dict[int, set[str]] = {}
-        for _, _, sites in self.distinct_subtrees():
-            for site, callees in sites:
-                bound.setdefault(site, set()).update(callees)
-        return bound
+        """call-site id -> every callee bound there in some context
+        (shared; do not mutate)."""
+        return self._call_maps()[0]
 
     def callers_of(self, func: str) -> set[str]:
         """Functions with an edge into ``func`` in some context."""
-        return {
-            caller
-            for caller, _, sites in self.distinct_subtrees()
-            if any(func in callees for _, callees in sites)
-        }
+        return set(self._call_maps()[1].get(func, ()))
 
     def call_graph(self) -> dict[str, set[str]]:
         """Function -> the functions it calls in some context, for
@@ -791,6 +804,7 @@ class InvocationGraph(GraphQueries):
             for func in builder.partners_above(callee, context):
                 parent._nearest(func).kind = RECURSIVE_NODE  # type: ignore[union-attr]
         parent.add_child(call_site, node)
+        self._calls = None
         return node
 
     def renumber_sites(self, site_map: dict[int, int]) -> None:
@@ -798,6 +812,7 @@ class InvocationGraph(GraphQueries):
         splice moves statement ids).  Each distinct shape is remapped
         once and every existing context keeps its (remapped) shape, so
         no context is created."""
+        self._calls = None
         remapped: dict[int, IGShape] = {}
         stack = [self.root]
         while stack:

@@ -526,6 +526,27 @@ def pair_count(rows: Iterable[tuple[int, tuple[int, int]]]) -> int:
     return sum((defs | poss).bit_count() for _, (defs, poss) in rows)
 
 
+def merge_rows(left: tuple, right: tuple) -> tuple:
+    """:meth:`PointsToSet.merge` on two tuples of ``(source id,
+    (definite mask, possible mask))`` rows of one table: a pair is
+    definite only when definite in both (a row missing from one side
+    counts as absent there).  ``left``'s rows come first."""
+    if left == right:
+        return left
+    other = dict(right)
+    rows = []
+    for sid, (defs, poss) in left:
+        row = other.pop(sid, None)
+        if row is None:
+            rows.append((sid, (0, defs | poss)))
+        else:
+            union_defs = defs & row[0]
+            union_poss = (defs | poss | row[0] | row[1]) & ~union_defs
+            rows.append((sid, (union_defs, union_poss)))
+    rows.extend((sid, (0, defs | poss)) for sid, (defs, poss) in other.items())
+    return tuple(rows)
+
+
 def locations_of(sets: Iterable[PointsToSet]) -> set[AbsLoc]:
     """Every location any of ``sets`` names, as source or target: the
     union of their bitsets, materialized once per table.  Sets that

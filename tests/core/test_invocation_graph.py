@@ -11,11 +11,13 @@ import pytest
 from repro.benchsuite import PERF_BENCHMARKS
 from repro.core.analysis import AnalysisOptions, Analyzer, analyze
 from repro.core.invocation_graph import (
+    GraphQueries,
     IGNode,
     IGNodeKind,
     InvocationGraph,
     call_site_count,
     direct_call_sites,
+    indirect_call_sites,
     root_of_table,
     subtree_table,
 )
@@ -509,6 +511,50 @@ def test_a_graph_builds_no_shape_until_its_root_is_read():
     root = graph.root
     assert root is graph.root and root.func == "main"
     assert graph.node_count() == 5301
+
+
+def test_call_site_queries_index_the_graph_once(monkeypatch):
+    """``callees_at`` and ``callers_of`` read one call-site index, made
+    by a single visit of the distinct subtrees."""
+    analysis = analyze(simplify_source(PERF_BENCHMARKS["relay"].source))
+    visits = []
+    distinct_subtrees = GraphQueries.distinct_subtrees
+
+    def counted(self):
+        visits.append(self)
+        return distinct_subtrees(self)
+
+    monkeypatch.setattr(GraphQueries, "distinct_subtrees", counted)
+    session = QuerySession(analysis)
+    site, callee = direct_call_sites(analysis.program.functions["main"])[0]
+    assert session.callees_at(site) == [callee]
+    assert session.callees_at(site) == [callee]
+    assert "main" in session.callers_of(callee)
+    assert len(visits) == 1
+
+
+def test_call_site_index_follows_graph_changes():
+    """A function-pointer binding through ``attach_call`` and a
+    splice's ``renumber_sites`` each drop the index: answers name the
+    new callees and sites."""
+    source = """
+    void f(void) { }
+    void g(void) { }
+    void (*fp)(void);
+    int main() { f(); fp = g; fp(); return 0; }
+    """
+    graph = build(source)
+    main = graph.program.functions["main"]
+    ((direct, _),) = direct_call_sites(main)
+    ((indirect, _),) = indirect_call_sites(main)
+    assert graph.call_sites() == {direct: {"f"}}
+    assert graph.callers_of("g") == set()
+    graph.attach_call(graph.root, indirect, "g")
+    assert graph.call_sites() == {direct: {"f"}, indirect: {"g"}}
+    assert graph.callers_of("g") == {"main"}
+    graph.renumber_sites({direct: direct + 100, indirect: indirect + 100})
+    assert graph.call_sites() == {direct + 100: {"f"}, indirect + 100: {"g"}}
+    assert graph.callers_of("f") == {"main"}
 
 
 # ---------------------------------------------------------------------------

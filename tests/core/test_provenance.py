@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.benchsuite.generator import generate_program
-from repro.core import perf, provenance
+from repro.benchsuite import BENCHMARKS
+from repro.benchsuite.generator import GeneratorConfig, generate_program
+from repro.core import interproc, perf, provenance
 from repro.core.analysis import analyze_source
 from repro.core.locations import AbsLoc, LocKind
 from repro.core.provenance import (
@@ -238,3 +239,32 @@ class TestRecorder:
         analysis = analyze_source(FIG5)
         assert analysis.provenance is None
         assert provenance.CURRENT is provenance.NULL_PROVENANCE
+
+
+class TestSliceMemoUnderProvenance:
+    """While recording, the slice memo serves only the unrecorded
+    re-processing of calls seen before, and its hits merge into the
+    point sets before recording resumes: the log is the one a run
+    without the memo writes, record for record."""
+
+    PROGRAMS = {
+        # A deferred hit merged at the end of the run wrote one more
+        # weakening record here (173 instead of 172).
+        "gen_f4_s2": generate_program(
+            2, GeneratorConfig(n_functions=4, n_stmts=10)
+        ),
+        "mway": BENCHMARKS["mway"].source,
+        "travel": BENCHMARKS["travel"].source,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_log_matches_a_run_without_the_slice_memo(
+        self, name, monkeypatch
+    ):
+        source = self.PROGRAMS[name]
+        shared = analyze_with_provenance(source)
+        assert shared.stats.slice_hits > 0
+        monkeypatch.setattr(interproc, "_slice_context", lambda *args: None)
+        unshared = analyze_with_provenance(source)
+        assert unshared.stats.slice_hits == 0
+        assert shared.provenance.records == unshared.provenance.records
