@@ -21,7 +21,7 @@ from repro import obs
 from repro.frontend.errors import CFrontendError
 from repro.simple.ir import ALLOC_KIND, BasicStmt, SimpleProgram
 from repro.frontend.parser import parse
-from repro.simple.simplify import simplify_program
+from repro.simple.simplify import HEAP_ALLOCATORS, simplify_program
 from repro.core import provenance
 from repro.core.env import FuncEnv
 from repro.core.externals import model_external
@@ -143,17 +143,6 @@ class PointsToAnalysis:
         return sorted(result)
 
 
-def _symbolic_observer(frames: list[list]):
-    """A ``FuncEnv.on_symbolic`` hook appending each registration to
-    every open capture frame."""
-
-    def note(func, name, ctype) -> None:
-        for frame in frames:
-            frame.append((func, name, ctype))
-
-    return note
-
-
 class Analyzer:
     """Mutable state of one analysis run."""
 
@@ -191,15 +180,6 @@ class Analyzer:
         #: Work counters, emitted as obs counters by :meth:`run`.
         self.record_frame_appends = 0
         self.replayed_entries = 0
-        #: Symbolic-introduction capture frames (parallel to
-        #: ``_record_frames``): every symbolic registration during a
-        #: memoized body run is appended so a seed hit in a later run
-        #: can re-register the same invisible variables.
-        self._symbolic_frames: list[list] = []
-        # The observer closes over the frame list, not the analyzer: a
-        # bound method stored on every environment would make each run
-        # a reference cycle that only the cyclic collector frees.
-        self._note_symbolic = _symbolic_observer(self._symbolic_frames)
         #: Per-function closure summaries for slice-keyed call
         #: memoization, each made on first use.
         self.summaries = ClosureSummaries(program, options)
@@ -214,11 +194,10 @@ class Analyzer:
     # -- plumbing ---------------------------------------------------------
 
     def env(self, func: str | None) -> FuncEnv:
-        if func not in self._envs:
-            env = FuncEnv(self.program, func)
-            env.on_symbolic = self._note_symbolic
-            self._envs[func] = env
-        return self._envs[func]
+        env = self._envs.get(func)
+        if env is None:
+            env = self._envs[func] = FuncEnv(self.program, func)
+        return env
 
     def warn(self, message: str) -> None:
         for frame in self._warn_frames:
@@ -372,11 +351,11 @@ class Analyzer:
         callee: str | None = None,
     ) -> PointsToSet:
         name = callee or stmt.callee
-        effect_stmt = stmt
-        if callee is not None and callee != stmt.callee:
-            # Indirect call resolved to an external function.
-            effect_stmt = stmt
-        effect = model_external(effect_stmt, input_set, env, self.options)
+        if name in HEAP_ALLOCATORS:
+            # Only a function pointer reaches here: the simplifier
+            # lowers direct allocator calls to ALLOC statements.
+            return self._handle_alloc(env, stmt, input_set)
+        effect = model_external(name, stmt, input_set, env, self.options)
         if effect is None:
             self.warn(
                 f"call to unknown external function '{name}'; assuming no "

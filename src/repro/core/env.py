@@ -40,11 +40,6 @@ class FuncEnv:
         self.fn = program.functions.get(func) if func else None
         self._symbolic_types: dict[str, CType | None] = {}
         self._param_names = set(self.fn.param_names) if self.fn else set()
-        #: Optional observer called on every symbolic registration with
-        #: (func, name, canonical type) — the incremental seed capture
-        #: uses it to record which invisible variables a memoized
-        #: computation introduced, so a seed hit can replay them.
-        self.on_symbolic = None
         #: name -> its resolved location.  A resolution never changes:
         #: symbolic names (``1_x``) are not C identifiers, so
         #: registering one cannot shadow a name already resolved.
@@ -85,10 +80,6 @@ class FuncEnv:
         different type keeps the first type seen."""
         if name not in self._symbolic_types:
             self._symbolic_types[name] = ctype
-        if self.on_symbolic is not None:
-            # Report the canonical (first-seen) type, so a replay in
-            # any order re-registers the same binding.
-            self.on_symbolic(self.func, name, self._symbolic_types[name])
         return AbsLoc(name, SYMBOLIC_KIND, self.func)
 
     def symbolic_names(self) -> list[str]:
@@ -122,7 +113,7 @@ class FuncEnv:
 
     def type_of_loc(self, loc: AbsLoc) -> CType | None:
         """Walk ``loc``'s path from its base type; None when unknown
-        (heap, untyped symbolics, type confusion)."""
+        (heap, untyped symbolic names, type confusion)."""
         current = self.base_type(loc)
         for element in loc.path:
             if current is None:

@@ -69,13 +69,12 @@ CONTENT_COPIERS = frozenset({"memcpy", "memmove"})
 
 
 def model_external(
-    stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv, options
+    name: str, stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv, options
 ) -> ExternalEffect | None:
-    """Model a call to external ``stmt.callee``.  Returns None when the
-    function is unknown and the policy is to warn."""
-    name = stmt.callee
-    assert name is not None
-
+    """Model the call ``stmt`` to external ``name`` (``stmt.callee``
+    for a direct call, the resolved target for an indirect one).
+    Returns None when the function is unknown and the policy is to
+    warn."""
     if name in PURE_EXTERNALS:
         return ExternalEffect(input_set, [])
     if name in HEAP_RETURNING_EXTERNALS:
@@ -86,15 +85,15 @@ def model_external(
         if stmt.args and isinstance(stmt.args[0], Ref):
             returns = r_locations_ref(stmt.args[0], input_set, env)
         if name in CONTENT_COPIERS and len(stmt.args) >= 2:
-            output = _copy_contents(stmt, input_set, env)
+            output = _copy_contents(name, stmt, input_set, env)
         return ExternalEffect(output, returns)
     if options.unknown_external_policy == "havoc":
-        return ExternalEffect(_havoc(stmt, input_set, env), [(HEAP, P)])
+        return ExternalEffect(_havoc(name, stmt, input_set, env), [(HEAP, P)])
     return None  # warn-and-ignore
 
 
 def _copy_contents(
-    stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv
+    name: str, stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv
 ) -> PointsToSet:
     """memcpy-style model: any pointer held in an object reachable from
     the source argument may now also be held at the same sub-path of
@@ -123,12 +122,14 @@ def _copy_contents(
                     False,
                     provenance.RULE_EXTERN,
                     (parent,) if parent is not None else (),
-                    extra={"callee": stmt.callee, "external": True},
+                    extra={"callee": name, "external": True},
                 )
     return out
 
 
-def _havoc(stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv) -> PointsToSet:
+def _havoc(
+    name: str, stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv
+) -> PointsToSet:
     """Conservative unknown-external model: every location reachable
     from a pointer argument may point to any other reachable location
     or the heap."""
@@ -165,6 +166,6 @@ def _havoc(stmt: BasicStmt, input_set: PointsToSet, env: FuncEnv) -> PointsToSet
                     tgt,
                     False,
                     provenance.RULE_EXTERN,
-                    extra={"callee": stmt.callee, "external": True},
+                    extra={"callee": name, "external": True},
                 )
     return out

@@ -10,8 +10,12 @@ edit — the changed functions plus everything reachable through
 dependency edges, with kills propagated transitively — and re-analyzes
 only that subtree.  :func:`capture_records` and
 :func:`bank_from_records` convert a capture to and from a
-table-independent neutral form, the per-function summary records of
-the store's record layer; no update tier reads them.
+table-independent neutral form (location triples, no C types), the
+per-function summary records of the store's record layer; no update
+tier reads them.  A seed entry replays a memo entry's records and
+warnings only: symbolic names are context-free within a function, so
+the old run registered them already, and a splice takes its
+environments from the old run.
 
 Two update tiers, each proven equivalent to a cold run:
 
@@ -246,142 +250,6 @@ def plan_update(
 # --------------------------------------------------------------------------
 
 
-def _neutral_ctype(ctype) -> list | None:
-    """JSON-safe encoding of a C type (structs by tag: they are
-    interned per parse, so a revived record must resolve the *new*
-    program's struct object, never carry the old one)."""
-    from repro.frontend.ctypes import (
-        ArrayType,
-        EnumType,
-        FloatType,
-        FunctionType,
-        IntType,
-        PointerType,
-        StructType,
-        VoidType,
-    )
-
-    if ctype is None:
-        return None
-    if isinstance(ctype, VoidType):
-        return ["void"]
-    if isinstance(ctype, IntType):
-        return ["int", ctype.name, ctype.signed]
-    if isinstance(ctype, FloatType):
-        return ["float", ctype.name]
-    if isinstance(ctype, EnumType):
-        return ["enum", ctype.tag]
-    if isinstance(ctype, PointerType):
-        return ["ptr", _neutral_ctype(ctype.pointee)]
-    if isinstance(ctype, ArrayType):
-        return ["arr", _neutral_ctype(ctype.element), ctype.length]
-    if isinstance(ctype, StructType):
-        return ["struct", ctype.tag]
-    if isinstance(ctype, FunctionType):
-        return [
-            "fn",
-            _neutral_ctype(ctype.return_type),
-            [_neutral_ctype(p) for p in ctype.param_types],
-            ctype.variadic,
-        ]
-    return None
-
-
-def _struct_tags(program: SimpleProgram) -> dict:
-    """tag -> interned StructType, walking every type the program
-    mentions (globals, externals, locals, params)."""
-    from repro.frontend.ctypes import (
-        ArrayType,
-        FunctionType,
-        PointerType,
-        StructType,
-    )
-
-    tags: dict = {}
-    seen: set[int] = set()
-
-    def walk(ctype) -> None:
-        if ctype is None or id(ctype) in seen:
-            return
-        seen.add(id(ctype))
-        if isinstance(ctype, StructType):
-            tags.setdefault(ctype.tag, ctype)
-            for f in ctype.fields:
-                walk(f.type)
-        elif isinstance(ctype, PointerType):
-            walk(ctype.pointee)
-        elif isinstance(ctype, ArrayType):
-            walk(ctype.element)
-        elif isinstance(ctype, FunctionType):
-            walk(ctype.return_type)
-            for p in ctype.param_types:
-                walk(p)
-
-    for ctype in program.global_types.values():
-        walk(ctype)
-    for ctype in program.externals.values():
-        walk(ctype)
-    for fn in program.functions.values():
-        for ctype in fn.local_types.values():
-            walk(ctype)
-        for _, ctype in fn.params:
-            walk(ctype)
-    return tags
-
-
-def _revive_ctype(data, structs: dict):
-    from repro.frontend.ctypes import (
-        ArrayType,
-        EnumType,
-        FloatType,
-        FunctionType,
-        IntType,
-        PointerType,
-        StructType,
-        VoidType,
-    )
-
-    if data is None:
-        return None
-    tag = data[0]
-    if tag == "void":
-        return VoidType()
-    if tag == "int":
-        return IntType(data[1], data[2])
-    if tag == "float":
-        return FloatType(data[1])
-    if tag == "enum":
-        return EnumType(data[1])
-    if tag == "ptr":
-        return PointerType(_revive_ctype(data[1], structs))
-    if tag == "arr":
-        return ArrayType(_revive_ctype(data[1], structs), data[2])
-    if tag == "struct":
-        interned = structs.get(data[1])
-        return interned if interned is not None else StructType(data[1])
-    if tag == "fn":
-        return FunctionType(
-            _revive_ctype(data[1], structs),
-            tuple(_revive_ctype(p, structs) for p in data[2]),
-            data[3],
-        )
-    return None
-
-
-def _neutral_symbolics(symbolics) -> list:
-    return [
-        [func, name, _neutral_ctype(ctype)]
-        for func, name, ctype in symbolics
-    ]
-
-
-def _revive_symbolics(data, structs: dict) -> tuple:
-    return tuple(
-        (func, name, _revive_ctype(ctype, structs))
-        for func, name, ctype in data
-    )
-
-
 def _neutral_loc(loc: AbsLoc) -> list:
     return [loc.base, loc.kind.value, loc.func, list(loc.path)]
 
@@ -431,7 +299,6 @@ class SeedEntry:
     passthrough: tuple
     records: tuple  # ((stmt_id, triples), ...)
     warnings: tuple
-    symbolics: tuple = ()  # ((func, name, ctype), ...)
 
 
 class SeedBank:
@@ -479,7 +346,6 @@ class SeedBank:
             _slice_rows(seed.passthrough),
             records,
             list(seed.warnings),
-            seed.symbolics,
         )
 
 
@@ -509,7 +375,6 @@ def bank_from_capture(
     if globals_fingerprint(old_program) != globals_fingerprint(new_program):
         return bank
     summaries = ClosureSummaries(new_program, options)
-    new_structs = _struct_tags(new_program)
     unchanged: dict[str, bool] = {}
 
     def same_body(member: str) -> bool:
@@ -557,12 +422,6 @@ def bank_from_capture(
                     passthrough=_slice_triples(entry.passthrough, rows_table),
                     records=tuple(records),
                     warnings=tuple(entry.warnings),
-                    # Re-encode types against the new parse: struct
-                    # types are interned per parse, and the old
-                    # program's objects must not leak into new envs.
-                    symbolics=_revive_symbolics(
-                        _neutral_symbolics(entry.symbolics), new_structs
-                    ),
                 ),
             )
     return bank
@@ -617,7 +476,6 @@ def capture_records(
                     ),
                     "records": entry_records,
                     "warnings": list(entry.warnings),
-                    "symbolics": _neutral_symbolics(entry.symbolics),
                 }
             )
         if not usable or not entries:
@@ -641,7 +499,6 @@ def bank_from_records(
     cleanliness is already proven; only structural resolution can
     still fail (and skips the record)."""
     bank = SeedBank()
-    structs = _struct_tags(program)
     members = {
         member
         for record in records.values()
@@ -674,9 +531,6 @@ def bank_from_records(
                     passthrough=_revive_triples(entry["passthrough"]),
                     records=tuple(entry_records),
                     warnings=tuple(entry["warnings"]),
-                    symbolics=_revive_symbolics(
-                        entry.get("symbolics", ()), structs
-                    ),
                 ),
             )
     return bank
@@ -1027,7 +881,6 @@ def _splice_update(old_analysis, parsed, options):
                 entry.passthrough,
                 [(renumber(i), recorded) for i, recorded in entry.records],
                 entry.warnings,
-                entry.symbolics,
             )
             for key, entry in table.items()
         }

@@ -304,16 +304,14 @@ class _SliceEntry:
     ``passthrough`` holds ``(source id, (definite mask, possible
     mask))`` rows in the input's row order, bound to ``output.table``
     like the entry's key.  A hit masks them out of each stored set and
-    writes the current call's passthrough rows in their place."""
+    writes the current call's passthrough rows in their place.  The
+    entry keeps no symbolic names: the run that stored it registered
+    them, and they are context-free within their function."""
 
     output: PointsToSet
     passthrough: tuple
     records: list
     warnings: list
-    #: (func, name, ctype) symbolic registrations the body run
-    #: performed — replayed on a hit so a seed-consulting run's scope
-    #: envs end up identical to a cold run's.
-    symbolics: tuple = ()
 
 
 def _slice_context(analyzer, child: IGNode, func_input: PointsToSet):
@@ -390,14 +388,13 @@ def _replay_body(analyzer, entry: _SliceEntry, passthrough: tuple) -> None:
     """Account a hit for the stored body run: its records go to the
     innermost capture frame and to the run's per-entry passthrough
     join, which ``Analyzer.flush_replays`` merges into ``point_info``
-    once per entry; its symbolic registrations and warnings are
-    re-emitted now.  Together that is exactly what a fresh body run
-    under this input would have contributed."""
+    once per entry; its warnings are re-emitted now.  Together that is
+    exactly what a fresh body run under this input would have
+    contributed.  The body's symbolic names need no replay: a name is
+    context-free within its function, so the run that stored the entry
+    registered it already, and a splice takes its envs from the old
+    run."""
     analyzer.replay(entry, passthrough)
-    for func, name, ctype in entry.symbolics:
-        # Re-registration propagates into any open symbolic frames via
-        # the env observer, so enclosing captures stay complete.
-        analyzer.env(func).register_symbolic(name, ctype)
     for message in entry.warnings:
         analyzer.warn(message)
 
@@ -419,7 +416,7 @@ def _process_ordinary_sliced(
     table = analyzer._slice_memo.setdefault(child.func, {})
     entry = table.get(key)
     if entry is None:
-        bank = getattr(analyzer, "seed_bank", None)
+        bank = analyzer.seed_bank
         if bank is not None:
             entry = bank.materialize(child.func, key, func_input.table)
             if entry is not None:
@@ -450,16 +447,13 @@ def _process_ordinary_sliced(
     child.in_progress = True
     records: list = []
     warnings: list = []
-    symbolics: list = []
     analyzer._record_frames.append(records)
     analyzer._warn_frames.append(warnings)
-    analyzer._symbolic_frames.append(symbolics)
     try:
         func_output = analyzer.analyze_body(child, func_input)
     finally:
         analyzer._record_frames.pop()
         analyzer._warn_frames.pop()
-        analyzer._symbolic_frames.pop()
         child.in_progress = False
     # Pre-merge the record stream per statement: replaying the merged
     # set is equivalent (the record fold into point_info is associative
@@ -479,14 +473,8 @@ def _process_ordinary_sliced(
     child.stored_input = func_input
     child.stored_output = func_output
     if func_output is not None:
-        seen: set = set()
-        intro = tuple(
-            item
-            for item in symbolics
-            if not (item[:2] in seen or seen.add(item[:2]))
-        )
         entry = _SliceEntry(
-            func_output, passthrough, list(merged.items()), warnings, intro
+            func_output, passthrough, list(merged.items()), warnings
         )
         table = analyzer._slice_memo.setdefault(child.func, {})
         table.pop(key, None)

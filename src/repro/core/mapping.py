@@ -335,7 +335,7 @@ class _Mapper:
             self.enqueue(troot, visible=True)
 
     def degrade_multi_represented(self) -> None:
-        """Weaken definite pairs through multi-represented symbolics."""
+        """Weaken definite pairs through multi-represented symbolic names."""
         if all(len(roots) < 2 for roots in self.info.to_caller.values()):
             return
         for src, tgt, definiteness in list(self.result.triples()):

@@ -431,7 +431,7 @@ def collect_precision(analysis: PointsToAnalysis, name: str) -> PrecisionRow:
     for fn_name in sorted(analysis.program.functions):
         fn = analysis.program.functions[fn_name]
         entry = FunctionPrecision(function=fn_name)
-        symbolics: set[AbsLoc] = set()
+        invisible: set[AbsLoc] = set()
         for stmt in fn.iter_stmts():
             if not isinstance(stmt, BasicStmt):
                 continue
@@ -447,8 +447,8 @@ def collect_precision(analysis: PointsToAnalysis, name: str) -> PrecisionRow:
                     entry.possible += 1
                 for loc in (src, tgt):
                     if loc.kind is LocKind.SYMBOLIC:
-                        symbolics.add(loc)
-        entry.invisible_vars = len(symbolics)
+                        invisible.add(loc)
+        entry.invisible_vars = len(invisible)
         row.functions.append(entry)
     row.invisible_vars = sum(fn.invisible_vars for fn in row.functions)
     ig = analysis.ig

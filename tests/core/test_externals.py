@@ -1,6 +1,7 @@
 """External-function models and the unknown-external policies."""
 
 from repro.core.analysis import AnalysisOptions, analyze_source
+from repro.interp import check_soundness
 
 
 def at(source, label, options=None):
@@ -98,3 +99,61 @@ class TestUnknownPolicy:
         }
         """
         assert ("p", "heap", "P") in at(source, "OUT")
+
+
+class TestIndirectExternals:
+    """An external reached through a function pointer gets the same
+    model as a direct call to it (``stmt.callee`` is None there: the
+    name comes from the pointer's resolved target)."""
+
+    MALLOC = """
+    void *malloc(int n);
+    int main() {
+        void *(*fp)(int); int *p;
+        fp = malloc; p = fp(4);
+        OUT: return 0;
+    }
+    """
+    STRCPY = """
+    char *strcpy(char *d, char *s);
+    int main() {
+        char *(*fp)(char *, char *); char buf[8]; char src[4]; char *r;
+        src[0] = 0;
+        fp = strcpy; r = fp(buf, src);
+        OUT: return 0;
+    }
+    """
+    UNKNOWN = """
+    int *blackbox(int *q);
+    int main() {
+        int *(*fp)(int *); int a; int *p; int *r;
+        p = &a; fp = blackbox; r = fp(p);
+        OUT: return 0;
+    }
+    """
+
+    def test_allocator_through_pointer_returns_heap(self):
+        result = analyze_source(self.MALLOC)
+        assert ("p", "heap", "P") in result.triples_at("OUT")
+        assert not result.warnings
+
+    def test_first_argument_returner_through_pointer(self):
+        result = analyze_source(self.STRCPY)
+        assert ("r", "buf[head]", "D") in result.triples_at("OUT")
+        assert not result.warnings
+
+    def test_unknown_prototype_through_pointer_warns_by_name(self):
+        result = analyze_source(self.UNKNOWN)
+        assert ("r", "heap", "P") in result.triples_at("OUT")
+        assert len(result.warnings) == 1
+        assert "'blackbox'" in result.warnings[0]
+
+    def test_havoc_policy_through_pointer(self):
+        options = AnalysisOptions(unknown_external_policy="havoc")
+        triples = at(self.UNKNOWN, "OUT", options)
+        assert ("a", "heap", "P") in triples
+
+    def test_sound_against_the_interpreter(self):
+        for source in (self.MALLOC, self.STRCPY, self.UNKNOWN):
+            report = check_soundness(source)
+            assert report.ok, report.violations[:5]

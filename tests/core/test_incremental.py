@@ -351,6 +351,30 @@ class TestUpdateAnalysis:
             semantic_payload_bytes(cold, "t")
         )
 
+    def test_seed_hit_splice_matches_cold(self):
+        """The splice's mini run re-flows ``f`` and takes ``g``'s entry
+        from the seed bank: ``g`` replays ``h``'s body, whose symbolic
+        ``1_pp`` the old run registered already."""
+        source = (
+            "int a;\nint *ga;\n"
+            "void h(int **pp) { *pp = &a; }\n"
+            "void g(int **q) { h(q); }\n"
+            "void f(void) { int *l; g(&l); ga = l; }\n"
+            "int main(void) { f(); return 0; }\n"
+        )
+        edited = source.replace("ga = l; }", "ga = l; ga = l; }")
+        assert edited != source
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            result, report = _update(source, edited)
+        assert report.mode == "splice"
+        assert tracer.snapshot()["counters"]["incremental.seed_hits"] == 1
+        assert report.reanalyzed == ["f"]
+        cold = analyze_source(edited)
+        assert semantic_payload_bytes(result, "t") == (
+            semantic_payload_bytes(cold, "t")
+        )
+
     def test_structural_edit_falls_back_but_matches_cold(self):
         removed = SMALL.replace(
             "void flip(void) { p = &h; }", ""

@@ -159,6 +159,18 @@ class TestServe:
             True,
         ]
 
+    def test_indirect_call_to_external(self, store):
+        source = (
+            "void *malloc(int n);\n"
+            "int main() { void *(*fp)(int); int *p;\n"
+            "    fp = malloc; p = fp(4); L: return 0; }\n"
+        )
+        (response,) = run_serve(
+            [{"id": 1, "source": source, "query": "points_to:p@L"}], store
+        )
+        assert response["ok"] is True, response
+        assert response["result"] == [["heap", "P"]]
+
     def test_malformed_json_line(self, store):
         stdin = io.StringIO("this is not json\n")
         stdout = io.StringIO()
