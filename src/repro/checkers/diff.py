@@ -316,11 +316,12 @@ def _program_state(
 
     ``rows_unchanged`` names functions whose points-to rows are already
     proven byte-identical to ``baseline``'s (the update ladder's
-    equivalence guarantee covers every function outside its dirty
-    set).  Their rows fingerprints are copied from the baseline record
-    instead of re-hashed — that hash dominates the warm diff path —
-    guarded by chunk-hash and statement-count equality so a mismatched
-    baseline degrades to a fresh hash, never a wrong one.
+    equivalence guarantee covers every function a splice neither
+    changed nor re-flowed).  Their rows fingerprints are copied from
+    the baseline record instead of re-hashed — that hash dominates the
+    warm diff path — guarded by chunk-hash and statement-count
+    equality so a mismatched baseline degrades to a fresh hash, never
+    a wrong one.
     """
     program = getattr(analysis, "program", None)
     if program is not None:
@@ -737,15 +738,14 @@ def check_diff(
 
         rows_unchanged = None
         if update is not None and update.mode in ("unchanged", "splice"):
-            # The update ladder's equivalence guarantee: outside the
-            # planner's dirty set, points-to rows are byte-identical
-            # to the old analysis — and the baseline records exactly
-            # those (it is keyed by / built from the old text).  Both
-            # tiers keep the old invocation graph, so no function's
-            # contexts change behind an unchanged body.
-            suspect = set(update.dirty_functions or ())
-            suspect |= set(update.changed or ())
-            suspect |= set(update.reanalyzed or ())
+            # The update ladder's equivalence guarantee: a splice
+            # reuses every row outside changed ∪ reanalyzed verbatim,
+            # so those are byte-identical to the old analysis — and
+            # the baseline records exactly those (it is keyed by /
+            # built from the old text).  Both tiers keep the old
+            # invocation graph, so no function's contexts change
+            # behind an unchanged body.
+            suspect = set(update.changed) | set(update.reanalyzed)
             rows_unchanged = set(analysis.program.functions) - suspect
         state = _program_state(
             analysis, new_source,

@@ -3,19 +3,16 @@
 The store keys whole artifacts on ``sha256(source, options)``, so a
 one-line edit used to throw away every summary and re-run the full
 interprocedural fixpoint.  This module reuses a live run's *slice
-capture* (the slice-keyed memo entries it recorded per function) and an
-*invocation-graph skeleton* (per-function body fingerprints and the
-static direct-call dependency graph), computes the **dirty set** of an
-edit — the changed functions plus everything reachable through
-dependency edges, with kills propagated transitively — and re-analyzes
-only that subtree.  :func:`capture_records` and
-:func:`bank_from_records` convert a capture to and from a
-table-independent neutral form (location triples, no C types), the
-per-function summary records of the store's record layer; no update
-tier reads them.  A seed entry replays a memo entry's records and
-warnings only: symbolic names are context-free within a function, so
-the old run registered them already, and a splice takes its
-environments from the old run.
+capture* (the slice-keyed memo entries it recorded per function): the
+chunk differ (:func:`repro.simple.patching.incremental_simplify`)
+names the functions whose body text changed, and only those bodies are
+re-flowed.  :func:`capture_records` and :func:`bank_from_records`
+convert a capture to and from a table-independent neutral form
+(location triples, no C types), the per-function summary records of
+the store's record layer; no update tier reads them.  A seed entry
+replays a memo entry's records and warnings only: symbolic names are
+context-free within a function, so the old run registered them
+already, and a splice takes its environments from the old run.
 
 Two update tiers, each proven equivalent to a cold run:
 
@@ -32,13 +29,11 @@ straight to cold.
 
 **Cold** — plain :func:`repro.core.analysis.analyze`.
 
-The dependency graph is not built twice: when the old run recorded
-provenance (PR 4), :func:`provenance_dependencies` lifts its
-derivation edges to function granularity; otherwise the static
-reverse call graph (the same edges the slice summaries close over) is
-used.  Counters ``incremental.dirty_functions``,
-``incremental.reused_summaries`` and ``incremental.kill_propagations``
-are threaded through :mod:`repro.obs`.
+The artifact skeleton (:func:`skeleton`: the static direct-call
+dependency graph and the globals fingerprint) serves ``check --diff``
+on decoded artifacts; no update tier reads it.  Counters
+``incremental.updates`` and ``incremental.reused_summaries`` are
+threaded through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -78,7 +73,7 @@ from repro.simple.simplify import simplify_source
 
 
 # --------------------------------------------------------------------------
-# Fingerprints and the invocation-graph skeleton
+# Fingerprints and the artifact skeleton
 # --------------------------------------------------------------------------
 
 
@@ -131,118 +126,12 @@ def static_deps(program: SimpleProgram) -> dict[str, list[str]]:
 
 
 def skeleton(program: SimpleProgram) -> dict:
-    """The per-function skeleton encoded into artifacts ("incremental"
-    payload section) and store skeleton records."""
+    """The skeleton encoded into artifacts ("incremental" payload
+    section) and store skeleton records."""
     return {
-        "fingerprints": function_fingerprints(program),
         "deps": static_deps(program),
         "globals": globals_fingerprint(program),
     }
-
-
-# --------------------------------------------------------------------------
-# Dirty-set planning
-# --------------------------------------------------------------------------
-
-
-def provenance_dependencies(analysis) -> dict[str, set[str]] | None:
-    """Function-granularity dependency edges lifted from the provenance
-    layer's derivation records: ``affected[g]`` is the set of functions
-    holding at least one fact derived from a fact established in ``g``.
-    Returns None when the producing run recorded no provenance."""
-    log = getattr(analysis, "provenance", None)
-    if log is None:
-        return None
-    records = getattr(log, "records", None)
-    if records is None:
-        return None
-    affected: dict[str, set[str]] = {}
-    for record in records:
-        child_func = getattr(record, "func", None)
-        if child_func is None:
-            continue
-        for parent_id in getattr(record, "parents", ()) or ():
-            parent = records[parent_id]
-            parent_func = getattr(parent, "func", None)
-            if parent_func is not None and parent_func != child_func:
-                affected.setdefault(parent_func, set()).add(child_func)
-    return affected
-
-
-@dataclass
-class UpdatePlan:
-    """What an edit dirties, before any re-analysis runs."""
-
-    changed: list[str]
-    added: list[str]
-    removed: list[str]
-    #: changed ∪ everything reachable through dependency edges.
-    dirty: list[str]
-    #: Transitive invalidations beyond the directly changed functions.
-    kill_propagations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "changed": self.changed,
-            "added": self.added,
-            "removed": self.removed,
-            "dirty": self.dirty,
-            "kill_propagations": self.kill_propagations,
-        }
-
-
-def plan_update(
-    old_fingerprints: dict[str, str],
-    old_deps: dict[str, list[str]],
-    new_fingerprints: dict[str, str],
-    new_deps: dict[str, list[str]],
-    dependency_edges: dict[str, set[str]] | None = None,
-) -> UpdatePlan:
-    """Compute the dirty set with transitive kill propagation.
-
-    ``dependency_edges`` maps a function to the functions whose facts
-    depend on it (provenance-derived when available); when None, the
-    reverse of the old static call graph is used — a caller's facts
-    always depend on its callees' summaries.
-    """
-    changed = sorted(
-        name
-        for name in new_fingerprints
-        if name in old_fingerprints
-        and (
-            new_fingerprints[name] != old_fingerprints[name]
-            or old_deps.get(name, []) != new_deps.get(name, [])
-        )
-    )
-    added = sorted(
-        name for name in new_fingerprints if name not in old_fingerprints
-    )
-    removed = sorted(
-        name for name in old_fingerprints if name not in new_fingerprints
-    )
-    if dependency_edges is None:
-        dependency_edges = {}
-        for caller, callees in old_deps.items():
-            for callee in callees:
-                dependency_edges.setdefault(callee, set()).add(caller)
-    # Change-driven worklist: start from every directly changed or
-    # removed function, propagate kills through dependency edges.
-    dirty: set[str] = set()
-    worklist = list(changed) + list(removed)
-    while worklist:
-        func = worklist.pop()
-        if func in dirty:
-            continue
-        dirty.add(func)
-        worklist.extend(dependency_edges.get(func, ()))
-    seeds = set(changed) | set(removed)
-    return UpdatePlan(
-        changed=changed,
-        added=added,
-        removed=removed,
-        dirty=sorted(dirty),
-        kill_propagations=len(dirty - seeds),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -906,10 +795,9 @@ class UpdateReport:
     """What an update did, and how much it reused."""
 
     mode: str  # "unchanged" | "splice" | "cold"
+    #: Functions whose body text changed, as the chunk differ named
+    #: them; empty when it refused the edit (``fallback`` says why).
     changed: list[str] = field(default_factory=list)
-    removed: list[str] = field(default_factory=list)
-    dirty_functions: list[str] = field(default_factory=list)
-    kill_propagations: int = 0
     reused_summaries: int = 0
     reanalyzed: list[str] = field(default_factory=list)
     fallback: str | None = None
@@ -918,9 +806,6 @@ class UpdateReport:
         return {
             "mode": self.mode,
             "changed": self.changed,
-            "removed": self.removed,
-            "dirty_functions": self.dirty_functions,
-            "kill_propagations": self.kill_propagations,
             "reused_summaries": self.reused_summaries,
             "reanalyzed": self.reanalyzed,
             "fallback": self.fallback,
@@ -939,9 +824,8 @@ def update_analysis(
     provably safe, else run cold.
 
     ``old_analysis`` may be a live :class:`PointsToAnalysis` (warm
-    session) or any object exposing ``options`` and optionally an
-    ``incremental`` skeleton dict (a decoded artifact), which only plans
-    the dirty set: splicing needs a live slice capture.
+    session) or any object exposing ``options`` (a decoded artifact);
+    only a live one can splice, since splicing needs its slice capture.
     """
     options = options if options is not None else old_analysis.options
     old_program = getattr(old_analysis, "program", None)
@@ -962,69 +846,22 @@ def update_analysis(
         parsed = incremental_simplify(
             old_source, old_program, new_source, filename
         )
-    if parsed is not None:
-        new_program = parsed.program
-    else:
-        new_program = simplify_source(new_source, filename)
-
-    # Plan the dirty set, using provenance derivation edges as the
-    # dependency graph when the old run recorded them.
-    prov_edges = provenance_dependencies(old_analysis)
-    if parsed is not None:
-        # The chunk differ already proved the function sets and global
-        # tables identical and named the changed bodies, so skip the
-        # whole-program fingerprint sweep; absent provenance, lift
-        # dependency edges from the old invocation graph (a caller's
-        # facts depend on every callee it actually invoked).
-        edges = prov_edges
-        if edges is None:
-            edges = {}
-            for caller, callees in old_analysis.ig.call_graph().items():
-                for callee in callees:
-                    edges.setdefault(callee, set()).add(caller)
-        changed = sorted(parsed.changed)
-        dirty: set[str] = set()
-        worklist = list(changed)
-        while worklist:
-            func = worklist.pop()
-            if func in dirty:
-                continue
-            dirty.add(func)
-            worklist.extend(edges.get(func, ()))
-        plan = UpdatePlan(
-            changed=changed,
-            added=[],
-            removed=[],
-            dirty=sorted(dirty),
-            kill_propagations=len(dirty - set(changed)),
-        )
-    else:
-        new_fps = function_fingerprints(new_program)
-        new_deps = static_deps(new_program)
-        if live:
-            old_fps = function_fingerprints(old_program)
-            old_deps = static_deps(old_program)
-        else:
-            skel = getattr(old_analysis, "incremental", None) or {}
-            old_fps = skel.get("fingerprints", {})
-            old_deps = skel.get("deps", {})
-        plan = plan_update(old_fps, old_deps, new_fps, new_deps, prov_edges)
-
     if parsed is None:
+        changed: list[str] = []
+        new_program = simplify_source(new_source, filename)
         fallback = (
             "no incremental parse of the edit" if live
             else "no live base analysis"
         )
     else:
+        changed = sorted(parsed.changed)
+        new_program = parsed.program
         spliced = splice_update(old_analysis, parsed, options)
         if spliced is not None:
             analysis, info = spliced
             report = UpdateReport(
                 mode="splice",
-                changed=plan.changed + plan.added,
-                removed=plan.removed,
-                dirty_functions=plan.dirty,
-                kill_propagations=plan.kill_propagations,
+                changed=changed,
                 reused_summaries=info["reused_summaries"],
                 reanalyzed=info["reanalyzed"],
             )
@@ -1035,11 +872,7 @@ def update_analysis(
     analysis = analyze(new_program, options)
     report = UpdateReport(
         mode="cold",
-        changed=plan.changed + plan.added,
-        removed=plan.removed,
-        dirty_functions=plan.dirty,
-        kill_propagations=plan.kill_propagations,
-        reused_summaries=0,
+        changed=changed,
         reanalyzed=_reanalyzed_functions(analysis.stats),
         fallback=fallback,
     )
@@ -1051,6 +884,4 @@ def _emit_counters(report: UpdateReport) -> None:
     if not obs.active():
         return
     obs.count("incremental.updates")
-    obs.count("incremental.dirty_functions", len(report.dirty_functions))
     obs.count("incremental.reused_summaries", report.reused_summaries)
-    obs.count("incremental.kill_propagations", report.kill_propagations)

@@ -279,9 +279,11 @@ def _cmd_update(request, store, sessions) -> dict:
     """Incrementally re-analyze an edited source.
 
     ``source``/``file`` name the *new* text; optional ``from`` carries
-    the predecessor text whose warm session (or stored artifact) the
-    update reuses.  On success the warm session is re-keyed to the new
-    source, so subsequent queries for it never re-analyze.  Concurrent
+    the predecessor text whose live warm session the update splices
+    from.  On success the warm session is re-keyed to the new source,
+    so subsequent queries for it never re-analyze.  Without a live
+    predecessor the new text is served like a first query: from the
+    store when it holds the artifact, else cold.  Concurrent
     updates to the same target key coalesce: one computes, the rest
     reuse its session (``"coalesced": true``)."""
     name, source, error = request_source(request)
@@ -310,29 +312,25 @@ def _cmd_update(request, store, sessions) -> dict:
             else None
         )
         session = sessions.get(base_key) if base_key else None
+        if session is not None and session.cached:
+            # A decoded result has no slice capture to splice from.
+            session = None
         if session is not None and session.source is None:
             session.source = base_source
-        if session is None and base_key is not None:
-            # No warm predecessor in this process: fall back to its
-            # stored artifact (it plans the dirty set from the payload
-            # skeleton; without a live capture the update runs cold).
-            decoded = store.get(base_key)
-            if decoded is not None:
-                session = QuerySession(decoded, base_source)
         try:
             if session is not None:
                 report = session.update(source).as_dict()
-                if base_key is not None:
-                    sessions.pop(base_key, None)
+                sessions.pop(base_key, None)
             else:
-                # Nothing to update from; behave like a first query.
+                # No live predecessor: behave like a first query, which
+                # the store may answer for the new text outright.
                 result, hit = store.load_or_analyze(
                     source, options, name=name
                 )
                 session = QuerySession(result, source)
                 report = {
                     "mode": "cached" if hit else "cold",
-                    "fallback": "no base session or artifact",
+                    "fallback": "no live base session",
                 }
         except Exception as exc:
             return analysis_failure(exc)

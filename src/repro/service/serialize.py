@@ -60,12 +60,16 @@ from repro.service.gcpause import gc_paused
 #: v6: "ig" spells each distinct invocation subtree once
 #: (:func:`_encode_ig`) instead of every node.
 #: v7: "options" drops the sub-tree sharing switch (the slice memo is
-#: the one cross-context memo).  Only v7 decodes: every older payload
-#: sits under an older store key, so the store never hands one back.
-FORMAT_VERSION = 7
+#: the one cross-context memo).
+#: v8: "incremental" drops the per-function body fingerprints; only the
+#: static dependency graph and the globals fingerprint remain, for
+#: ``check --diff`` on decoded artifacts.  Only v8 decodes: every older
+#: payload sits under an older store key, so the store never hands one
+#: back.
+FORMAT_VERSION = 8
 
 #: Payload versions :class:`DecodedAnalysis` accepts.
-SUPPORTED_VERSIONS = frozenset({7})
+SUPPORTED_VERSIONS = frozenset({8})
 
 #: Version of the *optional* ``"provenance"`` payload section.  The
 #: section is versioned independently: it only appears when the
@@ -498,7 +502,8 @@ class DecodedAnalysis:
             if "provenance" in payload
             else None
         )
-        #: The incremental skeleton (fingerprints / deps / globals).
+        #: The incremental skeleton (static deps / globals fingerprint),
+        #: read by ``check --diff``.
         self.incremental: dict = payload["incremental"]
         self._readwrite: dict[str, list[ReadWriteSets]] | None = None
 

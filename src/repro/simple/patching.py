@@ -258,6 +258,12 @@ def _call_stmts(fn) -> list[BasicStmt]:
     return calls
 
 
+def _table_signature(table: dict) -> list[tuple[str, str]]:
+    """A global or extern table as ``(name, printed type)`` pairs in
+    declaration order, comparable across parses."""
+    return [(name, str(ctype)) for name, ctype in table.items()]
+
+
 def incremental_simplify(
     old_source: str,
     old_program: SimpleProgram,
@@ -299,8 +305,6 @@ def incremental_simplify(
         return None
     if set(names) != set(old_program.functions):
         return None  # a chunk the old parse didn't turn into a function
-    if not changed:
-        changed = []
 
     # Subset source: unchanged definitions shrink to prototypes
     # generated from their own header text, preserving declaration
@@ -334,8 +338,11 @@ def incremental_simplify(
     # external tables (string-literal pools, implicitly declared
     # externals); the subset parse cannot see those, so any mismatch
     # means the splice cannot reproduce the cold tables faithfully.
-    if list(sub.global_types.items()) != list(
-        old_program.global_types.items()
+    # Tables compare by name and printed type, in declaration order:
+    # struct types are interned per parse, so two parses of one
+    # declaration never share the object.
+    if _table_signature(sub.global_types) != _table_signature(
+        old_program.global_types
     ):
         return None
     # The prototypes injected for unchanged functions register as
@@ -345,7 +352,9 @@ def incremental_simplify(
         for name, ctype in sub.externals.items()
         if name not in set(names) - changed_set
     }
-    if list(sub_externals.items()) != list(old_program.externals.items()):
+    if _table_signature(sub_externals) != _table_signature(
+        old_program.externals
+    ):
         return None
 
     functions = {}

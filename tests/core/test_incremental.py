@@ -1,13 +1,12 @@
 """Unit tests for function-granularity incremental re-analysis.
 
 Covers the building blocks bottom-up — the top-level chunker, content
-fingerprints, the dirty-set planner with kill propagation — and then
-the update ladder itself: splice applicability on the perfsuite
-programs, the untouched-subtree guarantee (editing one fanout worker
-must not re-analyze the other eleven), counter emission, and the
-removed/added/fallback paths.  Byte-level equivalence against a cold
-run over the whole corpus lives in
-``tests/interp/test_incremental_equivalence.py``.
+fingerprints and the artifact skeleton — and then the update ladder
+itself: splice applicability on the perfsuite programs, the
+untouched-subtree guarantee (editing one fanout worker must not
+re-analyze the other eleven), counter emission, and the fallback
+paths.  Byte-level equivalence against a cold run over the whole
+corpus lives in ``tests/interp/test_incremental_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.core.analysis import AnalysisOptions, analyze_source
 from repro.core.incremental import (
     function_fingerprints,
     globals_fingerprint,
-    plan_update,
     skeleton,
     static_deps,
     update_analysis,
@@ -116,7 +114,7 @@ class TestFingerprints:
 
     def test_skeleton_shape(self):
         sk = skeleton(simplify_source(SMALL))
-        assert set(sk) == {"fingerprints", "deps", "globals"}
+        assert set(sk) == {"deps", "globals"}
         assert sk["deps"]["main"] == ["flip", "set"]
 
     def test_closure_members(self):
@@ -256,74 +254,6 @@ class TestFingerprints:
 
 
 # --------------------------------------------------------------------------
-# The planner: dirty sets and kill propagation
-# --------------------------------------------------------------------------
-
-
-class TestPlanUpdate:
-    def _plans(self, old_src, new_src, edges=None):
-        old = simplify_source(old_src)
-        new = simplify_source(new_src)
-        return plan_update(
-            function_fingerprints(old),
-            static_deps(old),
-            function_fingerprints(new),
-            static_deps(new),
-            dependency_edges=edges,
-        )
-
-    def test_single_edit_dirties_callers(self):
-        plan = self._plans(SMALL, SMALL_EDIT)
-        assert plan.changed == ["set"]
-        assert plan.dirty == ["main", "set"]
-        # main was killed transitively, not edited.
-        assert plan.kill_propagations == 1
-
-    def test_no_edit_no_dirt(self):
-        plan = self._plans(SMALL, SMALL)
-        assert plan.changed == [] and plan.dirty == []
-        assert plan.kill_propagations == 0
-
-    def test_removed_function_propagates(self):
-        without_flip = SMALL.replace(
-            "void flip(void) { p = &h; }", ""
-        ).replace("set(); flip();", "set();")
-        plan = self._plans(SMALL, without_flip)
-        assert plan.removed == ["flip"]
-        assert "main" in plan.dirty
-
-    def test_added_function_reported(self):
-        grown = SMALL.replace(
-            "int main", "void fresh(void) { p = 0; }\nint main"
-        )
-        plan = self._plans(SMALL, grown)
-        assert plan.added == ["fresh"]
-
-    def test_provenance_edges_override_static_reverse(self):
-        # With explicit dependency edges, only the listed dependents
-        # are killed — a caller with no recorded derivation edge from
-        # the edited callee stays clean.
-        plan = self._plans(SMALL, SMALL_EDIT, edges={"set": set()})
-        assert plan.dirty == ["set"]
-        assert plan.kill_propagations == 0
-
-    def test_kill_propagation_is_transitive(self):
-        chain = """
-int *p; int g;
-void leaf(void) { p = &g; }
-void mid(void) { leaf(); }
-int main(void) { mid(); return 0; }
-"""
-        edited = chain.replace(
-            "void leaf(void) { p = &g; }",
-            "void leaf(void) { int t; t = 1; p = &g; }",
-        )
-        plan = self._plans(chain, edited)
-        assert plan.dirty == ["leaf", "main", "mid"]
-        assert plan.kill_propagations == 2
-
-
-# --------------------------------------------------------------------------
 # update_analysis: the ladder end to end
 # --------------------------------------------------------------------------
 
@@ -381,7 +311,28 @@ class TestUpdateAnalysis:
         ).replace("set(); flip();", "set();")
         result, report = _update(SMALL, removed)
         assert report.mode == "cold"
+        # The chunk differ refused the edit, so it named no function.
+        assert report.changed == []
+        assert report.fallback == "no incremental parse of the edit"
         cold = analyze_source(removed)
+        assert semantic_payload_bytes(result, "t") == (
+            semantic_payload_bytes(cold, "t")
+        )
+
+    def test_decoded_base_goes_straight_to_cold(self):
+        from repro.service.serialize import (
+            decode_analysis,
+            encode_analysis_bytes,
+        )
+
+        decoded = decode_analysis(
+            encode_analysis_bytes(analyze_source(SMALL))
+        )
+        result, report = update_analysis(decoded, SMALL, SMALL_EDIT)
+        assert report.mode == "cold"
+        assert report.changed == []
+        assert report.fallback == "no live base analysis"
+        cold = analyze_source(SMALL_EDIT)
         assert semantic_payload_bytes(result, "t") == (
             semantic_payload_bytes(cold, "t")
         )
@@ -392,23 +343,18 @@ class TestUpdateAnalysis:
             _, report = _update(SMALL, SMALL_EDIT)
         counters = tracer.snapshot()["counters"]
         assert counters["incremental.updates"] == 1
-        assert counters["incremental.dirty_functions"] == len(
-            report.dirty_functions
-        )
         assert counters["incremental.reused_summaries"] == (
             report.reused_summaries
         )
-        assert counters["incremental.kill_propagations"] == (
-            report.kill_propagations
-        )
+        assert "incremental.dirty_functions" not in counters
+        assert "incremental.kill_propagations" not in counters
 
     def test_report_as_dict_round_trips(self):
         _, report = _update(SMALL, SMALL_EDIT)
         data = report.as_dict()
         assert data["mode"] == "splice"
         assert set(data) == {
-            "mode", "changed", "removed", "dirty_functions",
-            "kill_propagations", "reused_summaries", "reanalyzed",
+            "mode", "changed", "reused_summaries", "reanalyzed",
             "fallback",
         }
 

@@ -107,6 +107,37 @@ def test_warm_update_rekeys_session(daemon_factory):
         assert follow["result"] == [["h", "D"]]
 
 
+def test_update_from_a_stored_base_serves_the_stored_target(
+    tmp_path, monkeypatch
+):
+    """With both texts' artifacts in the store and no warm session, an
+    update answers the new text from the store and runs no analysis:
+    a decoded base has no slice capture, so nothing could splice."""
+    from repro.core.analysis import Analyzer
+
+    store = ResultStore(f"file:{tmp_path}/store")
+    for text in (FAST_SOURCE, EDITED_SOURCE):
+        store.load_or_analyze(text)
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the update ran an analysis")
+
+    monkeypatch.setattr(Analyzer, "run", no_analysis)
+    sessions: dict = {}
+    response = handle_request(
+        {"cmd": "update", "from": FAST_SOURCE, "source": EDITED_SOURCE},
+        store, sessions,
+    )
+    assert response["ok"], response
+    assert response["cached"] is True
+    assert response["result"]["mode"] == "cached"
+    follow = handle_request(
+        {"source": EDITED_SOURCE, "query": "points_to:p@L"},
+        store, sessions,
+    )
+    assert follow["ok"] and follow["result"] == [("h", "D")]
+
+
 def test_concurrent_updates_coalesce_in_process(tmp_path):
     """N racing updates to the same target key: one computes, the other
     N-1 report ``coalesced`` and reuse its session."""

@@ -10,9 +10,9 @@ store, delete a function.  For every pair the incremental update must
   edited text, whatever tier it took;
 * keep the soundness oracle green: the *updated* analysis (not a
   fresh one) is differentially checked against concrete execution;
-* never re-analyze outside the planned dirty set when it spliced —
-  the untouched-subtree guarantee, asserted through the update
-  counters.
+* never re-analyze a function the chunk differ did not name as
+  changed when it spliced — the untouched-subtree guarantee,
+  ``reanalyzed ⊆ changed``.
 
 Tier-1 runs one pair per idiom family; the full campaign is nightly
 (``slow``).
@@ -82,18 +82,18 @@ def _check_pair(old_source: str, edit, pair_id: str) -> None:
         + "\n".join(f"  {v}" for v in sound.violations)
     )
 
-    # 3. Untouched subtrees stayed memoized: a splice may only
-    # re-analyze inside the planned dirty set, and the counters must
-    # agree with the report.
+    # 3. Untouched subtrees stayed memoized: a splice re-flows only
+    # the bodies the chunk differ named as changed, and the counters
+    # must agree with the report.
     counters = tracer.snapshot()["counters"]
     assert counters.get("incremental.updates") == 1
-    assert counters.get("incremental.dirty_functions", 0) == len(
-        report.dirty_functions
+    assert counters.get("incremental.reused_summaries", 0) == (
+        report.reused_summaries
     )
     if report.mode == "splice":
-        stray = set(report.reanalyzed) - set(report.dirty_functions)
+        stray = set(report.reanalyzed) - set(report.changed)
         assert not stray, (
-            f"functions outside the dirty set re-analyzed for "
+            f"unchanged functions re-analyzed by a splice for "
             f"{pair_id}: {sorted(stray)}"
         )
 

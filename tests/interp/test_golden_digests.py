@@ -12,9 +12,11 @@ sha256 digests:
   (:func:`v4_payload`), stamped ``format_version: 3`` and carrying the
   Tables 2-6 ``summaries`` section that v3 artifacts shipped, now
   derived from the live analysis on demand, and the
-  ``share_subtrees: false`` option they recorded.  The digests were
-  frozen from v3 artifacts; the view pins every byte of the v7
-  artifact *and* the on-demand tables against them;
+  ``share_subtrees: false`` option they recorded, and the per-function
+  body fingerprints their ``incremental`` section carried, re-derived
+  from the live program.  The digests were frozen from v3 artifacts;
+  the view pins every byte of the v8 artifact *and* the on-demand
+  tables against them;
 * ``answers``: the query answers ``list_labels``, ``call_sites`` and
   ``summary`` of a :class:`~repro.service.queries.QuerySession`.
 
@@ -42,6 +44,7 @@ import pytest
 from repro.benchsuite import BENCHMARKS, PERF_BENCHMARKS, livc_source
 from repro.benchsuite.generator import generate_program
 from repro.core.analysis import analyze_source
+from repro.core.incremental import function_fingerprints
 from repro.core.statistics import (
     collect_table2,
     collect_table3,
@@ -141,15 +144,20 @@ def v4_payload(payload: dict) -> dict:
 
 def v3_view(analysis, name: str) -> bytes:
     """The semantic payload as a v3 artifact encoded it: the v4 view of
-    the v7 bytes plus the Tables 2-6 ``summaries`` section and the
-    constant ``share_subtrees: false`` option (v7 dropped the option),
-    under version 3."""
+    the v8 bytes plus the Tables 2-6 ``summaries`` section, the
+    constant ``share_subtrees: false`` option (v7 dropped the option)
+    and the per-function body ``fingerprints`` of the ``incremental``
+    section (v8 dropped them), under version 3."""
     payload = v4_payload(json.loads(semantic_payload_bytes(analysis, name)))
     payload["format_version"] = 3
     payload["options"] = dict(payload["options"], share_subtrees=False)
     payload["summaries"] = {
         key: asdict(collect(analysis, name)) for key, collect in TABLES.items()
     }
+    payload["incremental"] = dict(
+        payload["incremental"],
+        fingerprints=function_fingerprints(analysis.program),
+    )
     return canonical_json(payload)
 
 

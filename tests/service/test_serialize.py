@@ -120,9 +120,17 @@ class TestRoundTrip:
         # and the tables derive on demand from the analysis.
         analysis, decoded = roundtrip(SAMPLE)
         payload = encode_analysis(analysis, name="t", source=SAMPLE)
-        assert payload["format_version"] == FORMAT_VERSION == 7
+        assert payload["format_version"] == FORMAT_VERSION == 8
         assert "summaries" not in payload
         assert not hasattr(decoded, "summaries")
+
+    def test_incremental_section_is_deps_and_globals(self):
+        # v8 dropped the per-function body fingerprints: no update
+        # tier reads them, and ``check --diff`` reads only these two.
+        analysis, decoded = roundtrip(SAMPLE)
+        payload = encode_analysis(analysis, name="t", source=SAMPLE)
+        assert set(payload["incremental"]) == {"deps", "globals"}
+        assert decoded.incremental == payload["incremental"]
 
     def test_version_mismatch_rejected(self):
         analysis, _ = roundtrip(SAMPLE)
