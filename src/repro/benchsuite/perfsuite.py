@@ -6,9 +6,9 @@ memoization but collapses under reachable-slice keying (DESIGN.md,
 *straight-line rounds* rather than a loop: an abstract loop fixed
 point converges in two or three iterations, but ten unrolled call
 sites with ten distinct router states force a whole-input memo miss
-at every site — and, because the routers are globals,
-``map_visible_roots`` carries them into every callee at every depth,
-so the miss cascades down the entire call tree.
+at every site — and, because the routers are globals, ``map_call``
+carries them into every callee at every depth, so the miss cascades
+down the entire call tree.
 
 * ``relay`` — a binary call tree eight functions deep (128 ``bump``
   invocations per round) whose stages share one global cursor; each

@@ -245,27 +245,41 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
-    from repro.core.incremental import update_analysis
+    from repro.core.incremental import UpdateReport, update_analysis
 
     old_source = _read(args.old)
     new_source = _read(args.new)
     options = AnalysisOptions(function_pointer_strategy=args.fnptr)
     store = _make_store(args) if not args.no_cache else None
+    old_hit = False
     if store is not None:
-        old_result, _ = store.load_or_analyze(
+        old_result, old_hit = store.load_or_analyze(
             old_source, options, name=args.old
         )
     else:
         old_result = analyze_source(
             old_source, options, filename=args.old
         )
-    new_result, report = update_analysis(
-        old_result,
-        old_source,
-        new_source,
-        options,
-        filename=args.new,
-    )
+    if store is not None and old_hit:
+        # A decoded base has no slice capture to splice from: serve the
+        # new text like a first query, from the store when it holds it
+        # (as the serve and daemon ``update`` verb does).
+        new_result, new_hit = store.load_or_analyze(
+            new_source, options, name=args.new
+        )
+        report = UpdateReport(
+            mode="cached" if new_hit else "cold",
+            reanalyzed=list(getattr(new_result, "flowed", ())),
+            fallback="no live base session",
+        )
+    else:
+        new_result, report = update_analysis(
+            old_result,
+            old_source,
+            new_source,
+            options,
+            filename=args.new,
+        )
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     for expr in args.queries:
         from repro.service.queries import QueryError, QuerySession

@@ -97,6 +97,9 @@ class PointsToAnalysis:
         #: incremental updates can reuse per-function summaries; None
         #: on decoded or hand-built results.
         self.slice_capture = None
+        #: Functions whose body the producing run analyzed, sorted;
+        #: empty on decoded or hand-built results.
+        self.flowed: list[str] = []
         self._envs: dict[str | None, FuncEnv] = {}
         self._stmt_func: dict[int, str] = {
             stmt_id: name
@@ -190,6 +193,9 @@ class Analyzer:
         #: .SeedBank): consulted on slice-memo misses so a splice's mini
         #: run can replay summaries captured by the prior run.
         self.seed_bank = None
+        #: Functions whose body this run analyzed (a memo hit replays
+        #: instead), in first-flow order.
+        self.flowed: dict[str, None] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -267,6 +273,7 @@ class Analyzer:
     def analyze_body(
         self, node: IGNode, func_input: PointsToSet
     ) -> PointsToSet | None:
+        self.flowed[node.func] = None
         env = self.env(node.func)
         fn = self.program.functions[node.func]
         entry = func_input.copy()
@@ -474,6 +481,7 @@ class Analyzer:
         # updates reuse it as the per-function summary bank.
         result.slice_capture = self._slice_memo
         self._slice_memo = {}
+        result.flowed = sorted(self.flowed)
         return result
 
     def _global_init_call_handler(self, stmt, input_set):

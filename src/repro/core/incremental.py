@@ -794,11 +794,16 @@ def _splice_update(old_analysis, parsed, options):
 class UpdateReport:
     """What an update did, and how much it reused."""
 
-    mode: str  # "unchanged" | "splice" | "cold"
+    #: "unchanged" | "splice" | "cold"; "cached" when a store served
+    #: the new text outright.
+    mode: str
     #: Functions whose body text changed, as the chunk differ named
     #: them; empty when it refused the edit (``fallback`` says why).
     changed: list[str] = field(default_factory=list)
     reused_summaries: int = 0
+    #: Functions whose bodies the update flowed: a splice's mini-run
+    #: misses (a subset of ``changed``), or every function a cold run
+    #: analyzed, the entry point included.
     reanalyzed: list[str] = field(default_factory=list)
     fallback: str | None = None
 
@@ -873,7 +878,7 @@ def update_analysis(
     report = UpdateReport(
         mode="cold",
         changed=changed,
-        reanalyzed=_reanalyzed_functions(analysis.stats),
+        reanalyzed=analysis.flowed,
         fallback=fallback,
     )
     _emit_counters(report)

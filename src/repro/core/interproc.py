@@ -251,47 +251,52 @@ def _process_call_node(
         caller_env, callee_env, input_set, stmt.args, callee_fn
     )
     child.map_info = map_info
-
-    if child.kind is APPROXIMATE_NODE:
-        partner = child.rec_partner
-        assert partner is not None
-        if (
-            partner.stored_input is not None
-            and func_input.is_subset_of(partner.stored_input)
-        ):
-            if partner.stored_output is None:
+    try:
+        if child.kind is APPROXIMATE_NODE:
+            partner = child.rec_partner
+            assert partner is not None
+            if (
+                partner.stored_input is not None
+                and func_input.is_subset_of(partner.stored_input)
+            ):
+                if partner.stored_output is None:
+                    return None
+                func_output = partner.stored_output
+            else:
+                partner.pending_inputs.append(func_input)
                 return None
-            func_output = partner.stored_output
-        else:
-            partner.pending_inputs.append(func_input)
-            return None
-    elif child.in_progress:
-        # Re-entry of a node whose body is being analyzed: only
-        # possible through a *shared* node (the context-insensitive
-        # ablation); the node acts as its own recursive partner,
-        # exactly like the approximate case.
-        if (
-            child.stored_input is not None
-            and func_input.is_subset_of(child.stored_input)
-        ):
-            if child.stored_output is None:
+        elif child.in_progress:
+            # Re-entry of a node whose body is being analyzed: only
+            # possible through a *shared* node (the context-insensitive
+            # ablation); the node acts as its own recursive partner,
+            # exactly like the approximate case.
+            if (
+                child.stored_input is not None
+                and func_input.is_subset_of(child.stored_input)
+            ):
+                if child.stored_output is None:
+                    return None
+                func_output = child.stored_output
+            else:
+                child.pending_inputs.append(func_input)
                 return None
-            func_output = child.stored_output
+        elif child.kind is RECURSIVE_NODE:
+            func_output = _process_recursive(analyzer, child, func_input)
+            if func_output is None:
+                return None
         else:
-            child.pending_inputs.append(func_input)
-            return None
-    elif child.kind is RECURSIVE_NODE:
-        func_output = _process_recursive(analyzer, child, func_input)
-        if func_output is None:
-            return None
-    else:
-        func_output = _process_ordinary(analyzer, child, func_input)
-        if func_output is None:
-            return None
+            func_output = _process_ordinary(analyzer, child, func_input)
+            if func_output is None:
+                return None
 
-    return _unmap_and_assign(
-        analyzer, caller_env, callee_fn, stmt, input_set, func_output, map_info
-    )
+        return _unmap_and_assign(
+            analyzer, caller_env, callee_fn, stmt, input_set, func_output,
+            map_info,
+        )
+    finally:
+        # Both censuses served this call's map, split and unmap only.
+        func_input.forget_census()
+        input_set.forget_census()
 
 
 @dataclass

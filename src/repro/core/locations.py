@@ -285,6 +285,11 @@ class LocTable:
         """id -> root id, as a list (read-only)."""
         return self._roots
 
+    @property
+    def locs(self) -> list[AbsLoc]:
+        """id -> location, as a list (read-only)."""
+        return self._locs
+
     def __len__(self) -> int:
         return len(self._locs)
 

@@ -52,6 +52,7 @@ from repro.core.pointsto import (
     P,
     Definiteness,
     PointsToSet,
+    RowCensus,
     iter_bits,
     row_triples,
 )
@@ -71,9 +72,10 @@ class MapInfo:
     from_caller: dict[AbsLoc, AbsLoc] = field(default_factory=dict)
     #: visible caller roots (globals, heap) whose relationships were
     #: carried into the callee — these are owned by the callee output.
-    #: Insertion-ordered (values unused): unmap updates in this order,
-    #: which decides the caller output's row order.
-    visible_roots: dict[AbsLoc, None] = field(default_factory=dict)
+    #: Insertion-ordered: unmap updates in this order, which decides
+    #: the caller output's row order.  A value is the root's
+    #: ``LocTable`` id, or None where map did not look it up.
+    visible_roots: dict[AbsLoc, int | None] = field(default_factory=dict)
 
     def representative_count(self, callee_root: AbsLoc) -> int:
         return len(self.to_caller.get(callee_root, ()))
@@ -105,21 +107,29 @@ class _Mapper:
         self.callee_env = callee_env
         self.input_set = input_set
         self.info = MapInfo()
-        self.result = PointsToSet()
+        self.result = PointsToSet(input_set.table)
+        #: The result's row dict, written in place by :meth:`_copy_rows`.
+        self.rows = self.result.own_rows()
         self.queue: deque[AbsLoc] = deque()
         self.processed: set[AbsLoc] = set()
-        #: Target ids whose enqueue is known to be a no-op: their root
+        #: The caller's rows by source root (cached on ``input_set``,
+        #: where unmap finds it again).
+        self.census = input_set.census()
+        #: Target ids whose meeting is known to be a no-op: their root
         #: is already a visible root, or is not a GLOBAL/HEAP one.
         self.settled = 0
-        # Index the caller's rows by source root for the reachability
-        # walk (row order within a root).
-        self.by_root: dict[AbsLoc, list[int]] = {}
-        table = input_set.table
-        loc_of = table.loc_of
-        roots = table.roots
-        by_root = self.by_root
-        for sid in input_set.rows:
-            by_root.setdefault(loc_of(roots[sid]), []).append(sid)
+        #: Ids of roots known to be in ``info.visible_roots`` (the
+        #: formals' visible targets are left out: re-adding a root that
+        #: is already there leaves the order as it is).
+        self.visible_ids: set[int] = set()
+        #: Inert roots copied whole: root id -> source ids, in the
+        #: order their rows entered the result.
+        self.carried: dict[int, list[int]] = {}
+        #: Whether some row entered the result pair by pair.
+        self.translated = False
+        #: Whether some carried root's rows entered in another order
+        #: than the caller's.
+        self.reordered = False
 
     # -- symbolic assignment --------------------------------------------
 
@@ -150,7 +160,7 @@ class _Mapper:
         if visible:
             if root.kind not in _GLOBAL_OR_HEAP:
                 return
-            self.info.visible_roots[root] = None
+            self.info.visible_roots.setdefault(root, None)
         if root not in self.processed:
             self.queue.append(root)
 
@@ -232,107 +242,182 @@ class _Mapper:
                 entries.append((formal_loc.extend(path), target, definiteness))
         return entries
 
-    def map_visible_roots(self) -> None:
-        for root in list(self.by_root):
-            if root.kind in _GLOBAL_OR_HEAP:
-                self.enqueue(root, visible=True)
-
     def drain(self) -> None:
+        """Map the rows of every root the walk reaches, in the order of
+        the paper's walk: the roots the formals' targets queued, then
+        every GLOBAL/HEAP root with rows (map carries all of them into
+        every callee) in row order, then the invisible roots met on
+        the way.  Every GLOBAL/HEAP root with rows enters
+        ``MapInfo.visible_roots`` before the walk starts.  Runs of
+        inert roots are copied whole by :meth:`_copy_rows`, every other
+        root maps pair by pair (:meth:`_map_pairs`)."""
+        census = self.census
+        visible = census.visible
+        locs = self.input_set.table.locs
+        self.info.visible_roots.update(
+            zip(map(locs.__getitem__, visible), visible)
+        )
+        self.visible_ids.update(visible)
+        self.translated = bool(self.rows)  # the formals' rows
+        queue = self.queue
+        for _ in range(len(queue)):
+            self._walk(queue.popleft())
+        processed = self.processed
+        inert = () if provenance.CURRENT.enabled else census.inert
+        run: list[int] = []
+        for rid in visible:
+            if processed and locs[rid] in processed:
+                continue  # a formal's target: mapped above
+            if rid in inert:
+                run.append(rid)
+                continue
+            if run:
+                self._copy_rows(run)
+                run = []
+            self._map_pairs(locs[rid], census.groups[rid])
+        if run:
+            self._copy_rows(run)
+        while queue:
+            root = queue.popleft()
+            # Every GLOBAL/HEAP root with rows is mapped by now; the
+            # others have nothing to map.
+            if not root.is_visible_everywhere:
+                self._walk(root)
+
+    def _walk(self, root: AbsLoc) -> None:
+        """Map the rows of a queued root (once)."""
+        if root in self.processed:
+            return
+        self.processed.add(root)
+        rid = self.input_set.table.get_id(root)
+        sids = self.census.groups.get(rid)
+        if not sids:
+            return
+        if rid in self.census.inert and not provenance.CURRENT.enabled:
+            self._copy_rows([rid])
+        else:
+            self._map_pairs(root, sids)
+
+    def _map_pairs(self, root: AbsLoc, sids: list[int]) -> None:
+        """Map one root's rows pair by pair, definite pairs first."""
+        self.translated = True
         prov = provenance.CURRENT
         if prov.enabled:
             latest = prov.latest
             call_extra = prov.call_extra()
-            prov_record = prov.record
-            rule_reach = provenance.RULE_MAP_REACH
-        rows = self.input_set.rows
         table = self.input_set.table
-        outside = ~table.vis
-        while self.queue:
-            root = self.queue.popleft()
-            if root in self.processed:
-                continue
-            self.processed.add(root)
-            sids = self.by_root.get(root)
-            if not sids:
-                continue
-            if root.kind is GLOBAL_KIND and not prov.enabled:
-                targets = 0
-                for sid in sids:
-                    row = rows[sid]
-                    targets |= row[0] | row[1]
-                if not targets & outside:
-                    self._copy_rows(sids, targets)
-                    continue
-            pairs = row_triples([(sid, rows[sid]) for sid in sids], table)
-            for src, tgt, definiteness in _definite_first(pairs):
-                if root.is_visible_everywhere:
-                    mapped_src = src
-                else:
-                    rep = self.info.from_caller.get(root)
-                    if rep is None:
-                        continue  # unreachable root (defensive)
-                    mapped_src = rep.extend(src.path)
-                mapped_tgt = self.map_target(tgt, via=mapped_src)
-                self.result.add(mapped_src, mapped_tgt, definiteness)
-                if prov.enabled:
-                    parent = latest.get((src, tgt))
-                    prov_record(
-                        mapped_src,
-                        mapped_tgt,
-                        definiteness is D,
-                        rule_reach,
-                        (parent,) if parent is not None else (),
-                        call_extra,
-                    )
+        rows = self.input_set.rows
+        pairs = row_triples([(sid, rows[sid]) for sid in sids], table)
+        for src, tgt, definiteness in _definite_first(pairs):
+            if root.is_visible_everywhere:
+                mapped_src = src
+            else:
+                rep = self.info.from_caller.get(root)
+                if rep is None:
+                    continue  # unreachable root (defensive)
+                mapped_src = rep.extend(src.path)
+            mapped_tgt = self.map_target(tgt, via=mapped_src)
+            self.result.add(mapped_src, mapped_tgt, definiteness)
+            if prov.enabled:
+                parent = latest.get((src, tgt))
+                prov.record(
+                    mapped_src,
+                    mapped_tgt,
+                    definiteness is D,
+                    provenance.RULE_MAP_REACH,
+                    (parent,) if parent is not None else (),
+                    call_extra,
+                )
 
-    def _copy_rows(self, sids: list[int], targets: int) -> None:
-        """Carry a GLOBAL root whose targets (``targets``, the union of
-        its rows) are all visible everywhere: every pair maps to
-        itself, so its rows are copied whole — in the order
+    def _copy_rows(self, run: list[int]) -> None:
+        """Carry a run of inert roots (GLOBAL roots whose targets are
+        all visible everywhere), in walk order: every pair maps to
+        itself, so each root's rows are copied whole — in the order
         :func:`_definite_first` would first add each source (definite
         rows, then possible ones, each by name).  The only other effect
-        of mapping those pairs is enqueueing the target roots the walk
-        has not met yet, in the same sorted pair order."""
+        of mapping those pairs is meeting the GLOBAL/HEAP target roots
+        the walk has not made visible yet, in the same sorted pair
+        order.  Such a root has no rows (every root with rows is
+        visible already), so it needs no queue entry."""
+        table = self.input_set.table
+        roots = table.roots
+        locs = table.locs
+        rows = self.input_set.rows
+        out = self.rows
+        census = self.census
+        groups = census.groups
+        reach = census.reach
+        carried = self.carried
+        visible_roots = self.info.visible_roots
+        visible_ids = self.visible_ids
+        settled = self.settled
+        for rid in run:
+            sids = groups[rid]
+            if len(sids) == 1:
+                sid = sids[0]
+                out[sid] = rows[sid]
+            else:
+                ordered = sorted(
+                    sids, key=lambda sid: (not rows[sid][0], locs[sid].text)
+                )
+                if ordered != sids:
+                    sids = ordered
+                    self.reordered = True
+                for sid in sids:
+                    out[sid] = rows[sid]
+            carried[rid] = sids
+            pending = reach[rid] & ~settled
+            if not pending:
+                continue
+            settled |= pending
+            if not pending & (pending - 1):  # one new target
+                trid = roots[pending.bit_length() - 1]
+                if (
+                    trid not in visible_ids
+                    and locs[trid].kind in _GLOBAL_OR_HEAP
+                ):
+                    visible_roots[locs[trid]] = trid
+                    visible_ids.add(trid)
+                continue
+            fresh: dict[int, int] = {}
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                trid = roots[low.bit_length() - 1]
+                if (
+                    trid not in visible_ids
+                    and locs[trid].kind in _GLOBAL_OR_HEAP
+                ):
+                    fresh[trid] = fresh.get(trid, 0) | low
+            if not fresh:
+                continue
+            order = self._first_met(sids, fresh) if len(fresh) > 1 else fresh
+            for trid in order:
+                visible_roots[locs[trid]] = trid
+            visible_ids.update(fresh)
+        self.settled = settled
+
+    def _first_met(self, sids: list[int], fresh: dict[int, int]) -> list[int]:
+        """The root ids ``fresh`` (root id -> its target bits) in the
+        order the rows ``sids``' pairs, sorted as by
+        :func:`_definite_first`, first meet them."""
         rows = self.input_set.rows
         table = self.input_set.table
-        loc_of = table.loc_of
-        if len(sids) > 1:
-            sids = sorted(
-                sids, key=lambda sid: (not rows[sid][0], loc_of(sid).text)
-            )
-        for sid in sids:
-            self.result.add_row(sid, *rows[sid])
-        pending = targets & ~self.settled
-        if not pending:
-            return
         roots = table.roots
-        visible_roots = self.info.visible_roots
-        fresh: dict[AbsLoc, int] = {}
-        for tid in iter_bits(pending):
-            troot = loc_of(roots[tid])
-            if (
-                troot.kind in _GLOBAL_OR_HEAP
-                and troot not in visible_roots
-            ):
-                fresh[troot] = fresh.get(troot, 0) | 1 << tid
-            else:
-                self.settled |= 1 << tid
-        order = list(fresh)
-        if len(order) > 1:
-            mask = 0
-            for bits in fresh.values():
-                mask |= bits
-            picked = [
-                (sid, (rows[sid][0] & mask, rows[sid][1] & mask))
-                for sid in sids
-                if (rows[sid][0] | rows[sid][1]) & mask
-            ]
-            order = [
-                tgt.root()
-                for _, tgt, _ in _definite_first(row_triples(picked, table))
-            ]
-        for troot in order:
-            self.enqueue(troot, visible=True)
+        locs = table.locs
+        mask = 0
+        for bits in fresh.values():
+            mask |= bits
+        pairs = []
+        for sid in sids:
+            defs, poss = rows[sid]
+            text = locs[sid].text
+            for tid in iter_bits(defs & mask):
+                pairs.append((False, text, locs[tid].text, tid))
+            for tid in iter_bits(poss & mask):
+                pairs.append((True, text, locs[tid].text, tid))
+        pairs.sort()
+        return list(dict.fromkeys(roots[pair[3]] for pair in pairs))
 
     def degrade_multi_represented(self) -> None:
         """Weaken definite pairs through multi-represented symbolic names."""
@@ -364,9 +449,26 @@ def map_call(
     for one call (the *map* box of Figure 3)."""
     mapper = _Mapper(caller_env, callee_env, input_set)
     mapper.map_formals(callee_fn, args)
-    mapper.map_visible_roots()
     mapper.drain()
     mapper.degrade_multi_represented()
+    if not mapper.translated:
+        # The result is the carried roots' rows, root after root: when
+        # they are all of the caller's rows, in the caller's order, it
+        # has the caller's census.
+        carried = mapper.carried
+        census = mapper.census
+        if len(carried) == len(census.groups) and not mapper.reordered:
+            mapper.result.vouch_census(census)
+        else:
+            reach = census.reach
+            mapper.result.vouch_census(
+                RowCensus(
+                    carried,
+                    {rid: reach[rid] for rid in carried},
+                    list(carried),
+                    set(carried),
+                )
+            )
     from repro import obs
 
     if obs.active():
@@ -422,14 +524,6 @@ def unmap_call(
         unique = len(caller_roots) == 1
         return [(r.extend(loc.path), unique) for r in caller_roots]
 
-    # Group the callee's pairs by the caller root they describe.  Each
-    # entry carries the provenance parents of the callee fact behind it
-    # (the empty tuple when recording is off).  A GLOBAL row whose
-    # targets are all visible everywhere names the same pairs on both
-    # sides, so it is carried whole as a ``(source id, row)`` entry; a
-    # GLOBAL root is never heap nor represented by a symbolic name, so
-    # such entries only ever meet the strong update.
-    new_rels: dict[AbsLoc, list] = {}
     returns: list[tuple[tuple[str, ...], AbsLoc, Definiteness]] = []
     ret_root = retval_loc(callee_fn.name)
     prov = provenance.CURRENT
@@ -437,23 +531,43 @@ def unmap_call(
     return_support: list[tuple[AbsLoc, int]] = []
     table = callee_output.table
     assert caller_input.table is table
-    loc_of = table.loc_of
     roots = table.roots
+    locs = table.locs
+    get_id = table.get_id
     outside = ~table.vis
 
-    for sid, row in callee_output.rows.items():
-        src_root = loc_of(roots[sid])
-        if src_root.kind in _FRAME_KINDS and src_root != ret_root:
-            continue  # the callee's frame dies with the call
+    # Group the callee's pairs by the caller root they describe, keyed
+    # by the root's id (or by the root itself while the table has no
+    # id for it: a caller variable only an actual's ``&`` named).  Each
+    # entry carries the provenance parents of the callee fact behind it
+    # (the empty tuple when recording is off).  An inert row — a GLOBAL
+    # source whose targets are all visible everywhere — names the same
+    # pairs on both sides, so it is carried whole as a ``(source id,
+    # row)`` entry; a GLOBAL root is never heap nor represented by a
+    # symbolic name, so such entries only ever meet the strong update.
+    new_rels: dict = {}
+    #: Keys of the roots with a translated (pair) entry.
+    translated: set = set()
+    for item in callee_output.rows.items():
+        sid, row = item
+        kind = locs[sid].kind
         if (
-            src_root.kind is GLOBAL_KIND
+            kind is GLOBAL_KIND
             and not recording
             and not (row[0] | row[1]) & outside
         ):
-            new_rels.setdefault(src_root, []).append((sid, row))
+            rid = roots[sid]
+            group = new_rels.get(rid)
+            if group is None:
+                new_rels[rid] = [item]
+            else:
+                group.append(item)
             continue
-        for src, tgt, definiteness in row_triples(((sid, row),), table):
-            if src_root == ret_root:
+        src_root = locs[roots[sid]]
+        if kind in _FRAME_KINDS and src_root is not ret_root:
+            continue  # the callee's frame dies with the call
+        for src, tgt, definiteness in row_triples((item,), table):
+            if src_root is ret_root:
                 callee_rid = (
                     prov.latest.get((src, tgt)) if recording else None
                 )
@@ -475,34 +589,36 @@ def unmap_call(
                 if callee_rid is not None:
                     parents = (callee_rid,)
             for caller_src, s_unique in sources:
+                caller_root = caller_src.root()
+                key = get_id(caller_root)
+                if key is None:
+                    key = caller_root
+                group = new_rels.setdefault(key, [])
+                translated.add(key)
                 for caller_tgt, t_unique in targets:
                     out_def = definiteness if (s_unique and t_unique) else P
-                    new_rels.setdefault(caller_src.root(), []).append(
-                        (caller_src, caller_tgt, out_def, parents)
-                    )
+                    group.append((caller_src, caller_tgt, out_def, parents))
 
-    # Decide, per represented caller root, between strong and weak update.
-    result = caller_input.copy()
-    # Snapshot the caller's rows grouped by root id once: the update
-    # loop below only ever kills/weakens sources the caller already
-    # had (its own additions are grouped under the root being updated),
-    # so one pass replaces a per-root scan over all sources.
-    sources_by_root: dict[int, list[int]] = {}
-    for sid in result.rows:
-        sources_by_root.setdefault(roots[sid], []).append(sid)
-    updates: dict[AbsLoc, bool] = {}  # caller root -> strong?
-    for sym_root, caller_roots in map_info.to_caller.items():
+    # The represented caller roots, keyed as above before any id is
+    # allocated below: strong unless a symbolic name stands for several.
+    represented: dict = {}
+    for caller_roots in map_info.to_caller.values():
         strong = len(caller_roots) == 1
         for root in caller_roots:
-            updates[root] = updates.get(root, True) and strong
-    for root in map_info.visible_roots:
-        updates[root] = not root.is_heap and updates.get(root, True)
-    for root in new_rels:
-        # Roots the callee created relationships for without inheriting
-        # any (e.g. the heap on its first allocation, or a global the
-        # caller never initialized): nothing to kill, everything to add.
-        if root not in updates:
-            updates[root] = not root.is_heap
+            key = get_id(root)
+            represented[root if key is None else key] = strong
+
+    # Build the caller's output in one dict: a strong update deletes the
+    # root's caller rows and appends the callee's, so they re-enter at
+    # the end; a weak one weakens them in place.  Roots update in this
+    # order — represented roots, visible roots, then the roots only the
+    # callee's output names — which decides the order of the appended
+    # rows.
+    result = caller_input.copy()
+    out = result.own_rows()
+    groups = caller_input.census().groups
+    # ``kill_row`` counts the killed pairs for provenance.
+    kill = result.kill_row if recording else out.__delitem__
 
     if recording:
         # Weakenings of surviving caller pairs during weak updates are
@@ -516,34 +632,14 @@ def unmap_call(
         prov_record = prov.record
         rule_strong = provenance.RULE_UNMAP_STRONG
         rule_weak = provenance.RULE_UNMAP_WEAK
-    for root, strong in updates.items():
-        if root.represents_multiple():
-            strong = False
-        root_sources = sources_by_root.get(table.get_id(root), ())
-        if strong:
-            for sid in root_sources:
-                result.kill_row(sid)
-            for entry in new_rels.get(root, ()):
-                if len(entry) == 2:
-                    # Killed above if the caller had it: re-inserted at
-                    # the end, exactly where kill + add would put it.
-                    result.add_row(entry[0], *entry[1])
-                    continue
-                caller_src, caller_tgt, definiteness, parents = entry
-                result.add(caller_src, caller_tgt, definiteness)
-                if recording:
-                    prov_record(
-                        caller_src,
-                        caller_tgt,
-                        definiteness is D,
-                        rule_strong,
-                        parents,
-                        call_extra,
-                    )
-        else:
-            for sid in root_sources:
+
+    def update(key, strong: bool) -> None:
+        entries = new_rels.pop(key, ())
+        sids = groups.get(key, ())
+        if not strong:
+            for sid in sids:
                 result.weaken_row(sid)
-            for caller_src, caller_tgt, _, parents in new_rels.get(root, ()):
+            for caller_src, caller_tgt, _, parents in entries:
                 result.add(caller_src, caller_tgt, P)
                 if recording:
                     prov_record(
@@ -554,6 +650,44 @@ def unmap_call(
                         parents,
                         call_extra,
                     )
+            return
+        for sid in sids:
+            kill(sid)
+        if key not in translated:
+            # Carried rows only: their sources are this root's, all
+            # deleted above, so each re-enters at the end.
+            out.update(entries)
+            return
+        for entry in entries:
+            if len(entry) == 2:
+                result.add_row(entry[0], *entry[1])
+                continue
+            caller_src, caller_tgt, definiteness, parents = entry
+            result.add(caller_src, caller_tgt, definiteness)
+            if recording:
+                prov_record(
+                    caller_src,
+                    caller_tgt,
+                    definiteness is D,
+                    rule_strong,
+                    parents,
+                    call_extra,
+                )
+
+    for key, strong in represented.items():
+        update(key, strong)
+    for root, rid in map_info.visible_roots.items():
+        if rid is None:
+            rid = get_id(root)
+        # A root with nothing to kill, weaken or add costs this test.
+        if rid in groups or rid in new_rels:
+            update(rid, root.kind is not HEAP_KIND)
+    # Roots the callee created relationships for without inheriting
+    # any (e.g. the heap on its first allocation, or a global the
+    # caller never initialized): nothing to kill, everything to add.
+    for key in list(new_rels):
+        root = key if isinstance(key, AbsLoc) else locs[key]
+        update(key, root.kind is not HEAP_KIND)
     if recording:
         prov.weaken_rule = saved_weaken_rule
 

@@ -24,7 +24,13 @@ import zlib
 from typing import Iterable, Iterator, Sequence
 
 from repro.core import provenance
-from repro.core.locations import AbsLoc, LocTable, active_table
+from repro.core.locations import (
+    GLOBAL_KIND,
+    HEAP_KIND,
+    AbsLoc,
+    LocTable,
+    active_table,
+)
 
 
 class Definiteness(enum.Enum):
@@ -62,6 +68,65 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+class RowCensus:
+    """A set's rows grouped by source root, as the call boundary reads
+    them (map, the slice split and unmap; see ``core/mapping.py``).
+
+    ``groups`` maps each root id to its source ids in row order, and is
+    itself ordered by each root's first row; ``reach`` maps a root id
+    to the union of its rows' target masks.  ``visible`` lists the
+    GLOBAL and HEAP roots in ``groups`` order: map carries them into
+    every callee.  ``inert`` holds the GLOBAL roots whose targets all
+    lie in ``LocTable.vis``: every name they hold survives a call
+    boundary, so map and unmap move their rows whole.  A census is
+    read-only; :meth:`PointsToSet.census` caches one per set."""
+
+    __slots__ = ("groups", "reach", "visible", "inert")
+
+    def __init__(
+        self,
+        groups: dict[int, list[int]],
+        reach: dict[int, int],
+        visible: list[int],
+        inert: set[int],
+    ) -> None:
+        self.groups = groups
+        self.reach = reach
+        self.visible = visible
+        self.inert = inert
+
+    @classmethod
+    def of_rows(
+        cls, rows: dict[int, tuple[int, int]], table: LocTable
+    ) -> "RowCensus":
+        """The census of ``rows`` (ids of ``table``), in one pass."""
+        roots = table.roots
+        groups: dict[int, list[int]] = {}
+        reach: dict[int, int] = {}
+        for sid, (defs, poss) in rows.items():
+            rid = roots[sid]
+            sids = groups.get(rid)
+            if sids is None:
+                groups[rid] = [sid]
+                reach[rid] = defs | poss
+            else:
+                sids.append(sid)
+                reach[rid] |= defs | poss
+        locs = table.locs
+        outside = ~table.vis
+        visible: list[int] = []
+        inert: set[int] = set()
+        for rid, mask in reach.items():
+            kind = locs[rid].kind
+            if kind is GLOBAL_KIND:
+                visible.append(rid)
+                if not mask & outside:
+                    inert.add(rid)
+            elif kind is HEAP_KIND:
+                visible.append(rid)
+        return cls(groups, reach, visible, inert)
+
+
 class PointsToSet:
     """A mutable set of points-to triples.
 
@@ -84,7 +149,7 @@ class PointsToSet:
     :meth:`check_invariants` verifies for the test suite.
     """
 
-    __slots__ = ("_table", "_src", "_shared", "_fingerprint")
+    __slots__ = ("_table", "_src", "_shared", "_fingerprint", "_census")
 
     def __init__(self, table: LocTable | None = None) -> None:
         self._table = table if table is not None else active_table()
@@ -94,6 +159,8 @@ class PointsToSet:
         self._shared = False
         #: Cached canonical key (sorted rows).
         self._fingerprint: tuple | None = None
+        #: Cached :class:`RowCensus` of ``_src``.
+        self._census: RowCensus | None = None
 
     @property
     def table(self) -> LocTable:
@@ -157,6 +224,7 @@ class PointsToSet:
         result._src = self._src
         result._shared = True
         result._fingerprint = self._fingerprint
+        result._census = None
         self._shared = True
         return result
 
@@ -166,6 +234,39 @@ class PointsToSet:
             self._src = dict(self._src)
             self._shared = False
         self._fingerprint = None
+        self._census = None
+
+    def own_rows(self) -> dict[int, tuple[int, int]]:
+        """The row dict, detached from any sharer, for a builder that
+        writes whole rows in place: each row non-empty, with disjoint
+        masks, and a definite row holding one target.  The cached
+        fingerprint and census are dropped.  The dict stays this set's
+        until the set is next copied; :meth:`add` and the other
+        mutators keep writing to it."""
+        self._own()
+        return self._src
+
+    def census(self) -> RowCensus:
+        """The rows grouped by source root, cached on this set (not on
+        its copies) until the next mutation or :meth:`forget_census`."""
+        census = self._census
+        if census is None:
+            census = self._census = RowCensus.of_rows(self._src, self._table)
+        return census
+
+    def vouch_census(self, census: RowCensus) -> None:
+        """Cache ``census`` as this set's, without a pass over the rows.
+        A builder that knows its rows' grouping calls this once it is
+        done writing them; ``census`` must equal what :meth:`census`
+        would compute (``tests/core/test_row_boundary.py`` checks it on
+        every call it wraps)."""
+        self._census = census
+
+    def forget_census(self) -> None:
+        """Drop the cached census: the call boundary does once it is
+        done with a set, so sets that outlive the call (recorded
+        program-point sets, stored inputs) do not keep one alive."""
+        self._census = None
 
     def _rows_of(self, other: "PointsToSet") -> dict[int, tuple[int, int]]:
         """``other``'s rows with ids of *this* set's table.
@@ -436,6 +537,7 @@ class PointsToSet:
         result._table = self._table
         result._shared = False
         result._fingerprint = None
+        result._census = None
         rows = result._src = {}
         # Pairs demoted from definite to possible are the d1 ∧ d2
         # weakening of Table 1; provenance records each one.

@@ -24,8 +24,8 @@ root is required to be:
   reachable from any slice root — so no l-location in the body can
   name it and no statement can kill, weaken, or extend it;
 * a root *all* of whose targets are visible-everywhere — when a
-  sub-call maps it (``map_visible_roots`` carries every global root
-  into every callee) each pair maps to itself: no symbolic name is
+  sub-call maps it (``map_call`` carries every global root into every
+  callee) each pair maps to itself: no symbolic name is
   created for any of its targets, so it can never become
   multi-represented and have its definite pairs degraded, and the
   sub-call's unmap performs a strong kill-and-re-add of the identical
@@ -243,24 +243,15 @@ def split_input(
     ``passthrough`` are tuples of ``(source id, (definite mask,
     possible mask))`` rows in the input's row order.  Every row lies
     wholly on one side: the criterion only looks at the source root.
+    The per-root target unions and inert verdicts come from the
+    input's :class:`~repro.core.pointsto.RowCensus`, which ``map_call``
+    leaves on its result when it carried every row whole.
     """
     table = func_input.table
-    rows = func_input.rows
+    census = func_input.census()
+    reach = census.reach
     roots = table.roots
-    loc_of = table.loc_of
-    vis = table.vis
-
-    # Per source root: the union of its rows' targets, and whether any
-    # target is invisible (such pairs can change sub-callee symbolic
-    # multiplicities).
-    reach: dict[int, int] = {}
-    tainted: set[int] = set()
-    for sid, (defs, poss) in rows.items():
-        rid = roots[sid]
-        mask = defs | poss
-        reach[rid] = reach.get(rid, 0) | mask
-        if mask & ~vis:
-            tainted.add(rid)
+    locs = table.locs
 
     # Seed roots: the formals, the closure-referenced globals, the heap.
     # A seed the table has never seen has no rows and no referrer, so
@@ -289,21 +280,18 @@ def split_input(
         for tid in iter_bits(reach.get(rid, 0)):
             target_root = roots[tid]
             if target_root not in slice_roots and not (
-                loc_of(target_root).kind in _NOT_TRAVERSED
+                locs[target_root].kind in _NOT_TRAVERSED
             ):
                 stack.append(target_root)
 
+    # Passthrough: the inert (GLOBAL, visible targets only) roots the
+    # slice does not reach.
+    passing = census.inert - slice_roots
+    rows = func_input.rows
+    if not passing:
+        return tuple(rows.items()), (), len(slice_roots) + unseen
     key: list = []
     passthrough: list = []
-    verdicts: dict[int, bool] = {}
     for row in rows.items():
-        rid = roots[row[0]]
-        inert = verdicts.get(rid)
-        if inert is None:
-            inert = verdicts[rid] = (
-                rid not in slice_roots
-                and rid not in tainted
-                and loc_of(rid).kind is LocKind.GLOBAL
-            )
-        (passthrough if inert else key).append(row)
+        (passthrough if roots[row[0]] in passing else key).append(row)
     return tuple(key), tuple(passthrough), len(slice_roots) + unseen

@@ -337,6 +337,25 @@ class TestUpdateAnalysis:
             semantic_payload_bytes(cold, "t")
         )
 
+    def test_cold_update_lists_every_flowed_function(self):
+        """A cold update re-flows the entry point, a function reached
+        only through a recursive node and an empty body; none of them
+        shows up as a memo miss."""
+        source = (
+            "int g; int *gp;\n"
+            "void even(int n);\n"
+            "void odd(int n) { gp = &g; if (n > 0) even(n - 1); }\n"
+            "void even(int n) { if (n > 0) odd(n - 1); }\n"
+            "void leaf(void) { }\n"
+            "void unused(void) { gp = 0; }\n"
+            "int main(void) { even(4); leaf(); return 0; }\n"
+        )
+        removed = source.replace("void unused(void) { gp = 0; }\n", "")
+        result, report = _update(source, removed)
+        assert report.mode == "cold"
+        assert report.reanalyzed == ["even", "leaf", "main", "odd"]
+        assert report.reanalyzed == result.flowed
+
     def test_counters_emitted(self):
         tracer = obs.Tracer()
         with obs.tracing(tracer):

@@ -5,7 +5,8 @@ passthrough swap move whole bitset rows where they can.  This file
 keeps triple-at-a-time reference versions of all four and checks,
 on every call of every golden-digest program (the 76 of
 ``tests/interp/test_golden_digests.py``, ``relay`` and ``fanout``
-among them), that the row-level result is the reference's exactly:
+among them) and of a few wide and deep shapes the golden corpus lacks,
+that the row-level result is the reference's exactly:
 
 * the same pairs *and* the same row order (``list(pts.rows)``);
 * the same :class:`MapInfo` (``to_caller``, ``from_caller`` and the
@@ -15,7 +16,10 @@ among them), that the row-level result is the reference's exactly:
 
 For the last point each reference runs against a copy of the location
 table taken before the row-level call, so an allocation in a
-different order shows up as a different table.
+different order shows up as a different table.  Every
+:class:`RowCensus` a set carries into those calls, including the ones
+``map_call`` vouches for its result without a pass over the rows, must
+equal a census taken afresh.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ from repro.core.locations import (
     retval_loc,
 )
 from repro.core.mapping import MapInfo, UnmapResult, _definite_first, _Mapper
-from repro.core.pointsto import D, P, PointsToSet, row_triples
+from repro.core.pointsto import D, P, PointsToSet, RowCensus, row_triples
 
+from ..integration.test_deep_inputs import chain_program, nested_program
 from ..interp.test_golden_digests import corpus
+from .test_sharing import WIDE_SEED5
 
 # ---------------------------------------------------------------------------
 # Triple-at-a-time references
@@ -101,6 +107,11 @@ class RefMapper(_Mapper):
             self.by_root.setdefault(src.root(), []).append(
                 (src, tgt, definiteness)
             )
+
+    def map_visible_roots(self):
+        for root in list(self.by_root):
+            if root.kind in (LocKind.GLOBAL, LocKind.HEAP):
+                self.enqueue(root, visible=True)
 
     def drain(self):
         while self.queue:
@@ -254,6 +265,18 @@ def assert_same_table(got: LocTable, want: LocTable) -> None:
     assert got.vis == want.vis
 
 
+def assert_census_fresh(pts: PointsToSet) -> None:
+    """A census the set carries equals one taken now, orders included."""
+    cached = pts._census
+    if cached is None:
+        return
+    fresh = RowCensus.of_rows(pts.rows, pts.table)
+    assert list(cached.groups.items()) == list(fresh.groups.items())
+    assert list(cached.reach.items()) == list(fresh.reach.items())
+    assert cached.visible == fresh.visible
+    assert cached.inert == fresh.inert
+
+
 def install_differential(monkeypatch) -> Counter:
     """Wrap the four row-level operations so every call also runs the
     reference and compares.  Returns per-operation call counts, plus
@@ -266,6 +289,7 @@ def install_differential(monkeypatch) -> Counter:
     row_copy = mapping._Mapper._copy_rows
 
     def split_input(func_input, callee_fn, callee_env, referenced_globals):
+        assert_census_fresh(func_input)
         key, passthrough, count = row_split(
             func_input, callee_fn, callee_env, referenced_globals
         )
@@ -283,9 +307,12 @@ def install_differential(monkeypatch) -> Counter:
     def map_call(caller_env, callee_env, input_set, args, callee_fn):
         table = input_set.table
         before = clone_table(table)
+        assert_census_fresh(input_set)
         result, info = row_map(
             caller_env, callee_env, input_set, args, callee_fn
         )
+        assert_census_fresh(input_set)
+        assert_census_fresh(result)
         previous = install_table(before)
         try:
             ref_result, ref_info = ref_map_call(
@@ -306,7 +333,9 @@ def install_differential(monkeypatch) -> Counter:
     def unmap_call(caller_input, callee_output, map_info, callee_fn):
         table = caller_input.table
         before = clone_table(table)
+        assert_census_fresh(caller_input)
         got = row_unmap(caller_input, callee_output, map_info, callee_fn)
+        assert_census_fresh(got.output)
         ref = ref_unmap_call(
             caller_input, callee_output, map_info, callee_fn, before
         )
@@ -342,6 +371,14 @@ def install_differential(monkeypatch) -> Counter:
 
 
 PROGRAMS = corpus()
+
+#: Shapes the golden corpus lacks: a wide generated program (32
+#: functions, 596 slice lookups) and ``cold-deep``'s deep shapes.
+WIDE_AND_DEEP = {
+    "wide-s5": WIDE_SEED5,
+    "chain48": chain_program(48),
+    "nested88": nested_program(88),
+}
 
 #: Shapes the corpus leaves out or barely touches.
 EDGE_PROGRAMS = {
@@ -393,6 +430,14 @@ def test_row_boundary_matches_triple_reference(monkeypatch, name):
     analyze_source(PROGRAMS[name])
 
 
+@pytest.mark.parametrize("name", sorted(WIDE_AND_DEEP))
+def test_row_boundary_wide_and_deep_shapes(monkeypatch, name):
+    calls = install_differential(monkeypatch)
+    analyze_source(WIDE_AND_DEEP[name])
+    if name != "nested88":  # one body, no call
+        assert calls["map"] > 0 and calls["unmap"] > 0
+
+
 @pytest.mark.parametrize("name", ["relay", "fanout"])
 def test_perf_programs_take_the_row_paths(monkeypatch, name):
     """The deep programs exercise every row-level path: splits with
@@ -411,3 +456,42 @@ def test_row_boundary_edge_shapes(monkeypatch, name):
     analyze_source(EDGE_PROGRAMS[name])
     assert calls["map"] > 0 and calls["unmap"] > 0
     assert calls["whole_row_maps"] > 0
+
+
+class TestBoundaryWork:
+    """Each call's boundary work scales with the rows it translates,
+    not with every global root: map and unmap carry inert rows in one
+    dict write each, and a root with nothing to kill, weaken or add
+    costs a membership test.  Routing every root through
+    ``add_row``/``kill_row`` and ``LocTable.get_id`` made 12,444 row
+    calls and 8,320 lookups on fanout, 6,863 and 3,864 on relay."""
+
+    #: program -> (most ``add_row`` + ``kill_row`` calls, most
+    #: ``get_id`` lookups) over one analysis.  The runs make 102/1,164
+    #: (fanout) and 167/888 (relay); the bounds leave about 3x and
+    #: 1.3x of room.
+    BOUNDS = {
+        "fanout": (300, 1_500),
+        "relay": (500, 1_200),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_row_calls_and_lookups_are_bounded(self, name, monkeypatch):
+        counts: Counter = Counter()
+
+        def counted(cls, attr):
+            inner = getattr(cls, attr)
+
+            def wrapper(*args):
+                counts[attr] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(cls, attr, wrapper)
+
+        counted(PointsToSet, "add_row")
+        counted(PointsToSet, "kill_row")
+        counted(LocTable, "get_id")
+        analyze_source(PROGRAMS[name])
+        max_rows, max_lookups = self.BOUNDS[name]
+        assert counts["add_row"] + counts["kill_row"] <= max_rows
+        assert counts["get_id"] <= max_lookups

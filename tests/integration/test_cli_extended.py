@@ -142,3 +142,52 @@ class TestExplainFlag:
             "--store", str(tmp_path / "store"),
         ]) == 1
         assert "track_provenance" in capsys.readouterr().err
+
+
+class TestUpdateStore:
+    """``update OLD NEW --store DIR`` serves NEW from the store once
+    OLD's artifact is stored, as the serve and daemon verb does."""
+
+    OLD = "int g; int h; int *p;\nvoid set(void) { p = &g; }\n" \
+        "int main(void) { set(); return 0; }\n"
+    #: A summary-preserving edit of ``set``: a live base splices it.
+    NEW = OLD.replace("p = &g; }", "int t; t = 0; p = &g; }")
+
+    def _update(self, tmp_path, capsys):
+        import json
+
+        store = str(tmp_path / "store")
+        assert main([
+            "update", str(tmp_path / "a.c"), str(tmp_path / "b.c"),
+            "--store", store,
+        ]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_repeated_update_is_served_from_the_store(
+        self, tmp_path, capsys
+    ):
+        from repro.core.analysis import AnalysisOptions
+        from repro.service.store import ResultStore
+
+        (tmp_path / "a.c").write_text(self.OLD)
+        (tmp_path / "b.c").write_text(self.NEW)
+        first = self._update(tmp_path, capsys)
+        assert first["mode"] == "splice"
+        # a.c is stored now: its decoded artifact cannot splice, so
+        # b.c is analyzed cold and stored ...
+        second = self._update(tmp_path, capsys)
+        assert second["mode"] == "cold"
+        assert second["fallback"] == "no live base session"
+        assert second["reanalyzed"] == ["main", "set"]
+        # ... and from then on the store serves it.
+        third = self._update(tmp_path, capsys)
+        assert third["mode"] == "cached"
+        assert third["fallback"] == "no live base session"
+        assert third["reanalyzed"] == []
+
+        assert main(["store", "ls", "--store", str(tmp_path / "store")]) == 0
+        listing = capsys.readouterr().out
+        store = ResultStore(str(tmp_path / "store"))
+        for source in (self.OLD, self.NEW):
+            assert store.key_for(source, AnalysisOptions()) in listing
+        store.close()
