@@ -28,7 +28,7 @@ Subcommands:
 * ``top`` — live terminal view over a running daemon's merged metrics
   (requests/s, latency quantiles, phase split, recent events);
 * ``store ls|stats|clear|gc`` — inspect or maintain a result store on
-  any backend (``file:…``, ``memory://``, ``sqlite:…``).
+  either backend (``file:…``, ``memory://``).
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _make_store(args: argparse.Namespace):
-    # --store accepts a directory path or any backend URL (file:…,
-    # memory://, sqlite:…, memory+file:…); unset falls back to
-    # REPRO_PTA_STORE or ~/.cache/repro-pta (see docs/DAEMON.md).
+    # --store accepts a directory path or a backend URL (file:… or
+    # memory://); unset falls back to REPRO_PTA_STORE or
+    # ~/.cache/repro-pta (see docs/DAEMON.md).
     from repro.service.store import ResultStore
 
     return ResultStore(args.store) if args.store else ResultStore()
@@ -773,30 +773,26 @@ def cmd_store(args: argparse.Namespace) -> int:
         print(f"store: error: {exc}", file=sys.stderr)
         return 2
     assert isinstance(store, ResultStore)
-    try:
-        if args.action == "ls":
-            entries = sorted(store.backend.entries())
-            for key, size, _ in entries:
-                print(f"{key}  {size}")
-            print(
-                f"({len(entries)} objects, "
-                f"{sum(size for _, size, _ in entries)} bytes, "
-                f"{store.url})"
-            )
-        elif args.action == "stats":
-            print(json.dumps(store.backend_stats(), indent=2,
-                             sort_keys=True))
-        elif args.action == "clear":
-            print(f"removed {store.clear()} objects from {store.url}")
-        elif args.action == "gc":
-            if args.max_bytes is None:
-                print("store gc: --max-bytes is required", file=sys.stderr)
-                return 2
-            report = store.gc(args.max_bytes)
-            print(json.dumps(report, sort_keys=True))
-        return 0
-    finally:
-        store.close()
+    if args.action == "ls":
+        entries = sorted(store.backend.entries())
+        for key, size, _ in entries:
+            print(f"{key}  {size}")
+        print(
+            f"({len(entries)} objects, "
+            f"{sum(size for _, size, _ in entries)} bytes, "
+            f"{store.url})"
+        )
+    elif args.action == "stats":
+        print(json.dumps(store.backend_stats(), indent=2, sort_keys=True))
+    elif args.action == "clear":
+        print(f"removed {store.clear()} objects from {store.url}")
+    elif args.action == "gc":
+        if args.max_bytes is None:
+            print("store gc: --max-bytes is required", file=sys.stderr)
+            return 2
+        report = store.gc(args.max_bytes)
+        print(json.dumps(report, sort_keys=True))
+    return 0
 
 
 def cmd_simple(args: argparse.Namespace) -> int:
@@ -1184,8 +1180,7 @@ def main(argv: list[str] | None = None) -> int:
     p_daemon.add_argument(
         "--store",
         default=None,
-        help="store backend URL or directory (file:…, memory://, "
-        "sqlite:…, memory+file:…)",
+        help="store backend URL or directory (file:… or memory://)",
     )
     p_daemon.add_argument(
         "--workers",

@@ -10,7 +10,7 @@ Architecture (see docs/DAEMON.md)::
                          worker process 0..N-1  (repro.daemon.worker)
                                   │  warm SessionCache per worker
                                   ▼
-                         store backend (file: / sqlite: / memory://)
+                         store backend (file: / memory://)
 
 * **Sharding** — every source-bearing request (``query``, ``check``,
   ``update``) routes by its content key, so one key always lands on

@@ -1,7 +1,7 @@
 """The daemon's worker-process entry point.
 
-Each worker owns one store handle (opened from the backend URL — file
-and sqlite backends share one object space across workers, a memory
+Each worker owns one store handle (opened from the backend URL — a
+file backend shares one object space across workers, a memory
 backend is worker-private but stays coherent because the front end
 shards requests by content hash, so a given key always lands on the
 same worker) and one LRU-bounded
@@ -110,11 +110,6 @@ def worker_main(
                     info["events"] = events
             result_queue.put((worker_id, job_id, response, info))
     finally:
-        # Graceful shutdown: flush pending store writes (sqlite WAL
-        # checkpoints, tiered write-through) and release the backend
-        # before acking so the parent knows the data is durable.
-        try:
-            store.flush()
-            store.close()
-        finally:
-            result_queue.put((worker_id, None, None, None))
+        # Shutdown ack: every put already landed atomically, so the
+        # parent may treat the worker's writes as durable.
+        result_queue.put((worker_id, None, None, None))

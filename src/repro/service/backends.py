@@ -4,19 +4,13 @@ The :class:`~repro.service.store.ResultStore` owns everything the
 *analysis* cares about — content-addressed keys, canonical encoding,
 corrupt-payload dropping, traffic counters — and delegates raw object
 IO (opaque ``bytes`` under a hex key) to a :class:`StoreBackend`.
-Three backends conform to the protocol:
+Two backends conform to the protocol:
 
 * :class:`FileBackend` — the original on-disk layout
   (``<root>/objects/<k[:2]>/<k>.json``, atomic temp-file + rename
   writes), byte- and key-compatible with every pre-backend store;
 * :class:`MemoryBackend` — a size-bounded in-process LRU, for daemons
-  and tests that want warm objects without touching disk;
-* :class:`SqliteBackend` — one ``objects`` table in a SQLite file,
-  safe for concurrent writer processes (WAL + busy timeout, each
-  ``put`` is one autocommitted upsert).
-
-:class:`TieredBackend` composes a fast front (typically memory) over a
-durable back as a read-through / write-through cache.
+  and tests that want warm objects without touching disk.
 
 Backends are selected with URL-style configuration
 (:func:`open_backend`)::
@@ -24,9 +18,6 @@ Backends are selected with URL-style configuration
     file:/var/cache/repro-pta          on-disk store (also: bare paths)
     memory://                          unbounded in-memory store
     memory://?max_bytes=67108864       64 MiB LRU
-    sqlite:/var/cache/repro-pta.db     sqlite store
-    memory+file:/var/cache/repro-pta   read-through memory over file
-    memory+sqlite:/var/cache/pta.db    read-through memory over sqlite
 
 A bare filesystem path (no scheme) means ``file:`` — which is what
 keeps ``--store DIR`` and the ``REPRO_PTA_STORE`` environment variable
@@ -36,13 +27,12 @@ backward compatible.
 from __future__ import annotations
 
 import os
-import sqlite3
 import tempfile
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 from urllib.parse import parse_qsl
 
 
@@ -63,8 +53,8 @@ class StoreBackend(Protocol):
     #: URL that reopens this backend (workers in other processes use it).
     url: str
     #: True when independent processes opening :attr:`url` see one
-    #: shared object space (file, sqlite); false for per-process
-    #: backends (memory), which parallel drivers must not fan out over.
+    #: shared object space (file); false for per-process backends
+    #: (memory), which parallel drivers must not fan out over.
     process_shared: bool
 
     def has(self, key: str) -> bool: ...
@@ -90,10 +80,6 @@ class StoreBackend(Protocol):
         """Storage-level facts: at least ``backend``, ``url``,
         ``objects``, ``bytes``."""
         ...
-
-    def flush(self) -> None: ...
-
-    def close(self) -> None: ...
 
 
 def _base_stats(backend: "StoreBackend") -> dict:
@@ -194,12 +180,6 @@ class FileBackend:
 
     def stats(self) -> dict:
         return _base_stats(self)
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -309,201 +289,10 @@ class MemoryBackend:
         )
         return result
 
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# SQLite
-# ---------------------------------------------------------------------------
-
-
-class SqliteBackend:
-    """One ``objects(key, data, mtime)`` table in a SQLite file.
-
-    Connections are opened lazily per instance in autocommit mode, so
-    every ``put`` is one atomic upsert; WAL journaling plus a busy
-    timeout make concurrent writer *processes* safe (they serialize on
-    the write lock instead of failing).
-    """
-
-    process_shared = True
-
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        self._local = threading.local()
-
-    @property
-    def url(self) -> str:
-        return f"sqlite:{self.path}"
-
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                self.path, timeout=10.0, isolation_level=None
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS objects ("
-                " key TEXT PRIMARY KEY,"
-                " data BLOB NOT NULL,"
-                " mtime REAL NOT NULL)"
-            )
-            self._local.conn = conn
-        return conn
-
-    def has(self, key: str) -> bool:
-        row = self._conn().execute(
-            "SELECT 1 FROM objects WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None
-
-    def get(self, key: str) -> bytes | None:
-        row = self._conn().execute(
-            "SELECT data FROM objects WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else bytes(row[0])
-
-    def put(self, key: str, data: bytes) -> None:
-        self._conn().execute(
-            "INSERT INTO objects (key, data, mtime) VALUES (?, ?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET data = excluded.data, "
-            "mtime = excluded.mtime",
-            (key, data, time.time()),
-        )
-
-    def delete(self, key: str) -> bool:
-        cursor = self._conn().execute(
-            "DELETE FROM objects WHERE key = ?", (key,)
-        )
-        return cursor.rowcount > 0
-
-    def keys(self, prefix: str = "") -> list[str]:
-        # Range scan instead of LIKE: key prefixes here never contain
-        # wildcard characters, but a range needs no escaping at all.
-        if prefix:
-            rows = self._conn().execute(
-                "SELECT key FROM objects WHERE key >= ? AND key < ? "
-                "ORDER BY key",
-                (prefix, prefix[:-1] + chr(ord(prefix[-1]) + 1)),
-            ).fetchall()
-        else:
-            rows = self._conn().execute(
-                "SELECT key FROM objects ORDER BY key"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def clear(self) -> int:
-        cursor = self._conn().execute("DELETE FROM objects")
-        return cursor.rowcount
-
-    def entries(self) -> list[tuple[str, int, float]]:
-        rows = self._conn().execute(
-            "SELECT key, length(data), mtime FROM objects"
-        ).fetchall()
-        return [(key, size, mtime) for key, size, mtime in rows]
-
-    def stats(self) -> dict:
-        return _base_stats(self)
-
-    def flush(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
-
-
-# ---------------------------------------------------------------------------
-# Tiered composition
-# ---------------------------------------------------------------------------
-
-
-class TieredBackend:
-    """A fast ``front`` over a durable ``back``.
-
-    Reads check the front first and populate it from the back
-    (read-through); writes land in both (write-through), so the back
-    is always complete and the front never serves anything the back
-    lost.  Deletes, ``keys`` and ``entries`` are authoritative on the
-    back; ``process_shared`` follows the back (a per-process memory
-    front is only a cache, it does not change the shared object
-    space).
-    """
-
-    def __init__(self, front: StoreBackend, back: StoreBackend):
-        self.front = front
-        self.back = back
-
-    @property
-    def url(self) -> str:
-        front_scheme = self.front.url.split(":", 1)[0]
-        return f"{front_scheme}+{self.back.url}"
-
-    @property
-    def process_shared(self) -> bool:
-        return self.back.process_shared
-
-    def has(self, key: str) -> bool:
-        return self.front.has(key) or self.back.has(key)
-
-    def get(self, key: str) -> bytes | None:
-        data = self.front.get(key)
-        if data is not None:
-            return data
-        data = self.back.get(key)
-        if data is not None:
-            self.front.put(key, data)
-        return data
-
-    def put(self, key: str, data: bytes) -> None:
-        self.back.put(key, data)
-        self.front.put(key, data)
-
-    def delete(self, key: str) -> bool:
-        dropped_front = self.front.delete(key)
-        return self.back.delete(key) or dropped_front
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return self.back.keys(prefix)
-
-    def clear(self) -> int:
-        self.front.clear()
-        return self.back.clear()
-
-    def entries(self) -> list[tuple[str, int, float]]:
-        return self.back.entries()
-
-    def stats(self) -> dict:
-        result = _base_stats(self)
-        result["front"] = self.front.stats()
-        result["back"] = self.back.stats()
-        return result
-
-    def flush(self) -> None:
-        self.front.flush()
-        self.back.flush()
-
-    def close(self) -> None:
-        self.front.close()
-        self.back.close()
-
 
 # ---------------------------------------------------------------------------
 # URL-style configuration
 # ---------------------------------------------------------------------------
-
-_SCHEMES = ("file", "memory", "sqlite")
 
 
 def _split_url(url: str) -> tuple[str, str, dict[str, str]]:
@@ -532,40 +321,23 @@ def _int_param(params: dict[str, str], name: str, url: str) -> int | None:
 def open_backend(url: str | Path) -> StoreBackend:
     """Open the backend a URL (or bare filesystem path) names.
 
-    Supported forms: ``file:PATH``, ``memory://[?max_bytes=N]
-    [&max_objects=N]``, ``sqlite:PATH``, and the tiered
-    ``memory+file:PATH`` / ``memory+sqlite:PATH`` read-through
-    compositions (tier parameters apply to the memory front).  A bare
-    path opens a :class:`FileBackend` rooted there.
+    Supported forms: ``file:PATH`` and ``memory://[?max_bytes=N]
+    [&max_objects=N]``.  A bare path opens a :class:`FileBackend`
+    rooted there.  The URL forms of the removed sqlite and tiered
+    backends are refused by name, never read as a directory path.
     """
     if isinstance(url, Path):
         return FileBackend(url)
     text = str(url).strip()
     scheme = text.partition(":")[0]
-    if "+" in scheme:
-        front_scheme, _, back_scheme = scheme.partition("+")
-        if front_scheme != "memory":
-            raise BackendError(
-                f"{text!r}: only a memory front tier is supported"
-            )
-        if back_scheme not in ("file", "sqlite"):
-            raise BackendError(
-                f"{text!r}: unknown back tier {back_scheme!r} "
-                "(file or sqlite)"
-            )
-        _, rest, params = _split_url(text)
-        max_bytes = _int_param(params, "max_bytes", text)
-        max_objects = _int_param(params, "max_objects", text)
-        if params:
-            raise BackendError(
-                f"{text!r}: unknown parameters {sorted(params)}"
-            )
-        back = open_backend(f"{back_scheme}:{rest}")
-        return TieredBackend(
-            MemoryBackend(max_bytes=max_bytes, max_objects=max_objects),
-            back,
+    tiers = scheme.split("+")
+    if "sqlite" in tiers or ("memory" in tiers and len(tiers) > 1):
+        removed = "tiered memory+…:" if len(tiers) > 1 else "sqlite:"
+        raise BackendError(
+            f"{text!r}: the {removed} store backend was removed "
+            "(use file:PATH or memory://)"
         )
-    if scheme not in _SCHEMES:
+    if scheme not in ("file", "memory"):
         # No recognized scheme: treat the whole string as a path
         # (keeps --store DIR and REPRO_PTA_STORE=DIR working).
         return FileBackend(Path(text))
@@ -576,26 +348,12 @@ def open_backend(url: str | Path) -> StoreBackend:
         if not rest:
             raise BackendError(f"{text!r}: file: needs a directory path")
         return FileBackend(Path(rest))
-    if scheme == "sqlite":
-        if params:
-            raise BackendError(f"{text!r}: sqlite: takes no parameters")
-        if not rest:
-            raise BackendError(f"{text!r}: sqlite: needs a database path")
-        return SqliteBackend(Path(rest))
-    if scheme == "memory":
-        if rest:
-            raise BackendError(
-                f"{text!r}: memory:// takes no path (parameters only)"
-            )
-        max_bytes = _int_param(params, "max_bytes", text)
-        max_objects = _int_param(params, "max_objects", text)
-        if params:
-            raise BackendError(
-                f"{text!r}: unknown parameters {sorted(params)}"
-            )
-        return MemoryBackend(max_bytes=max_bytes, max_objects=max_objects)
-    raise BackendError(f"unknown store backend URL {text!r}")
-
-
-def backend_names() -> Iterable[str]:
-    return _SCHEMES
+    if rest:
+        raise BackendError(
+            f"{text!r}: memory:// takes no path (parameters only)"
+        )
+    max_bytes = _int_param(params, "max_bytes", text)
+    max_objects = _int_param(params, "max_objects", text)
+    if params:
+        raise BackendError(f"{text!r}: unknown parameters {sorted(params)}")
+    return MemoryBackend(max_bytes=max_bytes, max_objects=max_objects)

@@ -170,18 +170,15 @@ def _worker(job: tuple) -> dict:
     """Pool entry point: one file through a worker-local store handle.
 
     Module-level (picklable) on purpose; workers share the store
-    *location* (a backend URL), not the instance — file and sqlite
-    writes are atomic, so races on one key at worst duplicate work,
-    never corrupt it.
+    *location* (a backend URL), not the instance — file writes are
+    atomic, so races on one key at worst duplicate work, never corrupt
+    it.
     """
     name, source, options_dict, store_url, refresh = job
     store = ResultStore(store_url)
-    try:
-        return _run_item(
-            name, source, AnalysisOptions(**options_dict), store, refresh
-        )
-    finally:
-        store.close()
+    return _run_item(
+        name, source, AnalysisOptions(**options_dict), store, refresh
+    )
 
 
 def run_batch(

@@ -8,11 +8,10 @@ invalidates everything without any migration logic.
 The store owns key computation, canonical encoding/decoding, dropping
 corrupt payloads, and traffic counters; raw object IO goes through a
 :class:`~repro.service.backends.StoreBackend` selected by URL
-(``file:…``, ``memory://``, ``sqlite:…``, or the tiered
-``memory+file:…`` read-through composition — see
-:mod:`repro.service.backends`).  The default is the filesystem backend
-with the historical layout (``<root>/objects/<k[:2]>/<k>.json``,
-atomic writes), byte- and key-compatible with existing on-disk stores.
+(``file:…`` or ``memory://`` — see :mod:`repro.service.backends`).
+The default is the filesystem backend with the historical layout
+(``<root>/objects/<k[:2]>/<k>.json``, atomic writes), byte- and
+key-compatible with existing on-disk stores.
 """
 
 from __future__ import annotations
@@ -57,17 +56,10 @@ SUMMARY_VERSION = 2
 
 #: Environment variable overriding the default store location.  Holds
 #: either a bare directory path (filesystem backend, historical
-#: behavior) or any backend URL (``sqlite:…``, ``memory://``,
-#: ``memory+file:…``); an explicit ``--store`` / constructor argument
-#: always wins over the environment.
+#: behavior) or any backend URL (``file:…``, ``memory://``); an
+#: explicit ``--store`` / constructor argument always wins over the
+#: environment.
 STORE_ENV = "REPRO_PTA_STORE"
-
-
-def default_store_root() -> Path:
-    env = os.environ.get(STORE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-pta"
 
 
 def default_store_url() -> str:
@@ -132,27 +124,10 @@ class ResultStore:
     def process_shared(self) -> bool:
         return self.backend.process_shared
 
-    @property
-    def root(self) -> Path:
-        """Filesystem root, for file-backed stores only."""
-        backend = self.backend
-        if isinstance(backend, FileBackend):
-            return backend.root
-        back = getattr(backend, "back", None)
-        if isinstance(back, FileBackend):
-            return back.root
-        raise AttributeError(
-            f"store backend {self.url!r} has no filesystem root"
-        )
-
     def path_for(self, key: str) -> Path:
         """On-disk object path, for file-backed stores only."""
-        backend = self.backend
-        if isinstance(backend, FileBackend):
-            return backend.path_for(key)
-        back = getattr(backend, "back", None)
-        if isinstance(back, FileBackend):
-            return back.path_for(key)
+        if isinstance(self.backend, FileBackend):
+            return self.backend.path_for(key)
         raise AttributeError(
             f"store backend {self.url!r} keeps no per-object paths"
         )
@@ -420,12 +395,6 @@ class ResultStore:
 
     def backend_stats(self) -> dict:
         return self.backend.stats()
-
-    def flush(self) -> None:
-        self.backend.flush()
-
-    def close(self) -> None:
-        self.backend.close()
 
     # -- the analyze-or-hit entry point -----------------------------------
 

@@ -190,4 +190,3 @@ class TestUpdateStore:
         store = ResultStore(str(tmp_path / "store"))
         for source in (self.OLD, self.NEW):
             assert store.key_for(source, AnalysisOptions()) in listing
-        store.close()

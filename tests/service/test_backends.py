@@ -1,10 +1,10 @@
 """Backend conformance suite: one test class, every backend.
 
-Each backend (file, memory, sqlite — plus the tiered memory-over-file
-composition) must satisfy the same :class:`StoreBackend` contract:
-byte-identical put/get round trips, correct key listing and deletion
-(including prefix scans), atomicity under concurrent writers, and
-(through :class:`ResultStore`) corrupt-object dropping.  The
+Both backends (file, memory) must satisfy the same
+:class:`StoreBackend` contract: byte-identical put/get round trips,
+correct key listing and deletion (including prefix scans), atomicity
+under concurrent writers, and (through :class:`ResultStore`)
+corrupt-object dropping.  The
 per-function summary key scheme (``fn-``/``skel-`` objects; no request
 path writes them) is conformance-tested over every backend too:
 partial writes are dropped, stale summaries are evicted on address
@@ -27,8 +27,6 @@ from repro.service.backends import (
     BackendError,
     FileBackend,
     MemoryBackend,
-    SqliteBackend,
-    TieredBackend,
     open_backend,
 )
 from repro.service.serialize import encode_analysis
@@ -39,7 +37,7 @@ SOURCE = "int g; int main() { int *p; p = &g; L: return 0; }\n"
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "1" * 62
 
-BACKENDS = ["file", "memory", "sqlite", "memory+file"]
+BACKENDS = ["file", "memory"]
 
 
 def make_backend(kind: str, tmp_path):
@@ -47,30 +45,19 @@ def make_backend(kind: str, tmp_path):
         return FileBackend(tmp_path / "file-store")
     if kind == "memory":
         return MemoryBackend()
-    if kind == "sqlite":
-        return SqliteBackend(tmp_path / "store.db")
-    if kind == "memory+file":
-        return TieredBackend(
-            MemoryBackend(), FileBackend(tmp_path / "tier-store")
-        )
     raise AssertionError(kind)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    instance = make_backend(request.param, tmp_path)
-    yield instance
-    instance.close()
+    return make_backend(request.param, tmp_path)
 
 
 def _hammer_shared(url: str, key: str, payloads: list[bytes]) -> None:
     """Concurrent-writer body for process-shared backends."""
     backend = open_backend(url)
-    try:
-        for payload in payloads:
-            backend.put(key, payload)
-    finally:
-        backend.close()
+    for payload in payloads:
+        backend.put(key, payload)
 
 
 class TestConformance:
@@ -110,18 +97,14 @@ class TestConformance:
 
     def test_url_reopens_equivalent_backend(self, backend):
         backend.put(KEY_A, b"payload")
-        backend.flush()
         reopened = open_backend(backend.url)
-        try:
-            if backend.process_shared:
-                # Same object space through a second handle.
-                assert reopened.get(KEY_A) == b"payload"
-            else:
-                # A per-process backend reopens empty but equivalent.
-                assert type(reopened) is type(backend)
-                assert reopened.get(KEY_A) is None
-        finally:
-            reopened.close()
+        if backend.process_shared:
+            # Same object space through a second handle.
+            assert reopened.get(KEY_A) == b"payload"
+        else:
+            # A per-process backend reopens empty but equivalent.
+            assert type(reopened) is type(backend)
+            assert reopened.get(KEY_A) is None
 
     def test_corrupt_object_dropped_by_store(self, backend):
         store = ResultStore(backend)
@@ -378,29 +361,6 @@ class TestMemoryEviction:
         assert backend.keys() == [KEY_A]
 
 
-class TestTiered:
-    def test_read_through_populates_front(self, tmp_path):
-        back = FileBackend(tmp_path / "back")
-        back.put(KEY_A, b"durable")
-        tiered = TieredBackend(MemoryBackend(), back)
-        assert tiered.get(KEY_A) == b"durable"
-        assert tiered.front.get(KEY_A) == b"durable"
-
-    def test_write_through_lands_in_both(self, tmp_path):
-        tiered = TieredBackend(MemoryBackend(), FileBackend(tmp_path / "b"))
-        tiered.put(KEY_A, b"data")
-        assert tiered.front.get(KEY_A) == b"data"
-        assert tiered.back.get(KEY_A) == b"data"
-
-    def test_front_eviction_never_loses_data(self, tmp_path):
-        tiered = TieredBackend(
-            MemoryBackend(max_objects=1), FileBackend(tmp_path / "b")
-        )
-        tiered.put(KEY_A, b"a")
-        tiered.put(KEY_B, b"b")  # evicts KEY_A from the front
-        assert tiered.get(KEY_A) == b"a"  # read-through refills
-
-
 class TestUrls:
     def test_bare_path_is_file(self, tmp_path):
         backend = open_backend(str(tmp_path / "plain"))
@@ -417,17 +377,6 @@ class TestUrls:
         assert isinstance(backend, MemoryBackend)
         assert backend.max_bytes == 1024 and backend.max_objects == 3
 
-    def test_sqlite_scheme(self, tmp_path):
-        backend = open_backend(f"sqlite:{tmp_path}/db.sqlite")
-        assert isinstance(backend, SqliteBackend)
-
-    def test_tiered_scheme(self, tmp_path):
-        backend = open_backend(f"memory+file:{tmp_path}/t?max_objects=8")
-        assert isinstance(backend, TieredBackend)
-        assert isinstance(backend.front, MemoryBackend)
-        assert backend.front.max_objects == 8
-        assert isinstance(backend.back, FileBackend)
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -439,11 +388,33 @@ class TestUrls:
             "sqlite+memory:/x",
             "memory+bogus:/x",
             "file:/x?max_bytes=1",
+            "sqlite:/x/db",
+            "memory+file:/x",
+            "memory+sqlite:/x",
         ],
     )
     def test_bad_urls_rejected(self, bad):
         with pytest.raises(BackendError):
             open_backend(bad)
+
+    @pytest.mark.parametrize(
+        "url, removed",
+        [
+            ("sqlite:/x/db", "sqlite:"),
+            ("memory+file:/x", "tiered"),
+            ("memory+sqlite:/x", "tiered"),
+        ],
+    )
+    def test_removed_backends_refused_by_name(self, url, removed):
+        """A removed backend's URL is an error naming it, not a
+        directory called ``sqlite:`` that silently starts cold."""
+        with pytest.raises(BackendError, match=f"{removed}.*was removed"):
+            open_backend(url)
+
+    def test_plus_in_bare_path_is_still_a_path(self, tmp_path):
+        backend = open_backend(str(tmp_path / "a+b"))
+        assert isinstance(backend, FileBackend)
+        assert backend.root == tmp_path / "a+b"
 
 
 class TestFileCompatibility:

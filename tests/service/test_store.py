@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analysis import AnalysisOptions, analyze_source
 from repro.service.serialize import DecodedAnalysis, encode_analysis
-from repro.service.store import ResultStore, default_store_root
+from repro.service.store import ResultStore, default_store_url
 
 SOURCE = """
 int g;
@@ -37,7 +37,7 @@ class TestKeys:
 
     def test_default_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PTA_STORE", str(tmp_path / "custom"))
-        assert default_store_root() == tmp_path / "custom"
+        assert default_store_url() == str(tmp_path / "custom")
 
 
 class TestObjects:

@@ -30,7 +30,7 @@ def test_ls_lists_objects_and_summary(tmp_path, capsys):
 
 
 def test_stats_reports_backend_json(tmp_path, capsys):
-    url = f"sqlite:{tmp_path}/s.db"
+    url = f"file:{tmp_path}/s"
     _populate(url, SOURCE)
     assert main(["store", "stats", "--store", url]) == 0
     stats = json.loads(capsys.readouterr().out)
@@ -69,3 +69,13 @@ def test_gc_requires_max_bytes(tmp_path, capsys):
 def test_bad_store_url_is_a_clean_error(capsys):
     assert main(["store", "ls", "--store", "memory://?bogus=1"]) == 2
     assert "store: error:" in capsys.readouterr().err
+
+
+def test_removed_backend_url_is_a_clean_error(tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["store", "stats", "--store", "sqlite:/x"]) == 2
+    err = capsys.readouterr().err
+    assert "store: error:" in err and "sqlite:" in err
+    assert "was removed" in err
+    assert list(tmp_path.iterdir()) == [], "no directory may be created"
