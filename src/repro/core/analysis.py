@@ -170,15 +170,21 @@ class Analyzer:
         #: Per-node memo table counters (see interproc.MemoStats).
         self.memo_stats = MemoStats()
         #: Active capture frames, one per open slice-memo miss: a
-        #: ``record`` or a hit goes to the innermost frame only, and a
-        #: closing frame hands its merged stream to the one enclosing
-        #: it (see ``interproc.merge_frame``).  Every ``warn`` goes to
-        #: all open warning frames.
+        #: ``record`` or a replay goes to the innermost frame only, and
+        #: a closing frame becomes an entry that replays into the one
+        #: enclosing it (see ``interproc.merge_frame``).  A miss walks
+        #: its key rows only, so nothing recorded under an open frame
+        #: goes to ``point_info`` directly.  Every ``warn`` goes to all
+        #: open warning frames.
         self._record_frames: list[list] = []
         self._warn_frames: list[list] = []
-        #: Slice-memo hits of this run: id(entry) -> (entry, the Merge
-        #: of the hits' passthrough rows), replayed into ``point_info``
-        #: once per entry by :meth:`flush_replays`.
+        #: The passthrough pairs of the open misses: a call inside them
+        #: counts those too, since a whole-input walk would carry them.
+        self.inherited_passthrough_pairs = 0
+        #: Slice-memo entries replayed outside every frame: id(entry)
+        #: -> (entry, the Merge of the replays' passthrough rows),
+        #: merged into ``point_info`` once per entry by
+        #: :meth:`flush_replays`.
         self._replays: dict[int, tuple] = {}
         #: Work counters, emitted as obs counters by :meth:`run`.
         self.record_frame_appends = 0
@@ -217,40 +223,37 @@ class Analyzer:
         return self._address_taken
 
     def record(self, stmt: BasicStmt, input_set: PointsToSet) -> None:
+        """A program-point set: into the innermost capture frame while
+        a miss is open (its rows lack the open misses' passthrough),
+        else into ``point_info``."""
         frames = self._record_frames
         if frames:
             frames[-1].append((stmt.stmt_id, input_set.copy()))
             self.record_frame_appends += 1
-        self.record_by_id(stmt.stmt_id, input_set)
+        else:
+            self.record_by_id(stmt.stmt_id, input_set)
 
     def replay(self, entry, passthrough: tuple) -> None:
-        """Account a slice-memo hit on ``entry`` under ``passthrough``:
-        in the innermost capture frame, and in the entry's passthrough
-        Merge that :meth:`flush_replays` replays."""
+        """Account a slice-memo entry's body run — a hit's, or a miss's
+        once its frame closed — under ``passthrough``: in the innermost
+        capture frame while a miss is open, else in the entry's
+        passthrough Merge that :meth:`flush_replays` replays."""
         frames = self._record_frames
         if frames:
             frames[-1].append((None, (entry, passthrough)))
             self.record_frame_appends += 1
+            return
         pending = self._replays.get(id(entry))
         if pending is not None:
             passthrough = merge_rows(pending[1], passthrough)
         self._replays[id(entry)] = (entry, passthrough)
 
-    def capture(self, records) -> None:
-        """Hand a closed frame's merged ``(stmt_id, set)`` stream to the
-        innermost open frame, if any."""
-        frames = self._record_frames
-        if frames:
-            frames[-1].extend(records)
-            self.record_frame_appends += len(records)
-
     def flush_replays(self) -> None:
-        """Merge every entry that hit since the last flush into
-        ``point_info``, once, under the Merge of its hits' passthrough
-        rows.  Exact because nothing reads ``point_info`` during a run
-        and the fold into it is commutative, associative and
-        idempotent.  An entry replays even when its rows are its own: a
-        seed-bank entry never ran as a miss in this run.  Called after
+        """Merge every entry replayed outside the frames since the last
+        flush into ``point_info``, once, under the Merge of its
+        replays' passthrough rows.  Exact because nothing reads
+        ``point_info`` during a run and the fold into it is
+        commutative, associative and idempotent.  Called after
         ``main``'s body, and after each call re-processed with
         provenance recording suppressed."""
         for entry, passthrough in self._replays.values():
@@ -413,6 +416,7 @@ class Analyzer:
             # free the capture frames and the memo.
             self._record_frames.clear()
             self._warn_frames.clear()
+            self.inherited_passthrough_pairs = 0
             self._replays.clear()
             self._slice_memo.clear()
             install_table(previous_table)

@@ -60,7 +60,7 @@ from repro.core.locations import (
     install_table,
 )
 from repro.core.pointsto import Definiteness, PointsToSet, row_triples
-from repro.core.slices import ClosureSummaries, scan_program
+from repro.core.slices import ClosureSummaries, scan_program, split_input
 from repro.core.perf import CONFIG
 from repro.simple.ir import SimpleProgram
 from repro.simple.patching import (
@@ -157,14 +157,8 @@ def _neutral_triples(triples) -> list:
 def _slice_triples(rows, table: LocTable) -> tuple:
     """Slice rows (a memo key or a passthrough, ids of ``table``) as
     location triples in row order.  Seeds and store records keep this
-    table-free form; :func:`_slice_rows` is the way back."""
+    table-free form."""
     return tuple(row_triples(rows, table))
-
-
-def _slice_rows(triples) -> tuple:
-    """Location triples as rows of the active table, in order (the
-    inverse of :func:`_slice_triples`)."""
-    return tuple(PointsToSet.from_triples(triples).rows.items())
 
 
 def _revive_triples(data) -> tuple:
@@ -178,6 +172,14 @@ def _revive_triples(data) -> tuple:
     )
 
 
+#: Schema version of the per-function summary records
+#: :func:`capture_records` writes.  3: an entry's ``output`` and
+#: ``records`` hold no passthrough row (the call boundary keeps those in
+#: the caller's set, and a replay writes the calls' own in), and an
+#: entry has no ``passthrough`` field.
+SUMMARY_VERSION = 3
+
+
 @dataclass(frozen=True)
 class SeedEntry:
     """One captured slice-memo entry, detached from any location table.
@@ -185,7 +187,6 @@ class SeedEntry:
     are re-resolved whenever an entry crosses programs)."""
 
     output: tuple
-    passthrough: tuple
     records: tuple  # ((stmt_id, triples), ...)
     warnings: tuple
 
@@ -218,7 +219,9 @@ class SeedBank:
 
     def materialize(self, func: str, key_rows: tuple, table: LocTable):
         """The entry for the slice key ``key_rows`` (ids of ``table``,
-        the active table), or None."""
+        the active table), or None.  It carries no passthrough rows: a
+        hit replays under its own, and nothing rebuilds a seed's
+        input."""
         entries = self._entries.get(func)
         if not entries:
             return None
@@ -230,12 +233,7 @@ class SeedBank:
             (stmt_id, PointsToSet.from_triples(triples))
             for stmt_id, triples in seed.records
         ]
-        return _SliceEntry(
-            output,
-            _slice_rows(seed.passthrough),
-            records,
-            list(seed.warnings),
-        )
+        return _SliceEntry(output, (), records, list(seed.warnings))
 
 
 def bank_from_capture(
@@ -308,7 +306,6 @@ def bank_from_capture(
                 _slice_triples(key, rows_table),
                 SeedEntry(
                     output=tuple(entry.output.triples()),
-                    passthrough=_slice_triples(entry.passthrough, rows_table),
                     records=tuple(records),
                     warnings=tuple(entry.warnings),
                 ),
@@ -360,9 +357,6 @@ def capture_records(
                         _slice_triples(key, rows_table)
                     ),
                     "output": _neutral_triples(entry.output.triples()),
-                    "passthrough": _neutral_triples(
-                        _slice_triples(entry.passthrough, rows_table)
-                    ),
                     "records": entry_records,
                     "warnings": list(entry.warnings),
                 }
@@ -370,7 +364,7 @@ def capture_records(
         if not usable or not entries:
             continue
         records[func] = {
-            "summary_version": 2,
+            "summary_version": SUMMARY_VERSION,
             "function": func,
             "members": {member: fps[member] for member in sorted(closure)},
             "globals": gfp,
@@ -417,7 +411,6 @@ def bank_from_records(
                 key_triples,
                 SeedEntry(
                     output=_revive_triples(entry["output"]),
-                    passthrough=_revive_triples(entry["passthrough"]),
                     records=tuple(entry_records),
                     warnings=tuple(entry["warnings"]),
                 ),
@@ -500,10 +493,9 @@ def splice_update(
     changed function F produces the same caller-visible output,
     warnings, and sub-callee records, so every caller flows
     identically; F's own program-point rows are rebuilt exactly as the
-    merge over its invocations: per-key mini records merged across
-    keys, stored-passthrough pairs dropped, and the caller-passthrough
-    part (recoverable from any fully-covered old row by the K*
-    criterion) re-added."""
+    merge over its invocations: per-key mini records (key rows only)
+    merged across keys, and the caller-passthrough part (recoverable
+    from any fully-covered old row by the K* criterion) added."""
     try:
         return _splice_update(old_analysis, parsed, options)
     except _Fallback:
@@ -638,25 +630,27 @@ def _splice_update(old_analysis, parsed, options):
             if not entries:
                 continue
             node = mini.ig.context_tree(func)
+            env = mini.env(func)
+            formals = [env.var_loc(name) for name, _ in new_fn.params]
+            referenced = new_summaries.summary(func).referenced_globals
             func_entries: dict = {}
             covered_new = None
             for key, old_entry in entries:
                 old_table = old_entry.output.table
                 key_triples = _slice_triples(key, old_table)
                 passthrough = _slice_triples(old_entry.passthrough, old_table)
-                func_input = PointsToSet.from_triples(
-                    key_triples + passthrough
-                )
-                _process_ordinary(mini, node, func_input)
-                key = _slice_rows(key_triples)
+                # The new body's closure must split the old input as the
+                # old one did.
+                whole = PointsToSet.from_triples(key_triples + passthrough)
+                split = split_input(whole, formals, referenced)
+                if _slice_triples(split.rows, whole.table) != passthrough:
+                    raise _Fallback(f"'{func}' passthrough diverged")
+                func_input = PointsToSet.from_triples(key_triples)
+                _process_ordinary(mini, node, func_input, split)
+                key = tuple(func_input.rows.items())
                 new_entry = mini._slice_memo.get(func, {}).get(key)
                 if new_entry is None:
                     raise _Fallback(f"'{func}' slice key not reproduced")
-                if (
-                    _slice_triples(new_entry.passthrough, func_input.table)
-                    != passthrough
-                ):
-                    raise _Fallback(f"'{func}' passthrough diverged")
                 if list(new_entry.warnings) != list(old_entry.warnings):
                     raise _Fallback(f"'{func}' warnings diverged")
                 vis_old = _visible_triples(old_entry.output, func)
@@ -707,9 +701,6 @@ def _splice_update(old_analysis, parsed, options):
                 row = record_maps[0][stmt_id].copy()
                 for other in record_maps[1:]:
                     row = row.merge(other[stmt_id])
-                for src, tgt, _ in list(row.triples()):
-                    if _is_passthrough_pair(src, k_star):
-                        row.discard(src, tgt)
                 for src, tgt, definiteness in passthrough_part:
                     row.add(src, tgt, definiteness)
                 new_rows[stmt_id] = row

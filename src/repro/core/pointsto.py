@@ -78,7 +78,8 @@ class RowCensus:
     GLOBAL and HEAP roots in ``groups`` order: map carries them into
     every callee.  ``inert`` holds the GLOBAL roots whose targets all
     lie in ``LocTable.vis``: every name they hold survives a call
-    boundary, so map and unmap move their rows whole.  A census is
+    boundary, so map and unmap move their rows whole, and the slice
+    split draws a call's passthrough roots from them.  A census is
     read-only; :meth:`PointsToSet.census` caches one per set."""
 
     __slots__ = ("groups", "reach", "visible", "inert")
@@ -254,14 +255,6 @@ class PointsToSet:
             census = self._census = RowCensus.of_rows(self._src, self._table)
         return census
 
-    def vouch_census(self, census: RowCensus) -> None:
-        """Cache ``census`` as this set's, without a pass over the rows.
-        A builder that knows its rows' grouping calls this once it is
-        done writing them; ``census`` must equal what :meth:`census`
-        would compute (``tests/core/test_row_boundary.py`` checks it on
-        every call it wraps)."""
-        self._census = census
-
     def forget_census(self) -> None:
         """Drop the cached census: the call boundary does once it is
         done with a set, so sets that outlive the call (recorded
@@ -337,28 +330,14 @@ class PointsToSet:
             defs |= row[0]
             self._src[sid] = (defs, (row[1] | poss) & ~defs)
 
-    def swapped(
-        self,
-        old_rows: Sequence[tuple[int, tuple[int, int]]],
-        new_rows: Sequence[tuple[int, tuple[int, int]]],
+    def with_rows(
+        self, new_rows: Sequence[tuple[int, tuple[int, int]]]
     ) -> "PointsToSet":
-        """A copy with ``old_rows``' pairs masked out and ``new_rows``
-        added as by :meth:`add_row`, in order.  Same set and row order as
-        discarding each old pair and then adding each new one: a row
-        the mask empties is deleted, so it re-enters at the end."""
+        """A copy with ``new_rows`` added as by :meth:`add_row`, in
+        order: a new source goes to the end."""
         result = self.copy()
         result._own()
         rows = result._src
-        for sid, (defs, poss) in old_rows:
-            row = rows.get(sid)
-            if row is None:
-                continue
-            keep = ~(defs | poss)
-            defs, poss = row[0] & keep, row[1] & keep
-            if defs or poss:
-                rows[sid] = (defs, poss)
-            else:
-                del rows[sid]
         for sid, (defs, poss) in new_rows:
             row = rows.get(sid)
             if row is None:

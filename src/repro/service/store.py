@@ -25,7 +25,11 @@ from pathlib import Path
 from repro import obs
 from repro.core import perf
 from repro.core.analysis import AnalysisOptions, analyze_source
+# ``SUMMARY_VERSION`` versions the per-function summary records (``fn-``
+# keys) and skeleton records (``skel-`` keys).  It participates in both
+# key derivations, so a schema change is a clean cache miss.
 from repro.core.incremental import (
+    SUMMARY_VERSION,
     SeedBank,
     bank_from_records,
     capture_records,
@@ -49,10 +53,6 @@ from repro.service.serialize import (
     encode_analysis,
 )
 
-#: Schema version of per-function summary records (``fn-`` keys) and
-#: skeleton records (``skel-`` keys).  Participates in both key
-#: derivations, so a schema change is a clean cache miss.
-SUMMARY_VERSION = 2
 
 #: Environment variable overriding the default store location.  Holds
 #: either a bare directory path (filesystem backend, historical

@@ -102,7 +102,7 @@ class TestReplayWork:
     merges on fanout, 1,897 on relay and 68,165 on the wide seed."""
 
     #: program -> (most ``PointsToSet.merge`` calls, most capture-frame
-    #: appends).  The runs make 669/919, 191/305 and 26,908/24,460.
+    #: appends).  The runs make 426/319, 148/81 and 14,493/8,512.
     BOUNDS = {
         "fanout": (1_000, 1_200),
         "relay": (400, 500),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.service.store import ResultStore
 
@@ -79,3 +81,43 @@ def test_removed_backend_url_is_a_clean_error(tmp_path, capsys,
     assert "store: error:" in err and "sqlite:" in err
     assert "was removed" in err
     assert list(tmp_path.iterdir()) == [], "no directory may be created"
+
+
+def _commands(tmp_path):
+    """One invocation of each store-opening command, minus ``--store``."""
+    old = tmp_path / "old.c"
+    new = tmp_path / "new.c"
+    old.write_text(SOURCE)
+    new.write_text(OTHER)
+    return {
+        "query": ["query", str(old), "points_to:p@L"],
+        "batch": ["batch", str(old)],
+        "check": ["check", str(old)],
+        "update": ["update", str(old), str(new)],
+    }
+
+
+@pytest.mark.parametrize("url", ["sqlite:/x", "memory://?bogus=1"])
+@pytest.mark.parametrize("command", ["query", "batch", "check", "update"])
+def test_bad_store_url_is_a_clean_error_for_every_command(
+    tmp_path, capsys, monkeypatch, command, url
+):
+    argv = _commands(tmp_path)[command]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--store", url]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("store: error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before, "no store may be created"
+
+
+@pytest.mark.parametrize("command", ["query", "batch", "check", "update"])
+def test_bad_store_environment_is_a_clean_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    argv = _commands(tmp_path)[command]
+    monkeypatch.setenv("REPRO_PTA_STORE", "memory://?bogus=1")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("store: error:")
