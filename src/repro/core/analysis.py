@@ -182,9 +182,9 @@ class Analyzer:
         #: counts those too, since a whole-input walk would carry them.
         self.inherited_passthrough_pairs = 0
         #: Slice-memo entries replayed outside every frame: id(entry)
-        #: -> (entry, the Merge of the replays' passthrough rows),
-        #: merged into ``point_info`` once per entry by
-        #: :meth:`flush_replays`.
+        #: -> (entry, the Merge of the replays' passthrough rows, the
+        #: passthrough tuple merged last), merged into ``point_info``
+        #: once per entry by :meth:`flush_replays`.
         self._replays: dict[int, tuple] = {}
         #: Work counters, emitted as obs counters by :meth:`run`.
         self.record_frame_appends = 0
@@ -244,9 +244,13 @@ class Analyzer:
             self.record_frame_appends += 1
             return
         pending = self._replays.get(id(entry))
-        if pending is not None:
-            passthrough = merge_rows(pending[1], passthrough)
-        self._replays[id(entry)] = (entry, passthrough)
+        if pending is None:
+            self._replays[id(entry)] = (entry, passthrough, passthrough)
+        elif pending[2] is not passthrough:
+            # Merge is idempotent: the join already holds a tuple it
+            # merged last (hits on one census share their split's).
+            joined = merge_rows(pending[1], passthrough)
+            self._replays[id(entry)] = (entry, joined, passthrough)
 
     def flush_replays(self) -> None:
         """Merge every entry replayed outside the frames since the last
@@ -256,7 +260,7 @@ class Analyzer:
         commutative, associative and idempotent.  Called after
         ``main``'s body, and after each call re-processed with
         provenance recording suppressed."""
-        for entry, passthrough in self._replays.values():
+        for entry, passthrough, _ in self._replays.values():
             for stmt_id, recorded in replayed_records(entry, passthrough):
                 self.record_by_id(stmt_id, recorded)
         self.replayed_entries += len(self._replays)
@@ -291,7 +295,12 @@ class Analyzer:
             recorder=self.record,
         )
         flow = intra.process_root(fn.body, entry)
-        return merge_all([flow.out, flow.returns])
+        output = merge_all([flow.out, flow.returns])
+        if output is not None:
+            # A body ending in a call hands on the census unmap gave
+            # its output; the memo tables keep the output, not it.
+            output.forget_census()
+        return output
 
     # -- call dispatch ---------------------------------------------------------
 

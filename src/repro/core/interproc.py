@@ -306,7 +306,8 @@ def _process_call_node(
             map_info,
         )
     finally:
-        # The census served this call's split, map and unmap only.
+        # The call is done with the caller's census (its output may
+        # carry it on, see ``unmap_call``).
         input_set.forget_census()
 
 
@@ -401,23 +402,27 @@ def merge_frame(frame: list) -> dict[int, PointsToSet]:
     rows.  That equals merging each replay on its own: a passthrough
     row's source never has a key or body row, so the Merge of the sets
     with the rows written in is the Merge of the sets with the merged
-    rows written in."""
-    joined: dict[int, tuple] = {}
+    rows written in.  As in ``Analyzer.replay``, a tuple the join
+    merged last is not merged again."""
+    #: id(entry) -> [the join so far, the tuple merged last]
+    joined: dict[int, list] = {}
     for stmt_id, item in frame:
         if stmt_id is None:
             entry, passthrough = item
             prev = joined.get(id(entry))
-            if prev is not None:
-                passthrough = merge_rows(prev, passthrough)
-            joined[id(entry)] = passthrough
+            if prev is None:
+                joined[id(entry)] = [passthrough, passthrough]
+            elif prev[1] is not passthrough:
+                prev[0] = merge_rows(prev[0], passthrough)
+                prev[1] = passthrough
     merged: dict[int, PointsToSet] = {}
     for stmt_id, item in frame:
         if stmt_id is None:
             entry = item[0]
-            passthrough = joined.pop(id(entry), None)
-            if passthrough is None:
+            prev = joined.pop(id(entry), None)
+            if prev is None:
                 continue  # this entry already replayed
-            records = replayed_records(entry, passthrough)
+            records = replayed_records(entry, prev[0])
         else:
             records = ((stmt_id, item),)
         for sid, recorded in records:

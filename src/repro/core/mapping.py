@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.frontend.ctypes import StructType
 from repro.core import provenance
@@ -55,10 +56,11 @@ from repro.core.pointsto import (
     P,
     Definiteness,
     PointsToSet,
+    RowCensus,
     iter_bits,
     row_triples,
 )
-from repro.core.slices import CallSplit
+from repro.core.slices import CallSplit, carrying_order, met_roots
 from repro.simple.ir import Const, Operand, Ref, SimpleFunction
 
 _GLOBAL_OR_HEAP = (GLOBAL_KIND, HEAP_KIND)
@@ -86,7 +88,17 @@ class MapInfo:
     #: end just before it updates that entry, in order.  A whole-input
     #: map would have placed those roots there, and its unmap would
     #: have re-added their unchanged rows at that point.
-    passthrough: dict[int, list[int]] = field(default_factory=dict)
+    passthrough: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    #: How many leading ``visible_roots`` entries map placed before its
+    #: walk (the formals' visible targets and the crossing roots with
+    #: caller rows); the entries after them have no caller rows.
+    carried: int = 0
+    #: For a call with passthrough: the caller's source ids that unmap
+    #: moves to the end after the represented roots' (the crossing
+    #: GLOBAL roots' rows and the passthrough runs), in unmap's order.
+    #: None when every visible root crossed: unmap reads them off the
+    #: carried entries.
+    tail: list[int] | None = None
 
     def representative_count(self, callee_root: AbsLoc) -> int:
         return len(self.to_caller.get(callee_root, ()))
@@ -188,16 +200,11 @@ class _Mapper:
         #: The caller's rows by source root (cached on ``input_set``,
         #: where unmap finds it again).
         self.census = input_set.census()
-        #: Target ids whose meeting is known to be a no-op: their root
-        #: is already a visible root, or is not a GLOBAL/HEAP one.
+        #: Target ids whose meeting is known to be a no-op.
         self.settled = 0
-        #: Ids of roots known to be in ``info.visible_roots``, or to
-        #: stay out of it as passthrough (the formals' visible targets
-        #: are left out: re-adding a root that is already there leaves
-        #: the order as it is).
-        self.visible_ids: set[int] = set()
         #: The passthrough roots, which map leaves out: root id ->
         #: source ids in carrying order (``CallSplit.roots``).
+        self.split = split
         self.passing = split.roots if split is not None else {}
         #: The formals' bindings the split was seeded from, if any.
         self.bindings = split.bindings if split is not None else None
@@ -302,46 +309,71 @@ class _Mapper:
         the paper's walk: the roots the formals' targets queued, then
         every GLOBAL/HEAP root with rows (map carries all of them into
         every callee but the passthrough ones) in row order, then the
-        invisible roots met on the way.  Every GLOBAL/HEAP root with
-        rows enters ``MapInfo.visible_roots`` before the walk starts,
-        or, if passthrough, ``MapInfo.passthrough`` at the position it
-        would have taken.  Runs of inert roots are copied whole by
-        :meth:`_copy_rows`, every other root maps pair by pair
-        (:meth:`_map_pairs`)."""
+        invisible roots met on the way.  Every crossing GLOBAL/HEAP
+        root with rows enters ``MapInfo.visible_roots`` before the walk
+        starts, and each run of passthrough roots between them enters
+        ``MapInfo.passthrough`` at the position it would have taken.
+        The walk meets the row-less roots each run's targets name, as
+        the split listed them, where the run sits.  Inert roots are
+        copied whole by :meth:`_copy_rows`, every other root maps pair
+        by pair (:meth:`_map_pairs`)."""
         census = self.census
-        visible = census.visible
         locs = self.input_set.table.locs
-        visible_roots = self.info.visible_roots
-        passing = self.passing
-        if passing:
-            moves = self.info.passthrough
-            for rid in visible:
-                sids = passing.get(rid)
-                if sids is None:
-                    visible_roots[locs[rid]] = rid
-                else:
-                    moves.setdefault(len(visible_roots), []).extend(sids)
+        info = self.info
+        visible_roots = info.visible_roots
+        groups = census.groups
+        split = self.split
+        keys: list[int]
+        runs: list[tuple[int, tuple, dict]]
+        if split is not None and split.keys is not None and split.runs:
+            # The formals' visible targets lead; then the crossing
+            # roots in census order, each run of passthrough roots
+            # before the root that follows it.  ``tail`` collects the
+            # caller rows unmap moves to the end, in its order.
+            tail = info.tail = _carried_rows(
+                visible_roots.items(), groups, self.input_set.table
+            )
+            moves = info.passthrough
+            keys, runs = split.keys, split.runs
+            gaps = iter(runs)
+            gap = next(gaps, None)
+            for index, rid in enumerate(keys):
+                if gap is not None and gap[0] == index:
+                    self._move(moves, len(visible_roots), gap[1], tail)
+                    gap = next(gaps, None)
+                size = len(visible_roots)
+                visible_roots[locs[rid]] = rid
+                if len(visible_roots) > size and locs[rid].kind is GLOBAL_KIND:
+                    tail.extend(groups[rid])
+            if gap is not None:
+                self._move(moves, len(visible_roots), gap[1], tail)
         else:
-            visible_roots.update(zip(map(locs.__getitem__, visible), visible))
-        self.visible_ids.update(visible)
+            keys, runs = census.visible, []
+            visible_roots.update(zip(map(locs.__getitem__, keys), keys))
+        info.carried = len(visible_roots)
         queue = self.queue
         for _ in range(len(queue)):
             self._walk(queue.popleft())
         processed = self.processed
         inert = () if provenance.CURRENT.enabled else census.inert
-        run: list[int] = []
-        for rid in visible:
-            if processed and locs[rid] in processed:
-                continue  # a formal's target: mapped above
-            if rid in inert:
-                run.append(rid)
-                continue
+        start = 0
+        for at, _, met in (*runs, (len(keys), (), None)):
+            run: list[int] = []
+            for rid in keys[start:at]:
+                if processed and locs[rid] in processed:
+                    continue  # a formal's target: mapped above
+                if rid in inert:
+                    run.append(rid)
+                    continue
+                if run:
+                    self._copy_rows(run)
+                    run = []
+                self._map_pairs(locs[rid], groups[rid])
             if run:
                 self._copy_rows(run)
-                run = []
-            self._map_pairs(locs[rid], census.groups[rid])
-        if run:
-            self._copy_rows(run)
+            start = at
+            if met:
+                visible_roots.update(met)
         while queue:
             root = queue.popleft()
             # Every GLOBAL/HEAP root with rows is mapped by now; the
@@ -349,12 +381,21 @@ class _Mapper:
             if not root.is_visible_everywhere:
                 self._walk(root)
 
+    @staticmethod
+    def _move(moves: dict, position: int, sids: tuple, tail: list) -> None:
+        """Record a run of passthrough rows at ``position`` (after
+        another when a formal's target with rows sits between them),
+        and as rows unmap moves."""
+        moves[position] = moves[position] + sids if position in moves else sids
+        tail.extend(sids)
+
     def _walk(self, root: AbsLoc) -> None:
         """Map the rows of a queued root (once)."""
         if root in self.processed:
             return
         self.processed.add(root)
-        rid = self.input_set.table.get_id(root)
+        table = self.input_set.table
+        rid = table.get_id(root)
         sids = self.census.groups.get(rid)
         if not sids:
             return
@@ -396,93 +437,43 @@ class _Mapper:
     def _copy_rows(self, run: list[int]) -> None:
         """Carry a run of inert roots (GLOBAL roots whose targets are
         all visible everywhere), in walk order: every pair maps to
-        itself, so each root's rows are copied whole — in the order
-        :func:`_definite_first` would first add each source (definite
-        rows, then possible ones, each by name).  The only other effect
-        of mapping those pairs is meeting the GLOBAL/HEAP target roots
-        the walk has not made visible yet, in the same sorted pair
-        order.  Such a root has no rows (every root with rows is
-        visible already), so it needs no queue entry.  A passthrough
-        root's rows stay out, but its targets are met all the same, so
-        ``visible_roots`` keeps the order a whole-input map gives it."""
+        itself, so each root's rows are copied whole, in carrying order
+        (:func:`~repro.core.slices.carrying_order`).  The only other
+        effect of mapping those pairs is meeting the GLOBAL/HEAP target
+        roots that are not visible yet, in the same sorted pair order.
+        Such a root has no rows (every root with rows is visible
+        already, or passes through), so it needs no queue entry."""
         table = self.input_set.table
         roots = table.roots
         locs = table.locs
         rows = self.input_set.rows
-        out = self.rows
         census = self.census
         groups = census.groups
         reach = census.reach
-        passing = self.passing
+        out = self.rows
         visible_roots = self.info.visible_roots
-        visible_ids = self.visible_ids
         settled = self.settled
         for rid in run:
-            sids = passing.get(rid)  # a passthrough root's: not copied
-            if sids is None:
-                sids = groups[rid]
-                if len(sids) == 1:
-                    sid = sids[0]
+            sids = groups[rid]
+            if len(sids) == 1:
+                sid = sids[0]
+                out[sid] = rows[sid]
+            else:
+                sids = carrying_order(sids, rows, locs)
+                for sid in sids:
                     out[sid] = rows[sid]
-                else:
-                    sids = sorted(
-                        sids,
-                        key=lambda sid: (not rows[sid][0], locs[sid].text),
-                    )
-                    for sid in sids:
-                        out[sid] = rows[sid]
             pending = reach[rid] & ~settled
             if not pending:
                 continue
             settled |= pending
-            if not pending & (pending - 1):  # one new target
-                trid = roots[pending.bit_length() - 1]
-                if (
-                    trid not in visible_ids
-                    and locs[trid].kind in _GLOBAL_OR_HEAP
-                ):
+            if pending & (pending - 1):
+                for trid in met_roots(rows, table, sids, pending, groups):
                     visible_roots[locs[trid]] = trid
-                    visible_ids.add(trid)
                 continue
-            fresh: dict[int, int] = {}
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                trid = roots[low.bit_length() - 1]
-                if (
-                    trid not in visible_ids
-                    and locs[trid].kind in _GLOBAL_OR_HEAP
-                ):
-                    fresh[trid] = fresh.get(trid, 0) | low
-            if not fresh:
-                continue
-            order = self._first_met(sids, fresh) if len(fresh) > 1 else fresh
-            for trid in order:
+            trid = roots[pending.bit_length() - 1]  # one new target
+            if trid not in groups and locs[trid].kind in _GLOBAL_OR_HEAP:
                 visible_roots[locs[trid]] = trid
-            visible_ids.update(fresh)
         self.settled = settled
-
-    def _first_met(self, sids: list[int], fresh: dict[int, int]) -> list[int]:
-        """The root ids ``fresh`` (root id -> its target bits) in the
-        order the rows ``sids``' pairs, sorted as by
-        :func:`_definite_first`, first meet them."""
-        rows = self.input_set.rows
-        table = self.input_set.table
-        roots = table.roots
-        locs = table.locs
-        mask = 0
-        for bits in fresh.values():
-            mask |= bits
-        pairs = []
-        for sid in sids:
-            defs, poss = rows[sid]
-            text = locs[sid].text
-            for tid in iter_bits(defs & mask):
-                pairs.append((False, text, locs[tid].text, tid))
-            for tid in iter_bits(poss & mask):
-                pairs.append((True, text, locs[tid].text, tid))
-        pairs.sort()
-        return list(dict.fromkeys(roots[pair[3]] for pair in pairs))
 
     def degrade_multi_represented(self) -> None:
         """Weaken definite pairs through multi-represented symbolic names."""
@@ -652,24 +643,59 @@ def unmap_call(
 
     # The represented caller roots, keyed as above before any id is
     # allocated below: strong unless a symbolic name stands for several.
+    rows_in = caller_input.rows
+    census = caller_input.census()
+    groups = census.groups
     represented: dict = {}
+    #: The caller rows the strong updates of represented roots move.
+    tail: list[int] = []
     for caller_roots in map_info.to_caller.values():
         strong = len(caller_roots) == 1
         for root in caller_roots:
             key = get_id(root)
-            represented[root if key is None else key] = strong
+            if key is None:
+                key = root
+            elif strong:
+                tail.extend(groups.get(key, ()))
+            represented[key] = strong
 
-    # Build the caller's output in one dict: a strong update deletes the
-    # root's caller rows and appends the callee's, so they re-enter at
-    # the end; a weak one weakens them in place.  Roots update in this
-    # order — represented roots, visible roots, then the roots only the
-    # callee's output names — which decides the order of the appended
-    # rows.
+    # The paper's unmap updates the represented roots, then the visible
+    # roots, then the roots only the callee's output names.  A strong
+    # update kills the root's caller rows and re-adds the callee's at
+    # the end; a weak one weakens them in place and adds the callee's
+    # pairs as possible; the caller's passthrough rows, unchanged by
+    # the call, re-enter the end where a whole-input unmap re-added
+    # them.  When the rows those steps move already end the caller's
+    # set in that order (a call after a call, with no caller statement
+    # between them), no row needs to move: strong steps of carried rows
+    # write them in place, until one adds a source or reorders its
+    # root's rows, or a weak or translated step comes; from there on
+    # the steps move rows as the paper's unmap does.  While no row has
+    # moved, the caller's census, updated for the roots whose rows
+    # changed, holds for the output.
+    moves = map_info.passthrough
+    visible_roots = map_info.visible_roots
+    carried = map_info.carried
+    moving = False
+    if map_info.tail is not None:
+        tail += map_info.tail
+    elif rows_in:
+        # Every GLOBAL root with rows crossed and moves, so a last row
+        # of any other root but a strongly represented one leaves the
+        # rows to move (moving is always right, only slower).
+        last = roots[next(reversed(rows_in))]
+        if locs[last].kind is GLOBAL_KIND or represented.get(last):
+            tail += _carried_rows(
+                islice(visible_roots.items(), carried), groups, table
+            )
+        else:
+            moving = True
+    if tail and not moving:
+        moving = list(rows_in)[-len(tail):] != tail
+    in_place = not moving
+    changed: list[dict] = []
     result = caller_input.copy()
     out = result.own_rows()
-    groups = caller_input.census().groups
-    # ``kill_row`` counts the killed pairs for provenance.
-    kill = result.kill_row if recording else out.__delitem__
 
     if recording:
         # Weakenings of surviving caller pairs during weak updates are
@@ -685,54 +711,75 @@ def unmap_call(
         rule_weak = provenance.RULE_UNMAP_WEAK
 
     def update(key, strong: bool) -> None:
+        """One root's step: a strong update adds the callee's rows, a
+        weak one weakens the caller's and adds the callee's pairs as
+        possible.  Before rows move, a strong step of carried rows
+        writes them in place if they can go there; any other step
+        starts rows moving, as the paper's unmap moves them."""
+        nonlocal moving, in_place
+        rows_in = caller_input.rows
         entries = new_rels.pop(key, ())
         sids = groups.get(key, ())
-        if not strong:
+        if strong and recording:
+            killed = 0
             for sid in sids:
-                result.weaken_row(sid)
-            for caller_src, caller_tgt, _, parents in entries:
-                result.add(caller_src, caller_tgt, P)
+                defs, poss = rows_in[sid]
+                killed += (defs | poss).bit_count()
+            provenance.CURRENT.kill_count += killed
+        if not moving and strong and key not in translated:
+            rows = dict(entries)
+            if len(rows) == len(sids) and all(
+                sid == at and rows_in[sid] == row
+                for sid, (at, row) in zip(sids, entries)
+            ):
+                return  # the rows as they were, in place
+            if not sids or list(rows)[: len(sids)] == sids:
+                out.update(rows)
+                changed.append(rows)
+                # A new source goes to the end: the steps after move.
+                moving = len(rows) > len(sids)
+                return
+        moving = True
+        in_place = False
+        if strong:
+            for sid in sids:
+                del out[sid]
+            if key not in translated:
+                out.update(entries)  # carried rows: the root's own
+                return
+        else:
+            loc_of = caller_input.table.loc_of
+            for sid in sids:
+                defs, poss = rows_in[sid]
+                out[sid] = (0, defs | poss)
                 if recording:
-                    prov_record(
-                        caller_src,
-                        caller_tgt,
-                        False,
-                        rule_weak,
-                        parents,
-                        call_extra,
-                    )
-            return
-        for sid in sids:
-            kill(sid)
-        if key not in translated:
-            # Carried rows only: their sources are this root's, all
-            # deleted above, so each re-enters at the end.
-            out.update(entries)
-            return
+                    for tid in iter_bits(defs):
+                        provenance.CURRENT.record_weaken(
+                            loc_of(sid), loc_of(tid)
+                        )
         for entry in entries:
             if len(entry) == 2:
                 result.add_row(entry[0], *entry[1])
                 continue
             caller_src, caller_tgt, definiteness, parents = entry
+            if not strong:
+                definiteness = P
             result.add(caller_src, caller_tgt, definiteness)
             if recording:
                 prov_record(
                     caller_src,
                     caller_tgt,
                     definiteness is D,
-                    rule_strong,
+                    rule_strong if strong else rule_weak,
                     parents,
                     call_extra,
                 )
 
     for key, strong in represented.items():
         update(key, strong)
-    # The caller's passthrough rows, unchanged by the call, move to the
-    # end where a whole-input unmap would have re-added them.
-    moves = map_info.passthrough
-    visible_roots = map_info.visible_roots
-    for index, (root, rid) in enumerate(visible_roots.items()):
-        if moves and index in moves:
+    for index, (root, rid) in enumerate(islice(visible_roots.items(), carried)):
+        if moves and index in moves and moving:
+            in_place = False
             for sid in moves[index]:
                 out[sid] = out.pop(sid)
         if rid is None:
@@ -740,8 +787,17 @@ def unmap_call(
         # A root with nothing to kill, weaken or add costs this test.
         if rid in groups or rid in new_rels:
             update(rid, root.kind is not HEAP_KIND)
-    for sid in moves.get(len(visible_roots), ()):
-        out[sid] = out.pop(sid)
+    if carried in moves and moving:
+        in_place = False
+        for sid in moves[carried]:
+            out[sid] = out.pop(sid)
+    if new_rels:
+        # Row-less roots map met: only the callee can have given them rows.
+        for root, rid in islice(visible_roots.items(), carried, None):
+            if rid is None:
+                rid = get_id(root)
+            if rid in new_rels:
+                update(rid, root.kind is not HEAP_KIND)
     # Roots the callee created relationships for without inheriting
     # any (e.g. the heap on its first allocation, or a global the
     # caller never initialized): nothing to kill, everything to add.
@@ -750,6 +806,13 @@ def unmap_call(
         update(key, root.kind is not HEAP_KIND)
     if recording:
         prov.weaken_rule = saved_weaken_rule
+    if in_place:
+        if changed:
+            result.adopt_census(_updated_census(census, changed, table))
+        else:
+            # The rows as they were: share the caller's, and its census.
+            result = caller_input.copy()
+            result.adopt_census(census)
 
     from repro import obs
 
@@ -759,3 +822,48 @@ def unmap_call(
         obs.count("analysis.boundary_rows", len(callee_output.rows))
         obs.count("analysis.dangling_locations", len(dangling))
     return UnmapResult(result, returns, dangling, return_support)
+
+
+def _carried_rows(entries, groups: dict, table) -> list[int]:
+    """The caller source ids of the GLOBAL roots among ``entries``
+    (``visible_roots`` items), in order: what unmap's strong updates of
+    them move to the end."""
+    get_id = table.get_id
+    rows: list[int] = []
+    for root, rid in entries:
+        if rid is None:
+            rid = get_id(root)
+        if rid in groups and root.kind is GLOBAL_KIND:
+            rows.extend(groups[rid])
+    return rows
+
+
+def _updated_census(
+    census: RowCensus, changed: list[dict], table
+) -> RowCensus:
+    """``census`` with the roots of ``changed`` (each one root's rows
+    in row order, as unmap wrote them in place or appended them)
+    regrouped: a root new to the set joins the end.  Valid for unmap's
+    output when no row moved."""
+    groups = dict(census.groups)
+    reach = dict(census.reach)
+    visible = census.visible
+    inert = census.inert
+    roots = table.roots
+    locs = table.locs
+    outside = ~table.vis
+    for rows in changed:
+        sids = list(rows)
+        rid = roots[sids[0]]
+        mask = 0
+        for defs, poss in rows.values():
+            mask |= defs | poss
+        kind = locs[rid].kind
+        if rid not in groups and kind in _GLOBAL_OR_HEAP:
+            visible = visible + [rid]
+        groups[rid] = sids
+        reach[rid] = mask
+        if kind is GLOBAL_KIND and (rid in inert) is bool(mask & outside):
+            inert = set(inert)
+            inert.symmetric_difference_update((rid,))
+    return RowCensus(groups, reach, visible, inert)

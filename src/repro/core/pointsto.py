@@ -79,10 +79,14 @@ class RowCensus:
     every callee.  ``inert`` holds the GLOBAL roots whose targets all
     lie in ``LocTable.vis``: every name they hold survives a call
     boundary, so map and unmap move their rows whole, and the slice
-    split draws a call's passthrough roots from them.  A census is
-    read-only; :meth:`PointsToSet.census` caches one per set."""
+    split draws a call's passthrough roots from them.  ``split``
+    keeps the last split taken on the census (``core/slices.py``)
+    with its seeds.  A census is read-only but for that memo;
+    :meth:`PointsToSet.census` caches one per set, and unmap hands the
+    caller's on to its output when no row had to move (see
+    ``core/mapping.py``)."""
 
-    __slots__ = ("groups", "reach", "visible", "inert")
+    __slots__ = ("groups", "reach", "visible", "inert", "split")
 
     def __init__(
         self,
@@ -95,6 +99,7 @@ class RowCensus:
         self.reach = reach
         self.visible = visible
         self.inert = inert
+        self.split: tuple | None = None
 
     @classmethod
     def of_rows(
@@ -254,6 +259,11 @@ class PointsToSet:
         if census is None:
             census = self._census = RowCensus.of_rows(self._src, self._table)
         return census
+
+    def adopt_census(self, census: RowCensus) -> None:
+        """Cache ``census`` as this set's: the caller vouches that it
+        equals the census of this set's rows."""
+        self._census = census
 
     def forget_census(self) -> None:
         """Drop the cached census: the call boundary does once it is

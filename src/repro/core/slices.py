@@ -24,12 +24,26 @@ miss walks the body on the key rows alone, so a miss and a hit differ
 only in whether the entry was just computed: what the body records
 goes to the miss's capture frame, and the closed frame replays like a
 hit's entry, with the call's passthrough rows written into each
-recorded set (see ``interproc``).  Slicing the caller's set gives the
-split of the whole mapped input: the actuals' targets stand for the
-formals, and a caller root a symbolic name stands for is reachable
-from the actuals exactly when the name is reachable from the formals —
-up to a formal named like a global, whose symbolic names that global's
-share, which is why the call boundary seeds such a global too.
+recorded set (see ``interproc``).
+
+The passthrough side is computed here, not in map or unmap: the split
+lists the passthrough rows as runs between the crossing roots, each
+with the row-less roots its targets meet, and the caller's
+:class:`~repro.core.pointsto.RowCensus` keeps the last split.  Unmap
+hands that census on to its output whenever no row had to move (the
+rows it would move already end the caller's set in order, as after any
+call with no caller statement since), so a run of calls (a ``sweep1``
+body) builds one census, calls that repeat (``probe(); probe();``)
+split it once, and no call walks the passthrough roots it does not
+carry: map places each run with one step, and unmap leaves the rows
+where they are.
+
+Slicing the caller's set gives the split of the whole mapped input:
+the actuals' targets stand for the formals, and a caller root a
+symbolic name stands for is reachable from the actuals exactly when
+the name is reachable from the formals — up to a formal named like a
+global, whose symbolic names that global's share, which is why the
+call boundary seeds such a global too.
 
 The passthrough invariant (those pairs flow through the body
 unchanged, with the same definiteness) holds because a passthrough
@@ -83,8 +97,16 @@ from repro.core.externals import (
     PURE_EXTERNALS,
     RETURN_FIRST_ARG,
 )
-from repro.core.locations import HEAP, AbsLoc, LocKind, global_loc
-from repro.core.pointsto import PointsToSet, iter_bits
+from repro.core.locations import (
+    GLOBAL_KIND,
+    HEAP,
+    HEAP_KIND,
+    AbsLoc,
+    LocKind,
+    LocTable,
+    global_loc,
+)
+from repro.core.pointsto import PointsToSet, RowCensus, iter_bits
 from repro.simple.ir import (
     AddrOf,
     BasicKind,
@@ -96,6 +118,8 @@ from repro.simple.ir import (
 
 #: Target kinds the slice closure does not follow.
 _NOT_TRAVERSED = (LocKind.NULL, LocKind.FUNCTION)
+
+_GLOBAL_OR_HEAP = (GLOBAL_KIND, HEAP_KIND)
 
 #: Externals with effect models confined to argument-reachable state
 #: and the heap — both always inside the slice.
@@ -249,6 +273,52 @@ class ClosureSummaries:
         return found
 
 
+def carrying_order(sids: list[int], rows: dict, locs) -> list[int]:
+    """One root's source ids in the order map carries their rows: the
+    order :func:`~repro.core.mapping._definite_first` first adds each
+    source in (definite rows first, then by name)."""
+    if len(sids) == 1:
+        return sids
+    return sorted(sids, key=lambda sid: (not rows[sid][0], locs[sid].text))
+
+
+def met_roots(rows: dict, table: LocTable, sids, mask: int, rowed) -> list[int]:
+    """The ids of the GLOBAL and HEAP roots of the targets in ``mask``
+    that are not in ``rowed`` (the roots with rows), in the
+    order the rows ``sids``' pairs first meet them when sorted as map
+    walks them: definite pairs first, then by source and target
+    name."""
+    roots = table.roots
+    locs = table.locs
+    if not mask & (mask - 1):  # one target
+        trid = roots[mask.bit_length() - 1]
+        if trid in rowed or locs[trid].kind not in _GLOBAL_OR_HEAP:
+            return []
+        return [trid]
+    fresh: dict[int, int] = {}
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        trid = roots[low.bit_length() - 1]
+        if trid not in rowed and locs[trid].kind in _GLOBAL_OR_HEAP:
+            fresh[trid] = fresh.get(trid, 0) | low
+    if len(fresh) > 1:
+        bits = 0
+        for found in fresh.values():
+            bits |= found
+        pairs = []
+        for sid in sids:
+            defs, poss = rows[sid]
+            text = locs[sid].text
+            for tid in iter_bits(defs & bits):
+                pairs.append((False, text, locs[tid].text, tid))
+            for tid in iter_bits(poss & bits):
+                pairs.append((True, text, locs[tid].text, tid))
+        pairs.sort()
+        return list(dict.fromkeys(roots[pair[3]] for pair in pairs))
+    return list(fresh)
+
+
 class CallSplit:
     """The passthrough side of one call's split, in the caller's name
     space: the rows map leaves out, the memo entry leaves out of its
@@ -260,12 +330,21 @@ class CallSplit:
     holds those rows as ``(source id, (definite mask, possible
     mask))`` in the same order; ``pairs`` counts their pairs.
     ``slice_roots`` is the size of the slice, counting the seeds the
-    location table has never seen.  ``bindings``, when the split was
-    taken at a call site, is the ``(pending, missing)`` pair of
+    location table has never seen.  ``keys`` lists the visible roots
+    that cross, in census order, and ``runs`` each run of passthrough
+    roots between them as ``(i, source ids, met)``: the run sits just
+    before ``keys[i]`` (``i == len(keys)``: after them all), and
+    ``met`` holds the row-less GLOBAL and HEAP roots (``AbsLoc`` ->
+    root id) its targets first meet, so map places the passthrough and
+    meets its targets with one step per run; both are None when
+    nothing passes through.  ``bindings``, when the split was taken at
+    a call site, is the ``(pending, missing)`` pair of
     :func:`~repro.core.mapping.formal_bindings` its seeds came from,
     which map reuses for the formals."""
 
-    __slots__ = ("roots", "rows", "pairs", "slice_roots", "bindings")
+    __slots__ = (
+        "roots", "rows", "pairs", "slice_roots", "keys", "runs", "bindings"
+    )
 
     def __init__(
         self,
@@ -273,11 +352,15 @@ class CallSplit:
         rows: tuple,
         pairs: int,
         slice_roots: int,
+        keys: list[int] | None = None,
+        runs: list[tuple[int, tuple, dict]] | None = None,
     ) -> None:
         self.roots = roots
         self.rows = rows
         self.pairs = pairs
         self.slice_roots = slice_roots
+        self.keys = keys
+        self.runs = runs
         self.bindings: tuple[list, list] | None = None
 
 
@@ -296,11 +379,36 @@ def split_input(
     everything else is key.  Every row lies wholly on one side: the
     criterion only looks at the source root.  The per-root target
     unions and inert verdicts come from the set's cached
-    :class:`~repro.core.pointsto.RowCensus`, which map and unmap read
-    again.
+    :class:`~repro.core.pointsto.RowCensus`, which keeps the last
+    split with its seeds and referenced globals: a call on a census the
+    call before it split the same way (``probe(); probe();``, the
+    census handed on by unmap) reuses it.
     """
-    table = pts.table
     census = pts.census()
+    seeds = tuple(seeds)
+    last = census.split
+    if (
+        last is None
+        or last[1] is not referenced_globals
+        or last[0] != seeds
+    ):
+        last = census.split = (
+            seeds,
+            referenced_globals,
+            _split(pts, census, seeds, referenced_globals),
+        )
+    return CallSplit(*last[2])
+
+
+def _split(
+    pts: PointsToSet,
+    census: RowCensus,
+    seeds: tuple[AbsLoc, ...],
+    referenced_globals: frozenset[str],
+) -> tuple:
+    """:func:`split_input`'s work: the arguments of its
+    :class:`CallSplit`."""
+    table = pts.table
     reach = census.reach
     roots = table.roots
     locs = table.locs
@@ -334,26 +442,52 @@ def split_input(
             ):
                 stack.append(target_root)
 
-    passing = census.inert - slice_roots
     count = len(slice_roots) + len(unseen)
+    passing = census.inert - slice_roots
     if not passing:
-        return CallSplit({}, (), 0, count)
+        return {}, (), 0, count, None, None
     src = pts.rows
     groups = census.groups
     split_roots: dict[int, list[int]] = {}
-    rows: list = []
+    keys: list[int] = []
+    runs: list[tuple[int, tuple, dict]] = []
+    run: list[int] = []
+    meets: dict[int, None] = {}
+    # Target bits an earlier run met already: map makes that run's
+    # roots visible first.
+    settled = 0
+    passthrough: list[tuple] = []
     pairs = 0
     for rid in census.visible:
         if rid not in passing:
+            if run:
+                met = {locs[trid]: trid for trid in meets}
+                runs.append((len(keys), tuple(run), met))
+                run = []
+                meets = {}
+            keys.append(rid)
             continue
         sids = groups[rid]
         if len(sids) > 1:
-            sids = sorted(
-                sids, key=lambda sid: (not src[sid][0], locs[sid].text)
-            )
+            sids = carrying_order(sids, src, locs)
         split_roots[rid] = sids
+        run.extend(sids)
         for sid in sids:
             row = src[sid]
-            rows.append((sid, row))
+            passthrough.append((sid, row))
             pairs += (row[0] | row[1]).bit_count()
-    return CallSplit(split_roots, tuple(rows), pairs, count)
+        mask = reach[rid] & ~settled
+        if not mask:
+            continue
+        settled |= mask
+        if mask & (mask - 1):
+            for trid in met_roots(src, table, sids, mask, groups):
+                meets[trid] = None
+            continue
+        trid = roots[mask.bit_length() - 1]  # one new target
+        if trid not in groups and locs[trid].kind in _GLOBAL_OR_HEAP:
+            meets[trid] = None
+    if run:
+        runs.append((len(keys), tuple(run), {locs[t]: t for t in meets}))
+    rows = tuple(passthrough)
+    return split_roots, rows, pairs, count, keys, runs

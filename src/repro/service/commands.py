@@ -325,7 +325,7 @@ def _cmd_update(request, store, sessions) -> dict:
                 # No live predecessor: behave like a first query, which
                 # the store may answer for the new text outright.
                 result, hit = store.load_or_analyze(
-                    source, options, name=name
+                    source, options, name=name, key=new_key
                 )
                 session = QuerySession(result, source)
                 report = {
@@ -386,7 +386,7 @@ def _cmd_watch(request, store, sessions) -> dict:
             try:
                 with perf.configured(track_provenance=False):
                     result, hit = store.load_or_analyze(
-                        source, options, name=name
+                        source, options, name=name, key=new_key
                     )
                     baseline = build_baseline(
                         result, source,
@@ -595,7 +595,9 @@ def _handle_untraced(
     session = sessions.get(key)
     if session is None:
         try:
-            result, _ = store.load_or_analyze(source, options, name=name)
+            result, _ = store.load_or_analyze(
+                source, options, name=name, key=key
+            )
         except Exception as exc:
             return analysis_failure(exc)
         session = sessions[key] = QuerySession(result, source)

@@ -404,6 +404,7 @@ class ResultStore:
         options: AnalysisOptions | None = None,
         name: str = "<source>",
         refresh: bool = False,
+        key: str | None = None,
     ):
         """Return ``(analysis_like, hit)`` for a source text.
 
@@ -412,9 +413,13 @@ class ResultStore:
         analyzed, encoded, stored, and the *live*
         :class:`~repro.core.analysis.PointsToAnalysis` is returned
         (queries accept either form).  ``refresh=True`` forces a miss.
+        ``key``, when given, is :meth:`key_for` of ``source`` and
+        ``options`` under the current provenance setting, which a
+        caller that needed the key first need not hash again.
         """
         options = options or AnalysisOptions()
-        key = self.key_for(source, options)
+        if key is None:
+            key = self.key_for(source, options)
         if not refresh:
             cached = self.get(key)
             if cached is not None:
